@@ -48,14 +48,26 @@ class Ticket:
     the service when prefix reuse is on, empty otherwise): flushes
     stable-sort by it so same-prompt tickets sit adjacently in the batch
     and can share one lockstep decode.
+
+    ``admitted_at`` is when the service started admitting the request
+    (before its admission-time prompt build), the origin of the
+    request's end-to-end latency; ``enqueued_at`` is when it entered the
+    queue, the origin of queue wait and of the ``max_wait_s`` deadline.
+
+    ``lookup`` is the service's admission-time prompt lookup (surrogate,
+    prompt parts, fingerprint, result key), so the batch worker never
+    rebuilds the prompt; ``None`` when admission left the lookup to the
+    worker.
     """
 
     request_id: int
     request: Request
     future: Future = field(default_factory=Future)
+    admitted_at: float = field(default_factory=time.monotonic)
     enqueued_at: float = field(default_factory=time.monotonic)
     trace_parent: int | None = None
     group_key: str = ""
+    lookup: object = None
 
 
 class _Sentinel:
@@ -146,6 +158,11 @@ class MicroBatcher:
         self._collector.start()
 
     # ------------------------------------------------------------------ #
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has begun (admissions are refused)."""
+        return self._closed.is_set()
+
     def submit(self, ticket: Ticket, *, block: bool = False) -> None:
         """Admit a ticket, raising on shutdown or backpressure.
 

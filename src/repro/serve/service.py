@@ -1,9 +1,15 @@
-"""The :class:`PredictionService` façade: submit → batch → cache → generate.
+"""The :class:`PredictionService` façade: admit → (hit | batch → generate).
 
-The service accepts :class:`~repro.serve.request.Request` envelopes,
-admits them through the bounded microbatching scheduler, and executes each
-batch against per-size :class:`~repro.core.surrogate.DiscriminativeSurrogate`
-stacks with two cache levels in front of generation:
+The service accepts :class:`~repro.serve.request.Request` envelopes.
+Admission builds each request's prompt once, on the submitting thread,
+and looks it up in the result cache: a hit is answered right there with
+an already-resolved future — it never queues, so it never waits out the
+microbatch deadline and is never shed by a full queue.  Only misses enter
+the bounded microbatching scheduler (so ``max_wait_s`` and the
+queue-wait statistics describe misses alone), carrying their built
+prompt; each batch executes against per-size
+:class:`~repro.core.surrogate.DiscriminativeSurrogate` stacks with two
+cache levels in front of generation:
 
 1. the **prepare cache** (prompt fingerprint → ``FormatAnalysis``) skips
    the one-time prompt analysis when the same prompt recurs under a new
@@ -19,18 +25,20 @@ per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.core.surrogate import DiscriminativeSurrogate
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import RequestTimeoutError, ServiceClosedError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import get_tracer
+from repro.prompts.builder import PromptParts
 from repro.serve.cache import MISS, LRUCache, prompt_fingerprint
 from repro.serve.request import Request, Response
 from repro.serve.scheduler import MicroBatcher, Ticket
@@ -53,6 +61,20 @@ class _PrefixGroup:
         self.seeds = seeds
         self.width = width
         self.stash: dict[int, object] | None = None
+
+
+class _Lookup(NamedTuple):
+    """A request's prompt, its cache keys, and its result-cache entry.
+
+    ``cached`` is the entry as :meth:`LRUCache.peek` saw it (counters and
+    recency untouched), or :data:`MISS`.
+    """
+
+    surrogate: DiscriminativeSurrogate
+    parts: PromptParts
+    fingerprint: str
+    result_key: tuple
+    cached: object
 
 
 class PredictionService:
@@ -122,6 +144,9 @@ class PredictionService:
             LRUCache(result_cache_size) if enable_result_cache else None
         )
         self._stats = StatsRecorder(max_batch_size=max_batch_size)
+        # Result key -> event set when the worker holding it is done.
+        self._claims: dict[tuple, threading.Event] = {}
+        self._claims_lock = threading.Lock()
         self._ids = itertools.count()
         # Cache-only serves (cached_response) get negative ids from their
         # own counter: they never pass through admission, and drawing from
@@ -147,15 +172,38 @@ class PredictionService:
     def submit_async(self, request: Request, *, block: bool = False) -> Future:
         """Admit a request; the returned future resolves to a `Response`.
 
-        Raises :class:`ServiceOverloadedError` when the admission queue is
-        full, unless ``block=True`` (then admission waits for space —
-        the cooperative-backpressure mode bulk callers use).
+        A result-cache hit comes back already resolved.  A miss is queued
+        for a batch, and raises :class:`ServiceOverloadedError` when the
+        admission queue is full, unless ``block=True`` (then admission
+        waits for space — the cooperative-backpressure mode bulk callers
+        use).  A request whose prompt cannot be built resolves to that
+        error.
         """
+        admitted_at = time.monotonic()
+        request_id = next(self._ids)
+        if self._batcher.closed:
+            self._stats.record_closed_reject()
+            raise ServiceClosedError("service is shut down")
+        try:
+            # An id a per-request fault fires for goes through the batcher
+            # without a lookup, so the fault hook runs on a batch worker
+            # before the prompt is built — exactly where it always has.
+            lookup = (
+                None if self._fault_due(request_id)
+                else self._lookup(request)
+            )
+            if lookup is not None and lookup.cached is not MISS:
+                return self._serve_hit(request_id, request, lookup, admitted_at)
+            group_key = request.prompt_key if self.enable_prefix_cache else ""
+        except Exception as exc:
+            return self._fail_at_admission(request_id, request, admitted_at, exc)
         ticket = Ticket(
-            request_id=next(self._ids),
+            request_id=request_id,
             request=request,
+            admitted_at=admitted_at,
             trace_parent=get_tracer().current_span_id(),
-            group_key=request.prompt_key if self.enable_prefix_cache else "",
+            group_key=group_key,
+            lookup=lookup,
         )
         try:
             self._batcher.submit(ticket, block=block)
@@ -193,6 +241,74 @@ class PredictionService:
                 future.add_done_callback(self._note_late_discard)
             self._stats.record_timeout()
             raise RequestTimeoutError(float(timeout)) from None
+
+    def _fault_due(self, request_id: int) -> bool:
+        """Whether a per-request fault fires for this admission id.
+
+        The plan's decisions are pure functions of the id, so asking has
+        no side effects; the hook itself runs later, on a batch worker.
+        """
+        if self.faults is None:
+            return False
+        plan = self.faults.plan
+        return bool(
+            plan.eviction_storm(request_id)
+            or plan.latency_spike(request_id)
+            or plan.transient_error(request_id)
+        )
+
+    def _serve_hit(
+        self, request_id: int, request: Request, lookup: _Lookup,
+        admitted_at: float,
+    ) -> Future:
+        """Answer a result-cache hit on the submitting thread."""
+        tracer = get_tracer()
+        with tracer.span(
+            "serve.request",
+            start_s=admitted_at,
+            request_id=request_id,
+            size=request.size,
+            batch_size=1,
+            result_cache_hit=True,
+            prepare_cache_hit=False,
+            group_width=1,
+        ):
+            with tracer.span("serve.cache_lookup", level="result"):
+                # Counts the hit and refreshes recency.  The peeked entry
+                # is the answer even if evicted since (the engine's
+                # determinism contract).
+                self.result_cache.get(lookup.result_key)
+        response = Response(
+            request_id=request_id,
+            prediction=lookup.cached,
+            latency_s=time.monotonic() - admitted_at,
+            result_cache_hit=True,
+            batch_size=1,
+        )
+        self._stats.record_submit()
+        self._stats.record_done(response.latency_s)
+        future: Future = Future()
+        future.set_result(response)
+        return future
+
+    def _fail_at_admission(
+        self, request_id: int, request: Request, admitted_at: float,
+        exc: Exception,
+    ) -> Future:
+        """Resolve a request whose prompt could not be built to its error."""
+        get_tracer().record_span(
+            "serve.request",
+            admitted_at,
+            time.monotonic(),
+            request_id=request_id,
+            size=request.size,
+            error=type(exc).__name__,
+        )
+        self._stats.record_submit()
+        self._stats.record_failed()
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
     def _note_late_discard(self, future: Future) -> None:
         if not future.cancelled() and future.exception() is None:
@@ -326,15 +442,26 @@ class PredictionService:
                 plan[ticket.request_id] = group
         return plan
 
-    @staticmethod
-    def _result_key(surrogate: DiscriminativeSurrogate, fingerprint: str, seed: int):
-        """Full-result cache key (the engine's determinism contract)."""
-        return (
+    def _lookup(self, request: Request) -> _Lookup:
+        """Build the prompt, fingerprint it, and peek the result cache.
+
+        The result key is the engine's determinism contract: prompt,
+        seed, sampling parameters and token cap fix the generation.
+        """
+        surrogate = self._surrogate_for(request.size)
+        parts = surrogate.build_parts(request.examples, request.query_config)
+        fingerprint = prompt_fingerprint(parts.ids)
+        result_key = (
             fingerprint,
-            int(seed),
+            int(request.seed),
             surrogate.engine.sampling,
             surrogate.engine.max_new_tokens,
         )
+        cached = (
+            MISS if self.result_cache is None
+            else self.result_cache.peek(result_key)
+        )
+        return _Lookup(surrogate, parts, fingerprint, result_key, cached)
 
     def cached_response(self, request: Request) -> Response | None:
         """Serve purely from the result cache — no admission, no generation.
@@ -346,12 +473,7 @@ class PredictionService:
         """
         if self.result_cache is None:
             return None
-        surrogate = self._surrogate_for(request.size)
-        parts = surrogate.build_parts(request.examples, request.query_config)
-        key = self._result_key(
-            surrogate, prompt_fingerprint(parts.ids), request.seed
-        )
-        prediction = self.result_cache.peek(key)
+        prediction = self._lookup(request).cached
         if prediction is MISS:
             return None
         return Response(
@@ -376,7 +498,7 @@ class PredictionService:
         with tracer.span(
             "serve.request",
             parent=ticket.trace_parent,
-            start_s=ticket.enqueued_at,
+            start_s=ticket.admitted_at,
             request_id=ticket.request_id,
             size=request.size,
             batch_size=batch_size,
@@ -396,62 +518,29 @@ class PredictionService:
                     ticket.request_id,
                     caches=(self.prepare_cache, self.result_cache),
                 )
-            surrogate = self._surrogate_for(request.size)
-            parts = surrogate.build_parts(
-                request.examples, request.query_config
-            )
-            fingerprint = prompt_fingerprint(parts.ids)
-            result_key = self._result_key(
-                surrogate, fingerprint, request.seed
-            )
+            lookup = ticket.lookup
+            if lookup is None:  # a fault was due: admission built nothing
+                lookup = self._lookup(request)
+            seed = int(request.seed)
 
             result_hit = prepare_hit = False
             group_width = 1
-            prediction = MISS
-            if self.result_cache is not None:
-                with tracer.span("serve.cache_lookup", level="result"):
-                    prediction = self.result_cache.get(result_key)
-                result_hit = prediction is not MISS
-            if prediction is MISS:
-                if group is not None and group.stash is not None:
-                    # Follower: the group's leader already decoded this
-                    # seed in its lockstep batch.
-                    prediction = group.stash.get(int(request.seed), MISS)
-                if prediction is not MISS:
-                    group_width = group.width
-                else:
-                    analysis = None
-                    if self.prepare_cache is not None:
-                        with tracer.span("serve.prepare") as prep:
-                            analysis = self.prepare_cache.get(fingerprint)
-                            prepare_hit = analysis is not MISS
-                            prep.set(cache_hit=prepare_hit)
-                            if not prepare_hit:
-                                analysis = surrogate.model.prepare(parts.ids)
-                                self.prepare_cache.put(fingerprint, analysis)
-                    with tracer.span("serve.generate") as gen:
-                        if group is not None:
-                            # Leader: decode every member seed in one
-                            # lockstep batch; followers consume the stash.
-                            predictions = surrogate.predict_parts_batch(
-                                parts, group.seeds, analysis=analysis
-                            )
-                            group.stash = {
-                                int(seed): pred
-                                for seed, pred in zip(
-                                    group.seeds, predictions
-                                )
-                            }
-                            prediction = group.stash[int(request.seed)]
-                            group_width = group.width
-                            gen.set(group_width=group.width)
-                            self._stats.record_group(group.width)
-                        else:
-                            prediction = surrogate.predict_parts(
-                                parts, seed=request.seed, analysis=analysis
-                            )
-                if self.result_cache is not None:
-                    self.result_cache.put(result_key, prediction)
+            if self.result_cache is None:
+                prediction, prepare_hit, group_width = self._generate(
+                    lookup, seed, group
+                )
+            else:
+                with self._claimed(lookup.result_key):
+                    # Counted even though admission peeked a miss: a
+                    # duplicate may have finished in the meantime.
+                    with tracer.span("serve.cache_lookup", level="result"):
+                        prediction = self.result_cache.get(lookup.result_key)
+                    result_hit = prediction is not MISS
+                    if not result_hit:
+                        prediction, prepare_hit, group_width = (
+                            self._generate(lookup, seed, group)
+                        )
+                        self.result_cache.put(lookup.result_key, prediction)
             root.set(
                 result_cache_hit=result_hit,
                 prepare_cache_hit=prepare_hit,
@@ -461,9 +550,77 @@ class PredictionService:
             return Response(
                 request_id=ticket.request_id,
                 prediction=prediction,
-                latency_s=time.monotonic() - ticket.enqueued_at,
+                latency_s=time.monotonic() - ticket.admitted_at,
                 result_cache_hit=result_hit,
                 prepare_cache_hit=prepare_hit,
                 batch_size=batch_size,
                 group_width=group_width,
             )
+
+    @contextlib.contextmanager
+    def _claimed(self, result_key: tuple):
+        """Hold ``result_key`` for this worker, first waiting out any
+        other worker that holds it.
+
+        Concurrent batches can carry the same request (a repeat admitted
+        while the first was still queued); the later one waits for the
+        first's result instead of generating it again.  A worker holds at
+        most one key and waits only while holding none, so waits cannot
+        form a cycle.
+        """
+        while True:
+            with self._claims_lock:
+                holder = self._claims.get(result_key)
+                if holder is None:
+                    claim = self._claims[result_key] = threading.Event()
+                    break
+            holder.wait()
+        try:
+            yield
+        finally:
+            with self._claims_lock:
+                del self._claims[result_key]
+            claim.set()
+
+    def _generate(
+        self, lookup: _Lookup, seed: int, group: "_PrefixGroup | None"
+    ) -> tuple[object, bool, int]:
+        """Generate a result-cache miss: ``(prediction, prepare hit,
+        group width)``."""
+        tracer = get_tracer()
+        if group is not None and group.stash is not None:
+            # Follower: the group's leader already decoded this seed in
+            # its lockstep batch.
+            prediction = group.stash.get(seed, MISS)
+            if prediction is not MISS:
+                return prediction, False, group.width
+        surrogate, parts, fingerprint = (
+            lookup.surrogate, lookup.parts, lookup.fingerprint
+        )
+        analysis = None
+        prepare_hit = False
+        if self.prepare_cache is not None:
+            with tracer.span("serve.prepare") as prep:
+                analysis = self.prepare_cache.get(fingerprint)
+                prepare_hit = analysis is not MISS
+                prep.set(cache_hit=prepare_hit)
+                if not prepare_hit:
+                    analysis = surrogate.model.prepare(parts.ids)
+                    self.prepare_cache.put(fingerprint, analysis)
+        with tracer.span("serve.generate") as gen:
+            if group is None:
+                prediction = surrogate.predict_parts(
+                    parts, seed=seed, analysis=analysis
+                )
+                return prediction, prepare_hit, 1
+            # Leader: decode every member seed in one lockstep batch;
+            # followers consume the stash.
+            predictions = surrogate.predict_parts_batch(
+                parts, group.seeds, analysis=analysis
+            )
+            group.stash = {
+                int(s): pred for s, pred in zip(group.seeds, predictions)
+            }
+            gen.set(group_width=group.width)
+            self._stats.record_group(group.width)
+            return group.stash[seed], prepare_hit, group.width

@@ -24,9 +24,11 @@ __all__ = ["ServiceStats", "StatsRecorder"]
 class ServiceStats:
     """A frozen snapshot of service-level metrics.
 
-    Latencies are end-to-end per request: queue wait + batch execution
-    (or cache lookup).  Throughput is completed requests over the busy
-    window (first submit to last completion).
+    Latencies are end-to-end per request from admission: prompt build
+    plus, for a result-cache hit, the lookup, or, for a miss, queue wait
+    and batch execution.  Batch and queue-wait figures cover misses
+    only (hits never queue).  Throughput is completed requests over the
+    busy window (first submit to last completion).
     """
 
     n_submitted: int

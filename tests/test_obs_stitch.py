@@ -202,6 +202,36 @@ class TestLiveParentIntegrity:
                 assert by_id[span.parent_id].name == "shard.worker"
 
 
+@pytest.mark.parametrize("shards", [0, 1])
+def test_every_request_has_one_root_hits_included(
+    shards, sm_dataset, examples
+):
+    """Hits answered at admission still yield one ``serve.request`` root,
+    parented where a batched request's root is: under ``shard.worker``
+    when sharded, under the caller's span in process."""
+    requests = [
+        _request(sm_dataset, examples, query=q, seed=0)
+        for q in (40, 41, 40, 41)
+    ]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        with make_service(shards=shards, max_batch_size=4) as service:
+            with tracer.span("client"):
+                responses = [service.submit(r) for r in requests]
+    spans = tracer.spans()
+    assert _orphans(spans) == []
+    by_id = {s.span_id: s for s in spans}
+    roots = [s for s in spans if s.name == "serve.request"]
+    assert len(roots) == len(requests)
+    assert [r.result_cache_hit for r in responses] == [False, False, True, True]
+    assert sorted(s.attributes["result_cache_hit"] for s in roots) == [
+        False, False, True, True,
+    ]
+    parents = [by_id[s.parent_id] for s in roots]
+    assert {p.name for p in parents} == {"shard.worker" if shards else "client"}
+    assert len({p.span_id for p in parents}) == (len(requests) if shards else 1)
+
+
 @pytest.mark.chaos
 class TestKilledShardOrphans:
     def test_tooling_survives_a_sigkilled_shard(

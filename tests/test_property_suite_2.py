@@ -96,3 +96,52 @@ class TestSamplingProperties:
             np.arange(3), logits, SamplingParams(greedy=True), rng
         )
         assert pos == 1
+
+
+class TestPromptKeyFingerprint:
+    """``Request.prompt_key`` is at least as fine as the prompt itself.
+
+    Equal keys must build token-identical prompts, which is what would
+    let the result cache be keyed by ``prompt_key`` without building the
+    prompt first.
+    """
+
+    _surrogates: dict = {}
+
+    @given(
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=10**6), min_size=1,
+            max_size=2,
+        ),
+        size=st.sampled_from(["SM", "XL"]),
+        n_icl=st.integers(min_value=1, max_value=12),
+        n_unique=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_equal_prompt_key_implies_equal_fingerprint(
+        self, seeds, size, n_icl, n_unique
+    ):
+        from repro.core.surrogate import DiscriminativeSurrogate
+        from repro.dataset.syr2k import Syr2kTask
+        from repro.loadgen import WorkloadMix, build_workload
+        from repro.serve.cache import prompt_fingerprint
+
+        surrogate = self._surrogates.get(size)
+        if surrogate is None:
+            surrogate = self._surrogates[size] = DiscriminativeSurrogate(
+                Syr2kTask(size)
+            )
+        mix = WorkloadMix(
+            size=size, n_icl=n_icl, n_unique=n_unique, seed_lanes=2
+        )
+        fingerprints: dict[str, set[str]] = {}
+        for seed in seeds:
+            for item in build_workload(mix, 3 * n_unique, seed):
+                request = item.request
+                parts = surrogate.build_parts(
+                    request.examples, request.query_config
+                )
+                fingerprints.setdefault(request.prompt_key, set()).add(
+                    prompt_fingerprint(parts.ids)
+                )
+        assert all(len(fps) == 1 for fps in fingerprints.values())

@@ -96,6 +96,7 @@ class TestServing:
             assert second.prediction is first.prediction
             stats = svc.stats()
         assert stats.result_hits == 1 and stats.result_misses == 1
+        assert stats.n_submitted == stats.n_completed == 2
 
     def test_prepare_cache_spans_seeds(self, sm_dataset, examples):
         """Same prompt, new seed: result misses but prepare hits."""
@@ -292,6 +293,152 @@ class TestMicroBatcherDeadline:
         p95 = waits[int(0.95 * (len(waits) - 1))]
         # Well under the old tick; generous headroom for a loaded box.
         assert p95 < _POLL_S / 2, waits
+
+
+class CountingSurrogate(SlowSurrogate):
+    """Surrogate that counts its prompt builds and decodes (test spy)."""
+
+    delay_s = 0.0
+
+    def __init__(self, task):
+        super().__init__(task)
+        # list.append: atomic across batch workers
+        self.builds = []
+        self.decodes = []
+
+    def build_parts(self, examples, query_config):
+        self.builds.append(1)
+        return super().build_parts(examples, query_config)
+
+    def predict_parts(self, parts, seed=0, analysis=None):
+        self.decodes.append(seed)
+        return super().predict_parts(parts, seed=seed, analysis=analysis)
+
+
+class TestAdmissionHits:
+    """Result-cache hits are answered inside submit_async, unbatched."""
+
+    def test_hit_is_done_at_admission_without_a_batch(
+        self, sm_dataset, examples
+    ):
+        with PredictionService() as svc:
+            req = make_request(sm_dataset, examples, seed=11)
+            first = svc.submit(req)
+            batches = svc.stats().n_batches
+            future = svc.submit_async(req)
+            assert future.done()
+            resp = future.result()
+            stats = svc.stats()
+        assert resp.result_cache_hit and resp.batch_size == 1
+        assert resp.prediction is first.prediction
+        assert resp.request_id == first.request_id + 1
+        assert stats.n_batches == batches
+
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_each_request_builds_its_prompt_once(
+        self, sm_task, sm_dataset, examples, faults
+    ):
+        from repro.faults import FaultPlan
+
+        spy = CountingSurrogate(sm_task)
+        plan = (
+            FaultPlan(seed=5, eviction_storm_rate=0.3, latency_spike_rate=0.3,
+                      latency_spike_s=0.001)
+            if faults else None
+        )
+        # Two prompts x two seeds, each pair repeated: batched misses,
+        # same-prompt decode groups, and admission-time hits.
+        requests = [
+            make_request(sm_dataset, examples, query=q, seed=s)
+            for _ in range(3)
+            for q in (10, 11)
+            for s in (1, 2)
+        ]
+        with PredictionService(spy, fault_plan=plan) as svc:
+            svc.submit_many(requests[:4])
+            for req in requests[4:]:
+                svc.submit(req)
+            stats = svc.stats()
+        assert len(spy.builds) == len(requests)
+        assert stats.result_hits + stats.result_misses == len(requests)
+        if not faults:
+            assert stats.result_hits == len(requests) - 4
+
+    def test_concurrent_duplicate_waits_for_the_first(
+        self, sm_task, sm_dataset, examples
+    ):
+        """A repeat admitted while its first copy is still in flight
+        rides another batch on another worker; it waits for the first
+        result instead of generating it again."""
+        spy = CountingSurrogate(sm_task)
+        spy.delay_s = 0.1
+        req = make_request(sm_dataset, examples, seed=14)
+        with PredictionService(
+            spy, max_batch_size=1, max_wait_s=0.0, workers=2
+        ) as svc:
+            futures = [svc.submit_async(req), svc.submit_async(req)]
+            first, again = [f.result(timeout=10) for f in futures]
+            stats = svc.stats()
+        assert spy.decodes == [14]
+        assert stats.n_batches == 2
+        assert (stats.result_hits, stats.result_misses) == (1, 1)
+        assert again.prediction is first.prediction
+
+    def test_closed_service_rejects_a_hit(self, sm_dataset, examples):
+        svc = PredictionService()
+        req = make_request(sm_dataset, examples, seed=13)
+        svc.submit(req)
+        svc.close()
+        assert svc.cached_response(req) is not None  # still cached
+        with pytest.raises(ServiceClosedError):
+            svc.submit_async(req)
+        assert svc.stats().n_closed_rejects == 1
+
+    def test_malformed_query_fails_the_future(self, sm_dataset, examples):
+        bad = Request(examples=examples, query_config=["not", "a", "map"])
+        with PredictionService() as svc:
+            future = svc.submit_async(bad)
+            with pytest.raises(AttributeError):
+                future.result(timeout=5)
+            stats = svc.stats()
+        assert stats.n_submitted == stats.n_failed == 1
+
+    def test_faults_meet_every_admission_id_as_planned(
+        self, sm_dataset, examples
+    ):
+        """Hits skip the batcher, yet every admission id meets the plan:
+        the fault counts equal the plan's decisions over ids 0..n-1."""
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(
+            seed=7, eviction_storm_rate=0.15, latency_spike_rate=0.15,
+            latency_spike_s=0.001, transient_error_rate=0.15,
+        )
+        n = 40
+        with PredictionService(fault_plan=plan) as svc:
+            failed = hits = 0
+            for i in range(n):
+                req = make_request(
+                    sm_dataset, examples, query=i % 4, seed=i % 2
+                )
+                try:
+                    hits += svc.submit(req).result_cache_hit
+                except ServiceError:
+                    failed += 1
+            got = svc.faults.stats.snapshot()
+        want = {
+            "evictions": sum(plan.eviction_storm(i) for i in range(n)),
+            "latency_spikes": sum(
+                plan.latency_spike(i) > 0 for i in range(n)
+            ),
+            "transient_errors": sum(
+                plan.transient_error(i) for i in range(n)
+            ),
+        }
+        assert all(want.values())  # every hook actually fired
+        assert {k: got[k] for k in want} == want
+        assert failed == want["transient_errors"]
+        assert hits > 0  # and hits were answered at admission
 
 
 class TestCachedResponseIds:

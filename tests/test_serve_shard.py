@@ -227,6 +227,25 @@ class TestShardedServing:
         assert sharded.result_cache is None
 
 
+@pytest.mark.parametrize("shards", [0, 1])
+def test_repeat_is_served_bit_identically(shards, sm_task, sm_dataset, examples):
+    """A repeat is a result-cache hit answered at the replica's admission,
+    with the same prediction as the first serve and a direct call."""
+    from repro.core.surrogate import DiscriminativeSurrogate
+
+    request = make_request(sm_dataset, examples, query=43, seed=3)
+    direct = DiscriminativeSurrogate(sm_task).predict(
+        request.examples, request.query_config, seed=request.seed
+    )
+    with make_service(shards=shards) as service:
+        first = service.submit(request)
+        again = service.submit(request)
+        stats = service.stats()
+    assert not first.result_cache_hit and again.result_cache_hit
+    assert canonical([first]) == canonical([again]) == [repr(direct)]
+    assert (stats.result_hits, stats.result_misses) == (1, 1)
+
+
 @pytest.mark.chaos
 class TestShardDeath:
     def test_kill_crash_respawn_then_fail_permanently(
