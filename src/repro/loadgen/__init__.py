@@ -25,7 +25,6 @@ from repro.loadgen.slo import (
     SLOPolicy,
     SLOReport,
     SLOViolation,
-    StreamingHistogram,
     TenantSlice,
 )
 from repro.loadgen.workload import (
@@ -46,7 +45,6 @@ __all__ = [
     "SLOPolicy",
     "SLOReport",
     "SLOViolation",
-    "StreamingHistogram",
     "TenantSlice",
     "LoadItem",
     "WorkloadMix",

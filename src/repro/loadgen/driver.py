@@ -43,14 +43,14 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.loadgen.arrivals import ARRIVAL_KINDS, arrival_schedule, schedule_digest
-from repro.loadgen.slo import SLOReport, StreamingHistogram, TenantSlice
+from repro.loadgen.slo import SLOReport, TenantSlice
 from repro.loadgen.workload import (
     LoadItem,
     WorkloadMix,
     build_workload,
     workload_digest,
 )
-from repro.obs import get_tracer
+from repro.obs import Histogram, get_tracer
 from repro.utils.rng import derive_seed
 
 __all__ = ["LoadDriver", "LoadSpec"]
@@ -112,8 +112,8 @@ class _Recorder:
         self.tenant_counts = {
             t: {o: 0 for o in _OUTCOMES} for t in sorted(tenants)
         }
-        self.hist = StreamingHistogram()
-        self.tenant_hist = {t: StreamingHistogram() for t in sorted(tenants)}
+        self.hist = Histogram()
+        self.tenant_hist = {t: Histogram() for t in sorted(tenants)}
 
     def record(
         self, tenant: str, outcome: str, latency_s: float | None

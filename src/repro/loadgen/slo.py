@@ -1,12 +1,12 @@
-"""Streaming latency histograms, declarative SLO policies, SLO reports.
+"""Declarative SLO policies and SLO reports over streaming histograms.
 
 The driver records every request outcome into a
-:class:`StreamingHistogram` — fixed log-spaced buckets, O(1) per
-observation, mergeable — rather than keeping raw samples: a nightly soak
-at hundreds of requests per second would otherwise accumulate millions
-of floats for no benefit, and fixed bucket *edges* make quantile
-estimates deterministic functions of the counts (pinned by
-``tests/test_loadgen_slo.py``).
+:class:`~repro.obs.metrics.Histogram` — fixed log-spaced buckets, O(1)
+per observation, mergeable — rather than keeping raw samples: a nightly
+soak at hundreds of requests per second would otherwise accumulate
+millions of floats for no benefit, and fixed bucket *edges* make
+quantile estimates deterministic functions of the counts (pinned by
+``tests/test_obs_metrics.py``).
 
 An :class:`SLOPolicy` is the declarative conformance contract: latency
 ceilings per quantile, a goodput floor, and ceilings on the error /
@@ -37,11 +37,8 @@ Accounting vocabulary (used consistently everywhere):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from repro.errors import LoadgenError
 from repro.utils.tables import Table
@@ -51,119 +48,8 @@ __all__ = [
     "SLOPolicy",
     "SLOReport",
     "SLOViolation",
-    "StreamingHistogram",
     "TenantSlice",
 ]
-
-
-class StreamingHistogram:
-    """Log-spaced latency histogram with deterministic quantile edges.
-
-    Buckets span ``[lo, hi)`` with ``buckets_per_decade`` geometric
-    steps per factor of ten; observations outside the span clamp into
-    the first/last bucket.  Quantiles interpolate linearly *inside* the
-    owning bucket, so the estimate is a pure function of the counts —
-    identical counts give identical quantiles on every host.
-
-    Not thread-safe by itself; the driver serializes writes through its
-    own bookkeeping lock.
-    """
-
-    __slots__ = ("lo", "bpd", "edges", "counts", "n", "total", "min", "max")
-
-    def __init__(
-        self,
-        lo: float = 1e-5,
-        hi: float = 1e3,
-        buckets_per_decade: int = 16,
-    ):
-        if not 0 < lo < hi:
-            raise LoadgenError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-        if buckets_per_decade < 1:
-            raise LoadgenError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self.lo = float(lo)
-        self.bpd = int(buckets_per_decade)
-        n_buckets = int(
-            math.ceil(round(math.log10(hi / lo), 9) * self.bpd)
-        )
-        #: ``edges[k]`` is the lower bound of bucket ``k``; bucket ``k``
-        #: covers ``[edges[k], edges[k + 1])``.
-        self.edges = self.lo * np.power(
-            10.0, np.arange(n_buckets + 1, dtype=np.float64) / self.bpd
-        )
-        self.counts = np.zeros(n_buckets, dtype=np.int64)
-        self.n = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def _bucket(self, value: float) -> int:
-        if value <= self.lo:
-            return 0
-        k = int(math.floor(round(math.log10(value / self.lo), 9) * self.bpd))
-        return min(k, len(self.counts) - 1)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if value < 0:
-            raise LoadgenError(f"latencies are non-negative, got {value}")
-        self.counts[self._bucket(value)] += 1
-        self.n += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold ``other`` into this histogram (bucket layouts must match)."""
-        if (
-            other.lo != self.lo
-            or other.bpd != self.bpd
-            or len(other.counts) != len(self.counts)
-        ):
-            raise LoadgenError("cannot merge histograms with different buckets")
-        self.counts += other.counts
-        self.n += other.n
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``q`` in [0, 1]); 0.0 when empty.
-
-        The target rank is ``ceil(q * n)`` (nearest-rank), located in
-        its bucket, then interpolated linearly between the bucket's
-        edges by fractional position — deterministic given the counts.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise LoadgenError(f"q must be in [0, 1], got {q}")
-        if self.n == 0:
-            return 0.0
-        target = max(1, math.ceil(q * self.n))
-        cum = 0
-        for k, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if cum + count >= target:
-                frac = (target - cum) / count
-                lower, upper = self.edges[k], self.edges[k + 1]
-                return float(lower + frac * (upper - lower))
-            cum += count
-        return float(self.edges[-1])  # pragma: no cover - unreachable
-
-    def snapshot(self) -> dict:
-        """JSON-friendly counts + exact moments (for report payloads)."""
-        return {
-            "n": self.n,
-            "mean_s": self.mean,
-            "min_s": self.min if self.n else 0.0,
-            "max_s": self.max if self.n else 0.0,
-        }
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ Five pieces, all in-process and stdlib+numpy only:
   until :func:`set_tracer` / :func:`use_tracer` installs a live one, so
   instrumented hot paths cost one attribute check when tracing is off.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — named counters /
-  gauges / histograms with label sets, one ``snapshot()``/``render()``
+  gauges / log-bucket :class:`Histogram`\\ s (bounded and mergeable;
+  also behind ``StatsRecorder`` and the load generator's SLO reports)
+  with label sets, one ``snapshot()``/``render()``
   over what ``StatsRecorder``, ``LRUCache``, ``FaultInjector.stats`` and
   ``CircuitBreaker.trips`` each count separately
   (:func:`collect_service_metrics` does the mapping, idempotently).

@@ -14,10 +14,19 @@ Metric names are dotted, labels identify the sub-stream::
 
     registry.counter("cache.lookups", level="result", outcome="hit").inc()
     registry.histogram("serve.latency_s").observe(0.012)
+
+:class:`Histogram` is the one latency distribution in the package:
+fixed log-spaced buckets, so memory and quantile cost stay constant
+over any run length and histograms from several processes merge
+bucket by bucket.  ``StatsRecorder``, the sharded service's
+cross-shard aggregate and the load generator's SLO reports all use it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import threading
 
 import numpy as np
@@ -53,6 +62,16 @@ class _Instrument:
     def key(self) -> str:
         """Render key: ``name{label=value,...}``."""
         return self.name + _label_suffix(self.labels)
+
+    # Locks do not pickle; an unpickled instrument gets a fresh one.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
 
 class Counter(_Instrument):
@@ -112,48 +131,139 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """A distribution of observations with exact percentiles.
+    """Log-spaced latency histogram: bounded, mergeable, deterministic.
 
-    Observations are kept in full (registry lifetimes here are bench and
-    drill runs, not months), so ``percentile`` matches
-    ``np.percentile`` on the raw samples exactly.
+    Buckets span ``[lo, hi)`` with ``buckets_per_decade`` geometric
+    steps per factor of ten; observations outside the span clamp into
+    the first/last bucket.  Memory and quantile cost are fixed by the
+    layout, not by how many values were observed, so a histogram can
+    live as long as the process.  Quantiles interpolate linearly
+    *inside* the owning bucket, so the estimate is a pure function of
+    the counts: identical counts give identical quantiles on every
+    host, and merging per-shard histograms gives exactly the histogram
+    of the union.  ``n``, ``total``, ``min`` and ``max`` are exact.
+
+    Reads and writes take the instrument's lock, and an instance pickles
+    (without the lock), so a snapshot can cross a process pipe.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, labels: tuple):
+    def __init__(
+        self,
+        name: str = "",
+        labels: tuple = (),
+        *,
+        lo: float = 1e-5,
+        hi: float = 1e3,
+        buckets_per_decade: int = 16,
+    ):
+        if not 0 < lo < hi:
+            raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+        if buckets_per_decade < 1:
+            raise ValueError(
+                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
+            )
         super().__init__(name, labels)
-        self._values: list[float] = []
+        self.lo = float(lo)
+        self.bpd = int(buckets_per_decade)
+        n_buckets = int(
+            math.ceil(round(math.log10(hi / lo), 9) * self.bpd)
+        )
+        #: ``edges[k]`` is the lower bound of bucket ``k``; bucket ``k``
+        #: covers ``[edges[k], edges[k + 1])``.
+        self.edges = self.lo * np.power(
+            10.0, np.arange(n_buckets + 1, dtype=np.float64) / self.bpd
+        )
+        self.counts = [0] * n_buckets
+        self.n = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def _bucket(self, value: float) -> int:
+        if value <= self.lo:
+            return 0
+        k = int(math.floor(round(math.log10(value / self.lo), 9) * self.bpd))
+        return min(k, len(self.counts) - 1)
 
     def observe(self, value: float) -> None:
+        value = float(value)
+        if value < 0:
+            raise ValueError(f"latencies are non-negative, got {value}")
+        k = self._bucket(value)
         with self._lock:
-            self._values.append(float(value))
+            self.counts[k] += 1
+            self.n += 1
+            self.total += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
-    @property
-    def count(self) -> int:
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` into this histogram (bucket layouts must match)."""
+        if (
+            other.lo != self.lo
+            or other.bpd != self.bpd
+            or len(other.counts) != len(self.counts)
+        ):
+            raise ValueError("cannot merge histograms with different buckets")
+        # Read ``other`` under its own lock, then write under ours: never
+        # holding both means concurrent a.merge(b) / b.merge(a) cannot
+        # deadlock.
+        with other._lock:
+            counts = other.counts.copy()
+            n, total, lo, hi = other.n, other.total, other.min, other.max
         with self._lock:
-            return len(self._values)
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return float(sum(self._values))
+            self.counts = [a + b for a, b in zip(self.counts, counts)]
+            self.n += n
+            self.total += total
+            self.min = min(self.min, lo)
+            self.max = max(self.max, hi)
 
     @property
     def mean(self) -> float:
         with self._lock:
-            return float(np.mean(self._values)) if self._values else 0.0
+            return self.total / self.n if self.n else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Exact q-th percentile of the observations (0.0 when empty)."""
-        with self._lock:
-            if not self._values:
-                return 0.0
-            return float(np.percentile(np.asarray(self._values, float), q))
+    def quantile(self, q: float) -> float:
+        """Estimate the ``q``-quantile (``q`` in [0, 1]); 0.0 when empty.
 
-    def values(self) -> list[float]:
+        The target rank is ``ceil(q * n)`` (nearest-rank), located in
+        its bucket, then interpolated linearly between the bucket's
+        edges by fractional position — deterministic given the counts.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q}")
         with self._lock:
-            return list(self._values)
+            return self._quantile(q)
+
+    def _quantile(self, q: float) -> float:
+        # Caller holds the lock.
+        if self.n == 0:
+            return 0.0
+        target = max(1, math.ceil(q * self.n))
+        cum = list(itertools.accumulate(self.counts))
+        k = bisect.bisect_left(cum, target)  # first bucket reaching it
+        count = self.counts[k]
+        frac = (target - (cum[k] - count)) / count
+        lower, upper = self.edges[k], self.edges[k + 1]
+        return float(lower + frac * (upper - lower))
+
+    def snapshot(self) -> dict:
+        """JSON-friendly exact moments plus the p50/p95 estimates."""
+        with self._lock:
+            n = self.n
+            return {
+                "count": n,
+                "sum": self.total,
+                "mean": self.total / n if n else 0.0,
+                "min": self.min if n else 0.0,
+                "max": self.max if n else 0.0,
+                "p50": self._quantile(0.50),
+                "p95": self._quantile(0.95),
+            }
 
 
 class MetricsRegistry:
@@ -200,32 +310,25 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, object]:
         """Freeze every instrument into a plain, JSON-friendly dict.
 
-        Counters and gauges map to their value; histograms to a
-        ``{count, mean, p50, p95, sum}`` sub-dict.
+        Counters and gauges map to their value; histograms to their
+        :meth:`Histogram.snapshot` sub-dict.
         """
-        out: dict[str, object] = {}
-        for inst in self.instruments():
-            if isinstance(inst, Histogram):
-                out[inst.key] = {
-                    "count": inst.count,
-                    "mean": inst.mean,
-                    "p50": inst.percentile(50),
-                    "p95": inst.percentile(95),
-                    "sum": inst.sum,
-                }
-            else:
-                out[inst.key] = inst.value
-        return out
+        return {
+            inst.key: (
+                inst.snapshot() if isinstance(inst, Histogram) else inst.value
+            )
+            for inst in self.instruments()
+        }
 
     def render(self, title: str = "metrics") -> str:
         """ASCII table of the registry (one row per instrument)."""
         t = Table(["metric", "kind", "value"], title=title)
         for inst in self.instruments():
             if isinstance(inst, Histogram):
+                snap = inst.snapshot()
                 value = (
-                    f"n={inst.count} mean={inst.mean:.6g} "
-                    f"p50={inst.percentile(50):.6g} "
-                    f"p95={inst.percentile(95):.6g}"
+                    f"n={snap['count']} mean={snap['mean']:.6g} "
+                    f"p50={snap['p50']:.6g} p95={snap['p95']:.6g}"
                 )
             elif isinstance(inst, Gauge):
                 value = f"{inst.value:.6g}"

@@ -80,7 +80,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultStats
-from repro.obs import Tracer, get_tracer, set_tracer
+from repro.obs import Histogram, Tracer, get_tracer, set_tracer
 from repro.obs.tracer import worker_id_start
 from repro.serve.request import Request, Response
 from repro.serve.service import PredictionService
@@ -95,6 +95,46 @@ _WATCHDOG_POLL_S = 0.05
 
 #: Per-attempt wait while cooperatively block-putting into a full inbox.
 _BLOCK_PUT_POLL_S = 0.05
+
+
+def aggregate_stats(
+    base: ServiceStats, workers: list[ServiceStats]
+) -> ServiceStats:
+    """Fold shard snapshots into the parent's own snapshot ``base``.
+
+    The parent is authoritative for submissions, outcomes, end-to-end
+    latencies and throughput.  Batching, cache and prefix-group counters
+    are summed over ``workers`` (every shard incarnation, retired ones
+    included).  Queue waits are measured inside the workers, so their
+    p50/p95 are read off the bucket-by-bucket merge of the workers'
+    histograms: a percentile of the union at bucket resolution.
+    """
+    waits = Histogram()
+    for s in workers:
+        waits.merge(s.queue_wait_hist)
+    n_batches = sum(s.n_batches for s in workers)
+    # Batch sizes are integers: rounding mean * count recovers each
+    # worker's exact total, so the aggregate mean is exact too.
+    batched = sum(round(s.mean_batch_size * s.n_batches) for s in workers)
+    n_groups = sum(s.n_groups for s in workers)
+    n_group_served = sum(s.n_group_served for s in workers)
+    return dataclasses.replace(
+        base,
+        p50_queue_wait_s=waits.quantile(0.50),
+        p95_queue_wait_s=waits.quantile(0.95),
+        queue_wait_hist=waits,
+        n_batches=n_batches,
+        mean_batch_size=(batched / n_batches) if n_batches else 0.0,
+        prepare_hits=sum(s.prepare_hits for s in workers),
+        prepare_misses=sum(s.prepare_misses for s in workers),
+        result_hits=sum(s.result_hits for s in workers),
+        result_misses=sum(s.result_misses for s in workers),
+        prefix_hits=sum(s.prefix_hits for s in workers),
+        prefix_misses=sum(s.prefix_misses for s in workers),
+        n_groups=n_groups,
+        n_group_served=n_group_served,
+        mean_group_width=n_group_served / n_groups if n_groups else 0.0,
+    )
 
 
 def route_shard(prompt_key: str, n_shards: int, route_seed: int = 0) -> int:
@@ -946,51 +986,10 @@ class ShardedPredictionService:
     def stats(self) -> ServiceStats:
         """Aggregate snapshot: parent request accounting + shard counters.
 
-        The parent recorder is authoritative for submissions, outcomes,
-        end-to-end latencies, and throughput; batching, cache, and
-        prefix-group counters are summed across every shard incarnation
-        (live shards are polled first).
+        Live shards are polled first; see :func:`aggregate_stats`.
         """
         self._refresh_shard_stats()
-        worker = self._worker_stats()
-        base = self._stats.snapshot()
-        n_batches = sum(s.n_batches for s in worker)
-        batch_total = sum(s.mean_batch_size * s.n_batches for s in worker)
-        n_groups = sum(s.n_groups for s in worker)
-        n_group_served = sum(s.n_group_served for s in worker)
-        # Queue waits are measured inside the replicas; exact cross-shard
-        # percentiles would need the raw samples, so the aggregate is the
-        # completed-weighted mean of per-shard percentiles — an
-        # approximation, and labelled as such in DESIGN §14.
-        qw_weight = sum(s.n_completed for s in worker)
-        qw50 = qw95 = 0.0
-        if qw_weight:
-            qw50 = (
-                sum(s.p50_queue_wait_s * s.n_completed for s in worker)
-                / qw_weight
-            )
-            qw95 = (
-                sum(s.p95_queue_wait_s * s.n_completed for s in worker)
-                / qw_weight
-            )
-        return dataclasses.replace(
-            base,
-            p50_queue_wait_s=qw50,
-            p95_queue_wait_s=qw95,
-            n_batches=n_batches,
-            mean_batch_size=(batch_total / n_batches) if n_batches else 0.0,
-            prepare_hits=sum(s.prepare_hits for s in worker),
-            prepare_misses=sum(s.prepare_misses for s in worker),
-            result_hits=sum(s.result_hits for s in worker),
-            result_misses=sum(s.result_misses for s in worker),
-            prefix_hits=sum(s.prefix_hits for s in worker),
-            prefix_misses=sum(s.prefix_misses for s in worker),
-            n_groups=n_groups,
-            n_group_served=n_group_served,
-            mean_group_width=(
-                n_group_served / n_groups if n_groups else 0.0
-            ),
-        )
+        return aggregate_stats(self._stats.snapshot(), self._worker_stats())
 
     def prefix_cache_counts(self) -> tuple[int, int]:
         """(hits, misses) summed over every shard's prefix caches."""

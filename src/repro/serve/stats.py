@@ -3,17 +3,20 @@
 A :class:`StatsRecorder` is the live, lock-protected accumulator the
 service updates on every event; :meth:`StatsRecorder.snapshot` freezes it
 into an immutable :class:`ServiceStats` for reporting (the ``repro
-serve-bench`` subcommand renders one per configuration).
+serve-bench`` subcommand renders one per configuration).  Latencies and
+queue waits stream into log-bucket histograms
+(:class:`~repro.obs.metrics.Histogram`), so the recorder's memory and
+snapshot cost stay constant over any run length and p50/p95 read at
+bucket resolution (within a factor of 10^(1/16) ≈ 1.155).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.obs.metrics import Histogram
 from repro.utils.tables import Table
 from repro.utils.timing import format_duration
 
@@ -74,6 +77,12 @@ class ServiceStats:
     n_degraded: int = 0
     n_logical: int = 0
     n_unavailable: int = 0
+    #: The bucket counts behind ``p50/p95_queue_wait_s``.  It pickles,
+    #: so shards ship it to the parent, which merges the workers'
+    #: histograms and reads the cross-shard percentiles off the merge.
+    queue_wait_hist: Histogram = field(
+        default_factory=Histogram, compare=False, repr=False
+    )
 
     @property
     def batch_occupancy(self) -> float:
@@ -162,17 +171,19 @@ class ServiceStats:
 class StatsRecorder:
     """Lock-protected accumulator behind :class:`ServiceStats`.
 
-    Latency samples are kept in full (service lifetimes here are bench
-    runs, not months), so the percentiles are exact.
+    Holds two histograms plus counts and sums, nothing that grows with
+    the number of events.
     """
 
     def __init__(self, max_batch_size: int):
         self._lock = threading.Lock()
         self._max_batch_size = int(max_batch_size)
-        self._latencies: list[float] = []
-        self._queue_waits: list[float] = []
-        self._batch_sizes: list[int] = []
-        self._group_widths: list[int] = []
+        self._latencies = Histogram()
+        self._queue_waits = Histogram()
+        self._n_batches = 0
+        self._batched = 0  # sum of batch sizes
+        self._n_groups = 0
+        self._grouped = 0  # sum of group widths
         self._submitted = 0
         self._failed = 0
         self._rejected = 0
@@ -237,23 +248,24 @@ class StatsRecorder:
 
     def record_batch(self, batch_size: int) -> None:
         with self._lock:
-            self._batch_sizes.append(int(batch_size))
+            self._n_batches += 1
+            self._batched += int(batch_size)
 
     def record_queue_wait(self, wait_s: float) -> None:
         """Admission-to-pickup delay for one request."""
-        with self._lock:
-            self._queue_waits.append(max(float(wait_s), 0.0))
+        self._queue_waits.observe(max(float(wait_s), 0.0))
 
     def record_group(self, width: int) -> None:
         """One shared-prompt lockstep decode serving ``width`` requests."""
         with self._lock:
-            self._group_widths.append(int(width))
+            self._n_groups += 1
+            self._grouped += int(width)
 
     def record_done(self, latency_s: float) -> None:
         """A successful completion with its end-to-end latency."""
         with self._lock:
             self._last_done_t = time.monotonic()
-            self._latencies.append(float(latency_s))
+            self._latencies.observe(latency_s)
 
     def record_failed(self) -> None:
         """A failed request.  Latency-free by design: a failure has no
@@ -276,17 +288,14 @@ class StatsRecorder:
     ) -> ServiceStats:
         """Freeze current counters (cache counters supplied by the owner)."""
         with self._lock:
-            lat = np.asarray(self._latencies, dtype=float)
-            n_done = int(lat.size)
-            p50 = float(np.percentile(lat, 50)) if n_done else 0.0
-            p95 = float(np.percentile(lat, 95)) if n_done else 0.0
-            waits = np.asarray(self._queue_waits, dtype=float)
-            qw50 = float(np.percentile(waits, 50)) if waits.size else 0.0
-            qw95 = float(np.percentile(waits, 95)) if waits.size else 0.0
+            # A private copy: the frozen snapshot must not see later
+            # observations.
+            waits = Histogram()
+            waits.merge(self._queue_waits)
+            n_done = self._latencies.n
             window = 0.0
             if self._first_submit_t is not None and self._last_done_t is not None:
                 window = max(self._last_done_t - self._first_submit_t, 1e-9)
-            sizes = self._batch_sizes
             return ServiceStats(
                 n_submitted=self._submitted,
                 n_completed=n_done,
@@ -294,13 +303,16 @@ class StatsRecorder:
                 n_rejected=self._rejected,
                 n_closed_rejects=self._closed_rejects,
                 n_timeouts=self._timeouts,
-                n_batches=len(sizes),
+                n_batches=self._n_batches,
                 max_batch_size=self._max_batch_size,
-                mean_batch_size=(sum(sizes) / len(sizes)) if sizes else 0.0,
-                p50_latency_s=p50,
-                p95_latency_s=p95,
-                p50_queue_wait_s=qw50,
-                p95_queue_wait_s=qw95,
+                mean_batch_size=(
+                    self._batched / self._n_batches if self._n_batches else 0.0
+                ),
+                p50_latency_s=self._latencies.quantile(0.50),
+                p95_latency_s=self._latencies.quantile(0.95),
+                p50_queue_wait_s=waits.quantile(0.50),
+                p95_queue_wait_s=waits.quantile(0.95),
+                queue_wait_hist=waits,
                 throughput_rps=(n_done / window) if window else 0.0,
                 prepare_hits=prepare_hits,
                 prepare_misses=prepare_misses,
@@ -308,12 +320,10 @@ class StatsRecorder:
                 result_misses=result_misses,
                 prefix_hits=prefix_hits,
                 prefix_misses=prefix_misses,
-                n_groups=len(self._group_widths),
-                n_group_served=sum(self._group_widths),
+                n_groups=self._n_groups,
+                n_group_served=self._grouped,
                 mean_group_width=(
-                    sum(self._group_widths) / len(self._group_widths)
-                    if self._group_widths
-                    else 0.0
+                    self._grouped / self._n_groups if self._n_groups else 0.0
                 ),
                 n_late_discards=self._late_discards,
                 n_retries=self._retries,

@@ -1,8 +1,6 @@
-"""Histogram quantile-edge math, SLO policy gating, report round-trips."""
+"""SLO policy gating, goodput accounting, report round-trips."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.loadgen import (
     DEFAULT_SLO,
     SLOPolicy,
     SLOReport,
-    StreamingHistogram,
     TenantSlice,
 )
 
@@ -42,87 +39,6 @@ def _report(**overrides) -> SLOReport:
     )
     base.update(overrides)
     return SLOReport(**base)
-
-
-class TestStreamingHistogram:
-    def test_bucket_edges_are_pure_functions_of_layout(self):
-        h = StreamingHistogram(lo=1e-5, hi=1e3, buckets_per_decade=16)
-        # 8 decades x 16 buckets, edges geometric from lo.
-        assert len(h.counts) == 128
-        assert h.edges[0] == pytest.approx(1e-5)
-        assert h.edges[16] == pytest.approx(1e-4)
-        assert h.edges[-1] == pytest.approx(1e3)
-
-    def test_single_observation_quantile_pins_owning_bucket(self):
-        h = StreamingHistogram()
-        h.observe(1.0)
-        # 1.0 lands exactly on edge index 80 (= 5 decades * 16); the
-        # nearest-rank + full-bucket interpolation rule returns the
-        # bucket's upper edge.
-        expected = 1e-5 * 10.0 ** (81 / 16)
-        assert h.quantile(0.5) == pytest.approx(expected)
-        assert h.quantile(0.0) == pytest.approx(expected)
-        assert h.quantile(1.0) == pytest.approx(expected)
-
-    def test_intra_bucket_linear_interpolation(self):
-        h = StreamingHistogram()
-        for _ in range(4):
-            h.observe(0.010)  # all four share one bucket
-        k = h._bucket(0.010)
-        lower, upper = h.edges[k], h.edges[k + 1]
-        # ranks 1..4 of 4: q=0.25 -> frac 1/4, q=1.0 -> frac 4/4
-        assert h.quantile(0.25) == pytest.approx(lower + 0.25 * (upper - lower))
-        assert h.quantile(1.00) == pytest.approx(upper)
-
-    def test_quantiles_monotone_across_buckets(self):
-        h = StreamingHistogram()
-        for v in (0.001, 0.002, 0.004, 0.008, 0.016, 0.25, 1.0):
-            h.observe(v)
-        qs = [h.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)]
-        assert qs == sorted(qs)
-
-    def test_clamping_outside_span(self):
-        h = StreamingHistogram(lo=1e-3, hi=1e1, buckets_per_decade=4)
-        h.observe(1e-9)   # below lo -> first bucket
-        h.observe(1e6)    # above hi -> last bucket
-        assert h.counts[0] == 1
-        assert h.counts[-1] == 1
-        assert h.n == 2
-
-    def test_merge_matches_single_stream(self):
-        a, b, ref = (StreamingHistogram() for _ in range(3))
-        for i, v in enumerate([0.001, 0.01, 0.02, 0.5, 1.5, 0.004]):
-            (a if i % 2 else b).observe(v)
-            ref.observe(v)
-        a.merge(b)
-        assert a.n == ref.n
-        assert a.total == pytest.approx(ref.total)
-        for q in (0.25, 0.5, 0.95):
-            assert a.quantile(q) == pytest.approx(ref.quantile(q))
-
-    def test_merge_layout_mismatch_rejected(self):
-        with pytest.raises(LoadgenError):
-            StreamingHistogram().merge(StreamingHistogram(lo=1e-4))
-
-    def test_empty_and_invalid(self):
-        h = StreamingHistogram()
-        assert h.quantile(0.5) == 0.0
-        assert h.mean == 0.0
-        with pytest.raises(LoadgenError):
-            h.quantile(1.5)
-        with pytest.raises(LoadgenError):
-            h.observe(-0.1)
-        with pytest.raises(LoadgenError):
-            StreamingHistogram(lo=1.0, hi=0.1)
-
-    def test_moments_are_exact_not_bucketed(self):
-        h = StreamingHistogram()
-        for v in (0.011, 0.013):
-            h.observe(v)
-        assert h.mean == pytest.approx(0.012)
-        assert h.min == pytest.approx(0.011)
-        assert h.max == pytest.approx(0.013)
-        assert not math.isinf(h.snapshot()["min_s"])
 
 
 class TestGoodputAccounting:

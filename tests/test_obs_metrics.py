@@ -7,12 +7,28 @@ drives a real service and checks the mapped values agree with the
 original sources.
 """
 
+import math
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, collect_service_metrics
+from repro.obs import Histogram, MetricsRegistry, collect_service_metrics
+
+
+def rule_quantile(h: Histogram, q: float) -> float:
+    """Reference loop for the nearest-rank, intra-bucket-linear rule."""
+    if h.n == 0:
+        return 0.0
+    target = max(1, math.ceil(q * h.n))
+    cum = 0
+    for k, count in enumerate(h.counts):
+        if count and cum + count >= target:
+            frac = (target - cum) / count
+            return float(h.edges[k] + frac * (h.edges[k + 1] - h.edges[k]))
+        cum += count
+    raise AssertionError("rank beyond the counts")
 
 
 class TestInstruments:
@@ -34,23 +50,27 @@ class TestInstruments:
         assert g.value == 1.5
 
     def test_histogram_percentiles_match_numpy(self):
+        """Quantiles are bucket-resolution estimates: within one bucket
+        width (a factor of 10**(1/16)) of the exact percentile, and
+        exactly the nearest-rank rule's value."""
         h = MetricsRegistry().histogram("latency_s")
         samples = [i / 1000.0 for i in range(1, 101)]
         for s in samples:
             h.observe(s)
-        assert h.count == 100
-        assert h.sum == pytest.approx(sum(samples))
+        assert h.n == 100
+        assert h.total == pytest.approx(sum(samples))
         assert h.mean == pytest.approx(np.mean(samples))
         for q in (50, 90, 95, 99):
-            assert h.percentile(q) == pytest.approx(
-                float(np.percentile(samples, q))
-            )
+            exact = float(np.percentile(samples, q))
+            estimate = h.quantile(q / 100)
+            assert exact / 1.155 <= estimate <= exact * 1.155
+            assert estimate == rule_quantile(h, q / 100)
 
     def test_empty_histogram_is_zero(self):
         h = MetricsRegistry().histogram("latency_s")
-        assert h.count == 0
+        assert h.n == 0
         assert h.mean == 0.0
-        assert h.percentile(95) == 0.0
+        assert h.quantile(0.95) == 0.0
 
     def test_key_renders_sorted_labels(self):
         c = MetricsRegistry().counter("cache.lookups", outcome="hit",
@@ -59,6 +79,100 @@ class TestInstruments:
 
     def test_key_without_labels_is_bare_name(self):
         assert MetricsRegistry().counter("serve.batches").key == "serve.batches"
+
+
+class TestHistogram:
+    def test_bucket_edges_are_pure_functions_of_layout(self):
+        h = Histogram(lo=1e-5, hi=1e3, buckets_per_decade=16)
+        # 8 decades x 16 buckets, edges geometric from lo.
+        assert len(h.counts) == 128
+        assert h.edges[0] == pytest.approx(1e-5)
+        assert h.edges[16] == pytest.approx(1e-4)
+        assert h.edges[-1] == pytest.approx(1e3)
+
+    def test_single_observation_quantile_pins_owning_bucket(self):
+        h = Histogram()
+        h.observe(1.0)
+        # 1.0 lands exactly on edge index 80 (= 5 decades * 16); the
+        # nearest-rank + full-bucket interpolation rule returns the
+        # bucket's upper edge.
+        expected = 1e-5 * 10.0 ** (81 / 16)
+        assert h.quantile(0.5) == pytest.approx(expected)
+        assert h.quantile(0.0) == pytest.approx(expected)
+        assert h.quantile(1.0) == pytest.approx(expected)
+
+    def test_intra_bucket_linear_interpolation(self):
+        h = Histogram()
+        for _ in range(4):
+            h.observe(0.010)  # all four share one bucket
+        k = h._bucket(0.010)
+        lower, upper = h.edges[k], h.edges[k + 1]
+        # ranks 1..4 of 4: q=0.25 -> frac 1/4, q=1.0 -> frac 4/4
+        assert h.quantile(0.25) == pytest.approx(lower + 0.25 * (upper - lower))
+        assert h.quantile(1.00) == pytest.approx(upper)
+
+    def test_quantiles_monotone_across_buckets(self):
+        h = Histogram()
+        for v in (0.001, 0.002, 0.004, 0.008, 0.016, 0.25, 1.0):
+            h.observe(v)
+        qs = [h.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)]
+        assert qs == sorted(qs)
+
+    def test_clamping_outside_span(self):
+        h = Histogram(lo=1e-3, hi=1e1, buckets_per_decade=4)
+        h.observe(1e-9)   # below lo -> first bucket
+        h.observe(1e6)    # above hi -> last bucket
+        assert h.counts[0] == 1
+        assert h.counts[-1] == 1
+        assert h.n == 2
+
+    def test_merge_matches_single_stream(self):
+        a, b, ref = (Histogram() for _ in range(3))
+        for i, v in enumerate([0.001, 0.01, 0.02, 0.5, 1.5, 0.004]):
+            (a if i % 2 else b).observe(v)
+            ref.observe(v)
+        a.merge(b)
+        assert a.n == ref.n
+        assert a.total == pytest.approx(ref.total)
+        for q in (0.25, 0.5, 0.95):
+            assert a.quantile(q) == pytest.approx(ref.quantile(q))
+
+    def test_merge_layout_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Histogram().merge(Histogram(lo=1e-4))
+
+    def test_empty_and_invalid(self):
+        h = Histogram()
+        assert h.quantile(0.5) == 0.0
+        assert h.mean == 0.0
+        with pytest.raises(ValueError):
+            h.quantile(1.5)
+        with pytest.raises(ValueError):
+            h.observe(-0.1)
+        with pytest.raises(ValueError):
+            Histogram(lo=1.0, hi=0.1)
+
+    def test_moments_are_exact_not_bucketed(self):
+        h = Histogram()
+        for v in (0.011, 0.013):
+            h.observe(v)
+        assert h.mean == pytest.approx(0.012)
+        assert h.min == pytest.approx(0.011)
+        assert h.max == pytest.approx(0.013)
+        assert not math.isinf(h.snapshot()["min"])
+
+    def test_pickle_round_trip_keeps_state(self):
+        h = Histogram("serve.queue_wait_s", (("shard", "0"),))
+        for v in (0.001, 0.002, 0.5):
+            h.observe(v)
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy.key == h.key
+        assert copy.counts == h.counts
+        assert (copy.n, copy.total, copy.min, copy.max) == (
+            h.n, h.total, h.min, h.max,
+        )
+        copy.observe(0.003)  # the unpickled copy has a working lock
+        assert (copy.n, h.n) == (4, 3)
 
 
 class TestRegistry:
@@ -125,7 +239,7 @@ class TestRegistry:
         for t in threads:
             t.join()
         assert r.counter("hits").value == n_threads * per_thread
-        assert r.histogram("obs").count == n_threads * per_thread
+        assert r.histogram("obs").n == n_threads * per_thread
 
 
 class TestCollectServiceMetrics:

@@ -145,3 +145,39 @@ class TestPromptKeyFingerprint:
                     prompt_fingerprint(parts.ids)
                 )
         assert all(len(fps) == 1 for fps in fingerprints.values())
+
+
+class TestHistogramMerge:
+    """Merging per-part histograms gives the histogram of the union,
+    which is what lets shards ship bucket counts instead of samples."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                # Spans below lo and above hi, so clamping is covered.
+                st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+                st.integers(min_value=0, max_value=4),
+            ),
+            max_size=200,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merge_of_parts_equals_union(self, tagged, k):
+        from repro.obs import Histogram
+
+        parts = [Histogram() for _ in range(k)]
+        union = Histogram()
+        for value, part in tagged:
+            parts[part % k].observe(value)
+            union.observe(value)
+        merged = Histogram()
+        for part in parts:
+            merged.merge(part)
+        assert merged.counts == union.counts
+        assert (merged.n, merged.min, merged.max) == (
+            union.n, union.min, union.max,
+        )
+        assert merged.total == pytest.approx(union.total, rel=1e-12)
+        for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0):
+            assert merged.quantile(q) == union.quantile(q)

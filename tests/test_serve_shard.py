@@ -29,13 +29,16 @@ from repro.errors import (
     ShardError,
     ShardFailedError,
 )
+from repro.obs import Histogram
 from repro.serve import (
     PredictionService,
     Request,
     ShardedPredictionService,
+    StatsRecorder,
     make_service,
     route_shard,
 )
+from repro.serve.shard import aggregate_stats
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,52 @@ class TestRouteShard:
     def test_rejects_zero_shards(self):
         with pytest.raises(ServiceError):
             route_shard("p", 0)
+
+
+class TestAggregateStats:
+    """Cross-shard folding of worker snapshots, fed in directly."""
+
+    @staticmethod
+    def worker(waits=(), batches=(), hits=0):
+        r = StatsRecorder(max_batch_size=8)
+        for w in waits:
+            r.record_queue_wait(w)
+            r.record_done(w)
+        for size in batches:
+            r.record_batch(size)
+        for _ in range(hits):  # admission hits complete without queueing
+            r.record_done(1e-4)
+        # Snapshots reach the parent through a pickled pipe message.
+        return pickle.loads(pickle.dumps(r.snapshot()))
+
+    def test_queue_wait_percentiles_are_read_off_the_merge(self):
+        waits = [0.001] * 99 + [1.0]
+        union = Histogram()
+        for w in waits:
+            union.observe(w)
+        base = StatsRecorder(max_batch_size=8).snapshot()
+        shards = [self.worker(waits[:99]), self.worker(waits[99:])]
+        out = aggregate_stats(base, shards)
+        assert out.p50_queue_wait_s == union.quantile(0.50)
+        assert out.p95_queue_wait_s == union.quantile(0.95)
+        # ~1.15 ms; a completed-weighted mean of per-shard p95s reads
+        # 12.7 ms, pulled up by the one slow wait.
+        assert out.p95_queue_wait_s == pytest.approx(1.15e-3, rel=0.01)
+        assert out.queue_wait_hist.counts == union.counts
+        # A shard whose completions were all admission hits never
+        # queued anything and adds no weight.
+        with_hits = aggregate_stats(base, shards + [self.worker(hits=500)])
+        assert with_hits.p50_queue_wait_s == out.p50_queue_wait_s
+        assert with_hits.p95_queue_wait_s == out.p95_queue_wait_s
+
+    def test_batch_counters_exact_across_incarnations(self):
+        retired = self.worker(batches=[1])
+        live = self.worker(batches=[3, 3, 3] + [2] * 8)  # 11 batches, 25
+        out = aggregate_stats(
+            StatsRecorder(max_batch_size=8).snapshot(), [retired, live]
+        )
+        assert out.n_batches == 12
+        assert out.mean_batch_size == 26 / 12
 
 
 class TestErrorTransport:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Histogram
 from repro.serve.stats import ServiceStats, StatsRecorder
 
 
@@ -128,11 +129,39 @@ class TestStatsRecorder:
         assert s.n_failed == 2
         # Failures used to force a bogus 0.0 latency sample through the
         # old record_done(0.0, failed=True) API; the percentiles must
-        # reflect only genuine completions.
-        assert s.p50_latency_s == pytest.approx(0.100)
+        # reflect only genuine completions.  One 0.100 s sample reads as
+        # its bucket's upper edge; a stray 0.0 would read ~1e-5.
+        assert s.p50_latency_s == pytest.approx(0.100 * 10 ** (1 / 16))
         # Failures still advance the busy window, so throughput has a
         # denominator even when the last event was a failure.
         assert s.throughput_rps > 0.0
+
+    def test_memory_is_bounded(self):
+        """Nothing the recorder holds grows with the number of events."""
+        r = StatsRecorder(max_batch_size=8)
+
+        def feed(n):
+            for i in range(n):
+                r.record_done(0.001 * (i % 100 + 1))
+                r.record_queue_wait(0.0001 * (i % 50))
+                r.record_batch(i % 8 + 1)
+                r.record_group(i % 4 + 1)
+
+        def lengths():
+            out = {}
+            for name, value in vars(r).items():
+                if isinstance(value, Histogram):
+                    value = value.counts
+                if hasattr(value, "__len__"):
+                    out[name] = len(value)
+            return out
+
+        feed(10)
+        after_ten = lengths()
+        feed(10**5 - 10)
+        assert lengths() == after_ten
+        s = r.snapshot()
+        assert s.n_completed == s.n_batches == s.n_groups == 10**5
 
     def test_empty_snapshot(self):
         s = StatsRecorder(max_batch_size=8).snapshot()
