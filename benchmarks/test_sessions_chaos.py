@@ -11,8 +11,9 @@ two runs — faults may shift *when* an evaluation lands, never *what* is
 recorded, because the surrogate prediction is advisory and the ground
 truth is measured.
 
-This reuses the CLI drill (``repro chaos --sessions``) so the benchmark
-and the operator command cannot drift apart.
+This calls the library drill behind ``repro chaos --sessions``
+(:func:`repro.drills.run_sessions_chaos`) so the benchmark and the
+operator command cannot drift apart.
 
 Run explicitly (deselected from tier-1 by the ``chaos`` marker):
 
@@ -21,11 +22,9 @@ Run explicitly (deselected from tier-1 by the ``chaos`` marker):
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
-from repro.cli import _run_sessions_chaos_once
+from repro.drills import run_sessions_chaos
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.chaos
@@ -33,19 +32,15 @@ pytestmark = pytest.mark.chaos
 N_REQUESTS = 54  # -> 3 tenants x 9-evaluation budgets
 
 
-def _args():
-    return SimpleNamespace(
-        requests=N_REQUESTS,
-        seed=7,
-        size="SM",
-        max_attempts=4,
-        no_fallback=False,
+def _drill(log_path):
+    return run_sessions_chaos(
+        log_path, requests=N_REQUESTS, seed=7, size="SM", max_attempts=4,
     )
 
 
 def test_campaigns_complete_under_default_fault_plan(emit, tmp_path):
-    histories, completion, problems, stats = _run_sessions_chaos_once(
-        _args(), tmp_path / "sessions-a.jsonl"
+    histories, completion, problems, stats = _drill(
+        tmp_path / "sessions-a.jsonl"
     )
 
     # -- acceptance: >= 99% campaign completion ------------------------- #
@@ -58,8 +53,8 @@ def test_campaigns_complete_under_default_fault_plan(emit, tmp_path):
     assert not problems, f"event-log integrity: {problems[:3]}"
 
     # -- determinism: faults never change what is recorded -------------- #
-    histories2, completion2, problems2, _ = _run_sessions_chaos_once(
-        _args(), tmp_path / "sessions-b.jsonl"
+    histories2, completion2, problems2, _ = _drill(
+        tmp_path / "sessions-b.jsonl"
     )
     assert not problems2
     assert completion2 >= 0.99

@@ -40,6 +40,9 @@ Subcommands:
 
 Every command is deterministic given ``--seed`` — including ``chaos``,
 whose injected faults, retries, and degradations reproduce bit-for-bit.
+The drills behind ``chaos`` and ``loadtest`` live in :mod:`repro.drills`
+(one determinism harness for all of them); their commands here only
+parse arguments, call the drill, and render its results.
 """
 
 from __future__ import annotations
@@ -716,77 +719,25 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _session_tuner_classes():
-    from repro.tuning import HillClimbTuner, RandomSearchTuner
-
-    return {"random": RandomSearchTuner, "hill-climb": HillClimbTuner}
-
-
-def _build_sessions(args):
-    """Fresh campaigns for ``repro sessions run`` (one per tenant)."""
-    from repro.dataset import Syr2kPerformanceModel
-    from repro.sessions import TuningSession
-    from repro.utils.rng import derive_seed
-
-    tuner_cls = _session_tuner_classes()[args.tuner]
-    priorities = args.priorities or [1]
-    task = Syr2kTask(args.size)
-    sessions = []
-    for t in range(args.tenants):
-        tenant = f"tenant-{t}"
-        tuner_seed = derive_seed(
-            args.seed, "tuner", 0 if args.shared_trajectory else t
-        )
-        sessions.append(
-            TuningSession(
-                f"{tenant}/s0",
-                tenant,
-                tuner_cls(syr2k_space(), seed=tuner_seed),
-                Syr2kPerformanceModel(task),
-                args.budget,
-                priority=priorities[t % len(priorities)],
-                deadline_s=args.deadline,
-                seed=derive_seed(args.seed, "session", t),
-            )
-        )
-    return sessions
-
-
 def _sessions_from_log(path):
     """Rebuild campaigns from a log's ``register`` events (resume path)."""
-    from repro.dataset import Syr2kPerformanceModel
-    from repro.sessions import TuningSession, replay_log
+    from repro.drills.service import SESSION_TUNERS, campaign
+    from repro.sessions import replay_log
 
-    tuners = _session_tuner_classes()
     sessions = []
     for sid, entry in replay_log(path).items():
         meta = entry["meta"]
-        if meta is None:
-            print(
-                f"skipping {sid}: no register event in {path}",
-                file=sys.stderr,
-            )
+        if meta is None or meta["tuner"] not in SESSION_TUNERS:
+            why = (f"no register event in {path}" if meta is None
+                   else f"unknown tuner {meta['tuner']!r}")
+            print(f"skipping {sid}: {why}", file=sys.stderr)
             continue
-        tuner_cls = tuners.get(meta["tuner"])
-        if tuner_cls is None:
-            print(
-                f"skipping {sid}: unknown tuner {meta['tuner']!r}",
-                file=sys.stderr,
-            )
-            continue
-        sessions.append(
-            TuningSession(
-                sid,
-                meta["tenant"],
-                tuner_cls(syr2k_space(), seed=meta["tuner_seed"]),
-                Syr2kPerformanceModel(Syr2kTask(meta["size"])),
-                meta["budget"],
-                priority=meta["priority"],
-                deadline_s=meta.get("deadline_s"),
-                seed=meta["seed"],
-                context_examples=meta["context_examples"],
-            )
-        )
+        sessions.append(campaign(
+            sid, meta["tenant"], meta["size"], meta["budget"],
+            tuner=meta["tuner"], tuner_seed=meta["tuner_seed"],
+            priority=meta["priority"], deadline_s=meta.get("deadline_s"),
+            seed=meta["seed"], context_examples=meta["context_examples"],
+        ))
     return sessions
 
 
@@ -839,7 +790,13 @@ def _cmd_sessions(args) -> int:
             print(f"nothing to resume in {args.log}", file=sys.stderr)
             return 1
     else:
-        sessions = _build_sessions(args)
+        from repro.drills import build_sessions
+
+        sessions = build_sessions(
+            tenants=args.tenants, budget=args.budget, seed=args.seed,
+            size=args.size, tuner=args.tuner, priorities=args.priorities,
+            shared_trajectory=args.shared_trajectory, deadline=args.deadline,
+        )
     admission = AdmissionController(
         default_quota=TenantQuota(
             max_evaluations=args.quota, rate_per_s=args.rate
@@ -908,40 +865,23 @@ def _cmd_sessions(args) -> int:
     return 0
 
 
-def _serve_bench_workload(args):
-    """Build the repeated-prompt request list the bench replays."""
-    from repro.serve import Request
-
-    dataset = generate_dataset(args.size)
-    sets, queries = disjoint_example_sets(
-        dataset, 1, args.n_icl, seed=args.seed, n_queries=args.unique
-    )
-    examples = [
-        (dataset.config(int(r)), float(dataset.runtimes[int(r)]))
-        for r in sets[0]
-    ]
-    # Whole-list repetition interleaves revisits (cache-friendly but not
-    # cache-adjacent, like real grid traffic).  Odd repeat waves switch
-    # the sampling seed: those requests miss the result cache but still
-    # hit the prepare cache, exercising both levels.
-    return [
-        Request(
-            examples=examples,
-            query_config=dataset.config(int(q)),
-            seed=args.seed + i + (1000 if wave % 2 else 0),
-            size=args.size,
-        )
-        for wave in range(args.repeats)
-        for i, q in enumerate(queries)
-    ]
+def _exported(n: int, what: str, path: str, follow_up: str) -> None:
+    print(f"exported {n} {what} to {path} (`repro {follow_up}`)",
+          file=sys.stderr)
 
 
 def _cmd_serve_bench(args) -> int:
+    from contextlib import nullcontext
+
+    from repro.drills import repeated_workload
     from repro.obs import Tracer, collect_service_metrics, use_tracer
     from repro.serve import make_service
     from repro.utils.timing import Timer
 
-    workload = _serve_bench_workload(args)
+    workload = repeated_workload(
+        size=args.size, n_icl=args.n_icl, unique=args.unique,
+        n_requests=args.unique * args.repeats, seed=args.seed,
+    )
 
     def run(caches_enabled: bool, tracer=None, metrics=False):
         with make_service(
@@ -953,12 +893,9 @@ def _cmd_serve_bench(args) -> int:
             enable_result_cache=caches_enabled,
             enable_prefix_cache=args.prefix_cache,
         ) as service:
-            if tracer is not None:
-                with use_tracer(tracer), Timer() as timer:
-                    service.submit_many(workload)
-            else:
-                with Timer() as timer:
-                    service.submit_many(workload)
+            tracing = nullcontext() if tracer is None else use_tracer(tracer)
+            with tracing, Timer() as timer:
+                service.submit_many(workload)
             registry = (
                 collect_service_metrics(service) if metrics else None
             )
@@ -976,12 +913,8 @@ def _cmd_serve_bench(args) -> int:
     )
     print(cached.render(title="serve-bench (caches on)"))
     if tracer is not None:
-        n_spans = tracer.export_jsonl(args.trace)
-        print(
-            f"exported {n_spans} spans to {args.trace} "
-            f"(`repro trace summarize {args.trace}`)",
-            file=sys.stderr,
-        )
+        _exported(tracer.export_jsonl(args.trace), "spans", args.trace,
+                  f"trace summarize {args.trace}")
     if registry is not None:
         print()
         print(registry.render(title="metrics registry (caches on)"))
@@ -1023,111 +956,8 @@ def _loadtest_spec(args):
     )
 
 
-def _loadtest_sessions(args):
-    """Ride-along campaigns for ``repro loadtest --sessions N``."""
-    from repro.dataset import Syr2kPerformanceModel
-    from repro.sessions import TuningSession
-    from repro.tuning import RandomSearchTuner
-    from repro.utils.rng import derive_seed
-
-    task = Syr2kTask(args.size)
-    return [
-        TuningSession(
-            f"tenant-{i % args.tenants}/load-{i}",
-            f"tenant-{i % args.tenants}",
-            RandomSearchTuner(
-                syr2k_space(),
-                seed=derive_seed(args.seed, "loadtest", "tuner", i),
-            ),
-            Syr2kPerformanceModel(task),
-            args.session_budget,
-            seed=derive_seed(args.seed, "loadtest", "session", i),
-        )
-        for i in range(args.sessions)
-    ]
-
-
-def _run_loadtest(args, tracer=None, sampler=None):
-    """One full load test: fresh service (+ optional campaigns), report."""
-    import threading
-
-    from repro.loadgen import LoadDriver
-    from repro.obs import use_tracer
-    from repro.serve import make_service
-
-    driver = LoadDriver(_loadtest_spec(args))
-    with make_service(
-        shards=args.shards,
-        max_batch_size=args.batch_size,
-        workers=args.workers,
-    ) as service:
-        if sampler is not None:
-            from repro.obs import collect_service_metrics
-
-            sampler.add_collector(
-                "service",
-                lambda reg: collect_service_metrics(service, registry=reg),
-            )
-            sampler.start()
-        ctx = use_tracer(tracer) if tracer is not None else None
-        if ctx is not None:
-            ctx.__enter__()
-        try:
-            if args.sessions > 0:
-                from repro.sessions import SessionManager
-
-                with SessionManager(
-                    service, sessions=_loadtest_sessions(args)
-                ) as manager:
-                    if sampler is not None:
-                        from repro.sessions import collect_session_metrics
-
-                        sampler.add_collector(
-                            "sessions",
-                            lambda reg: collect_session_metrics(
-                                manager, registry=reg
-                            ),
-                        )
-                    box = {}
-                    rider = threading.Thread(
-                        target=lambda: box.update(manager.run()),
-                        name="repro-loadtest-sessions",
-                        daemon=True,
-                    )
-                    rider.start()
-                    report = driver.run(service)
-                    rider.join()
-                report = report.with_sessions({
-                    "n_sessions": args.sessions,
-                    "completed": box.get("completed", 0),
-                    "fairness_jain": box.get("fairness_jain", 1.0),
-                })
-            else:
-                report = driver.run(service)
-            if sampler is not None:
-                from repro.loadgen import collect_loadgen_metrics
-
-                # The final sample lands while the service is still
-                # alive, so it carries both the end-state service view
-                # and the finished SLO report.
-                sampler.add_collector(
-                    "loadgen",
-                    lambda reg: collect_loadgen_metrics(
-                        report, registry=reg
-                    ),
-                )
-                sampler.stop(final_sample=True)
-        finally:
-            if ctx is not None:
-                ctx.__exit__(None, None, None)
-            if sampler is not None:
-                sampler.stop(final_sample=False)
-    return report
-
-
 def _cmd_loadtest(args) -> int:
-    import json as _json
-
+    from repro.drills import loadtest_drill
     from repro.loadgen import (
         DEFAULT_SLO,
         SLOPolicy,
@@ -1156,17 +986,18 @@ def _cmd_loadtest(args) -> int:
         sampler = TelemetrySampler(
             args.telemetry_interval, policy=BurnRatePolicy()
         )
-    report = _run_loadtest(args, tracer=tracer, sampler=sampler)
+    drill = loadtest_drill(
+        _loadtest_spec(args), check_determinism=args.check_determinism,
+        tracer=tracer, sampler=sampler, shards=args.shards,
+        batch_size=args.batch_size, workers=args.workers,
+        n_sessions=args.sessions, session_budget=args.session_budget,
+    )
+    report = drill.first
 
     if args.check_determinism:
-        rerun = _run_loadtest(args)
-        first = _json.dumps(report.deterministic_payload(), sort_keys=True)
-        second = _json.dumps(rerun.deterministic_payload(), sort_keys=True)
-        if first != second:
-            print("DETERMINISM VIOLATION between identical runs:",
-                  file=sys.stderr)
-            print(f"  run 1: {first}", file=sys.stderr)
-            print(f"  run 2: {second}", file=sys.stderr)
+        if not drill.ok:
+            print("DETERMINISM VIOLATION between identical runs:\n"
+                  + drill.render("across identical runs"), file=sys.stderr)
             return 1
         print(
             "determinism check passed: schedules, workloads and outcome "
@@ -1180,19 +1011,11 @@ def _cmd_loadtest(args) -> int:
             fh.write(report.to_json())
         print(f"wrote SLO report to {args.report_json}", file=sys.stderr)
     if tracer is not None:
-        n_spans = tracer.export_jsonl(args.trace)
-        print(
-            f"exported {n_spans} spans to {args.trace} "
-            f"(`repro trace summarize {args.trace}`)",
-            file=sys.stderr,
-        )
+        _exported(tracer.export_jsonl(args.trace), "spans", args.trace,
+                  f"trace summarize {args.trace}")
     if sampler is not None:
-        n_records = sampler.export_jsonl(args.telemetry)
-        print(
-            f"exported {n_records} telemetry records to {args.telemetry} "
-            f"(`repro top {args.telemetry} --once`)",
-            file=sys.stderr,
-        )
+        _exported(sampler.export_jsonl(args.telemetry), "telemetry records",
+                  args.telemetry, f"top {args.telemetry} --once")
     if args.metrics:
         print()
         print(collect_loadgen_metrics(report).render(title="loadgen"))
@@ -1207,225 +1030,39 @@ def _cmd_loadtest(args) -> int:
     return 0
 
 
-def _chaos_workload(args):
-    """Cycle ``--requests`` requests over ``--unique`` distinct probes."""
-    from repro.serve import Request
-
-    dataset = generate_dataset(args.size)
-    sets, queries = disjoint_example_sets(
-        dataset, 1, args.n_icl, seed=args.seed, n_queries=args.unique
-    )
-    examples = [
-        (dataset.config(int(r)), float(dataset.runtimes[int(r)]))
-        for r in sets[0]
-    ]
-    workload = []
-    wave = 0
-    while len(workload) < args.requests:
-        for i, q in enumerate(queries):
-            if len(workload) >= args.requests:
-                break
-            workload.append(
-                Request(
-                    examples=examples,
-                    query_config=dataset.config(int(q)),
-                    seed=args.seed + i + (1000 if wave % 2 else 0),
-                    size=args.size,
-                )
-            )
-        wave += 1
-    return workload
-
-
-def _run_chaos_once(args, workload, cache_probes: bool = False):
-    from repro.errors import ServiceError
-    from repro.faults import FaultPlan
-    from repro.obs import (
-        BurnRatePolicy,
-        TelemetrySampler,
-        collect_service_metrics,
-    )
-    from repro.serve import ResilientService, RetryPolicy, make_service
-
-    plan = FaultPlan(
-        seed=args.seed,
-        transient_error_rate=args.error_rate,
-        latency_spike_rate=args.latency_rate,
-        latency_spike_s=args.latency_s,
-        eviction_storm_rate=args.evict_rate,
-        queue_stall_rate=args.stall_rate,
-        queue_stall_s=args.stall_s,
-        shard_kill_rate=args.kill_rate if args.shards else 0.0,
-        telemetry_drop_rate=args.telemetry_drop_rate,
-        telemetry_dup_rate=args.telemetry_dup_rate,
-    )
-    unhandled = 0
-    values: list[float | None] = []
-    # Retries absorb shard kills; give the drill enough respawn budget
-    # that repeated kills of one shard don't exhaust it mid-run.  The
-    # shard-stats timeout is tuned well under the sampler cadence (one
-    # scrape round-trips shard stats twice: service counters, then
-    # fault counters) so a mid-respawn shard cannot stall a scrape past
-    # the telemetry liveness bound of twice the cadence.
-    with make_service(
-        shards=args.shards, max_restarts=args.requests, fault_plan=plan,
-        stats_timeout_s=min(2.0, max(args.telemetry_interval / 8, 0.02)),
-    ) as service:
-        sampler = TelemetrySampler(
-            args.telemetry_interval,
-            policy=BurnRatePolicy(),
-            injector=service.faults,
-        )
-        sampler.add_collector(
-            "service",
-            lambda reg: collect_service_metrics(service, registry=reg),
-        )
-        resilient = ResilientService(
-            service,
-            retry_policy=RetryPolicy(
-                max_attempts=args.max_attempts, seed=args.seed
-            ),
-            fallback=False if args.no_fallback else None,
-        )
-        with sampler:
-            for request in workload:
-                if cache_probes:
-                    # Degraded cache serves interleaved with live
-                    # traffic: these must not consume admission-ordered
-                    # request ids, or the deterministic fault schedule
-                    # shifts under them.
-                    service.cached_response(request)
-                try:
-                    response = resilient.submit(request)
-                except ServiceError:
-                    unhandled += 1  # already counted as unavailable
-                    values.append(None)
-                else:
-                    values.append(response.prediction.value)
-        stats = service.stats()
-        fault_counts = service.faults.stats.snapshot()
-        fault_report = service.faults.stats.render()
-    return stats, fault_counts, fault_report, unhandled, values, sampler
-
-
-def _run_sessions_chaos_once(args, log_path):
-    """One session-manager drill under the canonical fault plan.
-
-    Returns per-session histories, the campaign completion fraction,
-    event-log integrity problems, and the service stats.
-    """
-    import argparse as _argparse
-
-    from repro.core.storage import load_events_jsonl
-    from repro.faults import DEFAULT_FAULT_PLAN
-    from repro.serve import PredictionService, ResilientService, RetryPolicy
-    from repro.sessions import EVENT_KIND, SessionManager
-
-    sessions = _build_sessions(
-        _argparse.Namespace(
-            tenants=3,
-            budget=max(2, args.requests // 6),
-            seed=args.seed,
-            size=args.size,
-            tuner="random",
-            priorities=None,
-            shared_trajectory=False,
-            deadline=None,
-        )
-    )
-    total_budget = sum(s.budget.n_evaluations for s in sessions)
-    with PredictionService(fault_plan=DEFAULT_FAULT_PLAN) as service:
-        resilient = ResilientService(
-            service,
-            retry_policy=RetryPolicy(
-                max_attempts=args.max_attempts, seed=args.seed
-            ),
-            fallback=False if args.no_fallback else None,
-        )
-        with SessionManager(
-            resilient, sessions=sessions, log_path=log_path
-        ) as manager:
-            manager.run()
-        stats = service.stats()
-
-    completed = sum(len(s.history) for s in manager.registry)
-    completion = completed / total_budget if total_budget else 1.0
-    histories = {
-        s.session_id: (tuple(s.history.indices), tuple(s.history.runtimes))
-        for s in manager.registry
-    }
-
-    # Event-log integrity: every recorded evaluation journaled exactly
-    # once, contiguously, matching the in-memory history.
-    problems = []
-    logged: dict[str, dict[int, tuple[int, float]]] = {}
-    for event in load_events_jsonl(log_path, kind=EVENT_KIND):
-        if event.get("event") != "eval":
-            continue
-        per = logged.setdefault(event["session"], {})
-        step = event["step"]
-        if step in per:
-            problems.append(f"{event['session']}: duplicated step {step}")
-        per[step] = (event["index"], event["runtime"])
-    for sid, (indices, runtimes) in histories.items():
-        per = logged.get(sid, {})
-        if sorted(per) != list(range(len(indices))):
-            problems.append(
-                f"{sid}: logged steps {sorted(per)} != "
-                f"0..{len(indices) - 1}"
-            )
-            continue
-        for step, (index, runtime) in enumerate(
-            zip(indices, runtimes)
-        ):
-            if per[step] != (index, runtime):
-                problems.append(
-                    f"{sid}: step {step} log {per[step]} != "
-                    f"history {(index, runtime)}"
-                )
-    return histories, completion, problems, stats
-
-
 def _cmd_chaos_sessions(args) -> int:
     import tempfile
-    from pathlib import Path
 
-    print(
-        "driving 3-tenant session campaigns under DEFAULT_FAULT_PLAN",
-        file=sys.stderr,
-    )
+    from repro.drills import sessions_chaos_drill
+
+    print("driving 3-tenant session campaigns under DEFAULT_FAULT_PLAN",
+          file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        histories, completion, problems, stats = _run_sessions_chaos_once(
-            args, Path(tmp) / "sessions-a.jsonl"
+        drill = sessions_chaos_drill(
+            tmp, verify_determinism=args.verify_determinism,
+            requests=args.requests, seed=args.seed, size=args.size,
+            max_attempts=args.max_attempts, fallback=not args.no_fallback,
         )
-        n_evals = sum(len(ix) for ix, _ in histories.values())
-        print(stats.render(title="sessions chaos report"))
-        print()
-        print(
-            f"campaign completion: {completion:.2%} "
-            f"({n_evals} evaluations, availability "
-            f"{stats.availability:.2%}, {stats.n_degraded} degraded)"
-        )
-        ok = completion >= 0.99
-        if not ok:
-            print(f"completion below 99%: {completion:.2%}")
-        for problem in problems:
-            print(f"event-log integrity: {problem}")
-        ok &= not problems
-        if not problems:
-            print("event log: no lost or duplicated evaluations")
-        if args.verify_determinism:
-            histories2, _, problems2, _ = _run_sessions_chaos_once(
-                args, Path(tmp) / "sessions-b.jsonl"
-            )
-            # Fault timing may differ between runs; recorded histories
-            # must not (ground truth is measured, predictions advisory).
-            same = histories == histories2 and not problems2
-            print(
-                f"deterministic histories across two chaos runs: "
-                f"{'yes' if same else 'NO'}"
-            )
-            ok &= same
+    run = drill.first
+    n_evals = sum(len(ix) for ix, _ in run.histories.values())
+    print(run.stats.render(title="sessions chaos report"))
+    print()
+    print(
+        f"campaign completion: {run.completion:.2%} "
+        f"({n_evals} evaluations, availability "
+        f"{run.stats.availability:.2%}, {run.stats.n_degraded} degraded)"
+    )
+    ok = run.completion >= 0.99
+    if not ok:
+        print(f"completion below 99%: {run.completion:.2%}")
+    for problem in run.problems:
+        print(f"event-log integrity: {problem}")
+    ok &= not run.problems
+    if not run.problems:
+        print("event log: no lost or duplicated evaluations")
+    if args.verify_determinism:
+        print(drill.render("histories across two chaos runs"))
+        ok &= drill.ok
     return 0 if ok else 1
 
 
@@ -1466,218 +1103,32 @@ def _cmd_fsck(args) -> int:
     return exit_code
 
 
-def _disk_drill_plan(seed: int):
-    """The chaos --disk fault schedule for one round (seed varies per
-    round so a fault cannot re-fire at the same offset forever)."""
-    import dataclasses
-
-    from repro.faults import DISK_FAULT_PLAN
-
-    return dataclasses.replace(DISK_FAULT_PLAN, seed=seed)
-
-
-def _disk_drill_grid(args, path, round_seed: int):
-    """One child-process round of the grid drill.
-
-    The child runs the checkpointed grid with the disk-fault injector
-    installed and hard-exits (``os._exit``, no finalizers — the SIGKILL
-    stand-in) the moment an injected fault raises out of a storage
-    write, reporting its fault counters on stdout first.  Returns
-    ``(finished, fault_counts)``.
-    """
-    import json as _json
-    import subprocess
-
-    child = f"""
-import json, os, sys
-import repro.core.storage as storage
-from repro.core import quick_grid, run_grid
-from repro.errors import ExperimentError, InjectedFaultError
-from repro.faults import DISK_FAULT_PLAN, FaultInjector
-import dataclasses
-
-plan = dataclasses.replace(DISK_FAULT_PLAN, seed={round_seed})
-inj = FaultInjector(plan)
-storage.set_fault_injector(inj)
-specs = quick_grid(
-    sizes=({args.size!r},), icl_counts=(1, 2, 3), n_sets=1,
-    seeds=({args.seed},), selections=("random",), n_queries=1,
-)
-try:
-    run_grid(specs, workers=1, checkpoint={str(path)!r},
-             checkpoint_every=1, resume=True)
-except (ExperimentError, InjectedFaultError, OSError) as exc:
-    # ExperimentError here means a bitflip landed in the (CRC-less)
-    # header of the checkpoint: the append path refuses it and defers
-    # to fsck, which the parent runs between rounds.
-    print(json.dumps({{"stats": inj.stats.snapshot(),
-                       "error": type(exc).__name__}}))
-    sys.stdout.flush()
-    os._exit(23)  # hard kill: no atexit, no finally, no flush
-print(json.dumps({{"stats": inj.stats.snapshot(), "error": None}}))
-"""
-    import os as _os
-    from pathlib import Path as _Path
-
-    import repro
-
-    env = dict(_os.environ)
-    env["PYTHONPATH"] = str(_Path(repro.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", child],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    if proc.returncode not in (0, 23):
-        raise RuntimeError(
-            f"disk-drill child failed unexpectedly "
-            f"(exit {proc.returncode}):\n{proc.stderr}"
-        )
-    payload = _json.loads(proc.stdout.strip().splitlines()[-1])
-    return proc.returncode == 0, payload["stats"]
-
-
 def _cmd_chaos_disk(args) -> int:
     import tempfile
-    from pathlib import Path
 
-    from repro.core import quick_grid, run_grid
-    from repro.core.storage import (
-        _encode_probe,
-        append_events_jsonl,
-        load_events_jsonl,
-        load_probes_jsonl,
-        repair_artifact,
-        set_fault_injector,
-        verify_artifact,
-    )
-    from repro.errors import ExperimentError, InjectedFaultError
-    from repro.faults import FaultInjector, FaultStats
+    from repro.drills.disk import disk_drill, drill_specs
 
-    def canon(probes):
-        """Bit-exact history identity: the encoded record stream."""
-        return [_encode_probe(p) for p in probes]
-
-    specs = quick_grid(
-        sizes=(args.size,), icl_counts=(1, 2, 3), n_sets=1,
-        seeds=(args.seed,), selections=("random",), n_queries=1,
-    )
-    print(
-        f"disk-fault drill: {len(specs)}-cell checkpointed grid under "
-        f"DISK_FAULT_PLAN (size {args.size}, seed {args.seed})",
-        file=sys.stderr,
-    )
-    baseline = run_grid(specs, workers=1)
-    injected = FaultStats()
-    ok = True
-
+    n_cells = len(drill_specs(args.size, args.seed))
+    print(f"disk-fault drill: {n_cells}-cell checkpointed grid under "
+          f"DISK_FAULT_PLAN (size {args.size}, seed {args.seed})",
+          file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        # -- Phase 1: grid checkpoint under kill -9 + disk faults ------ #
-        path = Path(tmp) / "grid.jsonl"
-        crashes = 0
-        quarantined = 0
-        finished = False
-        round_no = 0
-        reroll = 0
-        while round_no < 60:
-            finished, counts = _disk_drill_grid(
-                args, path,
-                round_seed=args.seed * 1000 + round_no + reroll,
-            )
-            if finished and crashes == 0 and reroll < 8:
-                # A drill where no write ever raised proves nothing
-                # about kill -9: discard this run and re-roll the seed
-                # until the first child actually dies mid-grid.
-                path.unlink(missing_ok=True)
-                path.with_name(path.name + ".quarantine").unlink(
-                    missing_ok=True
-                )
-                reroll += 1
-                continue
-            for kind, count in counts.items():
-                for _ in range(count):
-                    injected.record(kind)
-            if finished:
-                break
-            crashes += 1
-            round_no += 1
-            if path.exists():
-                report = repair_artifact(path, kind="probes")
-                quarantined += report.records_quarantined
-                if not verify_artifact(path, kind="probes").clean:
-                    print("fsck --repair left a dirty checkpoint")
-                    ok = False
-        if not finished:
-            print("grid never completed within the round budget")
-            ok = False
-        # Final fsck (bitflips on the last rounds don't raise) + an
-        # unfaulted resume to re-run any cells lost to quarantine.
-        report = repair_artifact(path, kind="probes")
-        quarantined += report.records_quarantined
-        recovered = run_grid(specs, workers=1, checkpoint=path, resume=True)
-        grid_identical = canon(recovered) == canon(baseline)
-        disk_identical = canon(
-            sorted(load_probes_jsonl(path), key=lambda p: p.spec.cell_key)
-        ) == canon(sorted(baseline, key=lambda p: p.spec.cell_key))
-        print(
-            f"grid: {crashes} hard kills, {quarantined} records "
-            f"quarantined across repairs; resume bit-identical: "
-            f"{'yes' if grid_identical and disk_identical else 'NO'}"
-        )
-        ok &= grid_identical and disk_identical
-
-        # -- Phase 2: event journal under the same discipline ---------- #
-        jpath = Path(tmp) / "journal.jsonl"
-        events = [
-            {"event": "eval", "step": i, "runtime": i / 7.0}
-            for i in range(30)
-        ]
-        journal_crashes = 0
-        journal_quarantined = 0
-        pos = 0
-        for round_no in range(300):
-            if pos >= len(events):
-                break
-            # Fresh seed per round: fault decisions are keyed on write
-            # offsets, and a retry lands at the same offset — a fixed
-            # seed would re-fire the same fault forever.
-            inj = FaultInjector(
-                _disk_drill_plan(args.seed * 1000 + 777 + round_no)
-            )
-            try:
-                set_fault_injector(inj)
-                append_events_jsonl(
-                    events[pos:pos + 5], jpath, kind="disk-drill"
-                )
-                pos += 5
-            except (ExperimentError, InjectedFaultError, OSError):
-                journal_crashes += 1
-            finally:
-                set_fault_injector(None)
-                for kind, count in inj.stats.snapshot().items():
-                    for _ in range(count):
-                        injected.record(kind)
-            # fsck after every round: repair, then trust only what
-            # strictly verifies (the journal truncates at damage).
-            if jpath.exists():
-                report = repair_artifact(
-                    jpath, kind="events", event_kind="disk-drill"
-                )
-                journal_quarantined += report.records_quarantined
-                landed = load_events_jsonl(jpath, kind="disk-drill")
-                if list(landed) != events[:len(landed)]:
-                    print("journal recovered a non-prefix history")
-                    ok = False
-                    break
-                pos = len(landed)
-        final = load_events_jsonl(jpath, kind="disk-drill")
-        journal_identical = list(final) == events
-        print(
-            f"journal: {journal_crashes} failed appends, "
-            f"{journal_quarantined} records quarantined; replayed "
-            f"history bit-identical: {'yes' if journal_identical else 'NO'}"
-        )
-        ok &= journal_identical
-
+        grid, journal, injected = disk_drill(tmp, size=args.size, seed=args.seed)
+    ok = True
+    for name, report, summary in (
+        ("grid", grid, "{0.crashes} hard kills, {0.quarantined} records "
+         "quarantined across repairs; resume bit-identical"),
+        ("journal", journal, "{0.crashes} failed appends, {0.quarantined} "
+         "records quarantined; replayed history bit-identical"),
+    ):
+        recovery = report.results[1]
+        for problem in recovery.problems:
+            print(problem)
+        print(f"{name}: {summary.format(recovery)}: "
+              f"{'yes' if report.ok else 'NO'}")
+        if not report.ok:
+            print(report.render(f"{name} history vs unfaulted run"))
+        ok &= report.ok and not recovery.problems
     print()
     print(injected.render(title="chaos --disk: injected disk faults"))
     disk_total = sum(
@@ -1699,29 +1150,41 @@ def _cmd_chaos(args) -> int:
         return _cmd_chaos_sessions(args)
     if args.disk:
         return _cmd_chaos_disk(args)
-    import json as _json
+    from repro.drills import repeated_workload, service_chaos_drill
+    from repro.faults import FaultPlan
+    from repro.obs import max_sample_gap_s
 
-    from repro.obs import deterministic_fields, max_sample_gap_s
-
-    workload = _chaos_workload(args)
-    print(
-        f"driving {len(workload)} requests through a seeded fault plan "
-        f"(size {args.size}, seed {args.seed})",
-        file=sys.stderr,
+    workload = repeated_workload(
+        size=args.size, n_icl=args.n_icl, unique=args.unique,
+        n_requests=args.requests, seed=args.seed,
     )
-    stats, faults, fault_report, unhandled, values, sampler = (
-        _run_chaos_once(args, workload)
+    print(f"driving {len(workload)} requests through a seeded fault plan "
+          f"(size {args.size}, seed {args.seed})", file=sys.stderr)
+    plan = FaultPlan(
+        seed=args.seed, transient_error_rate=args.error_rate,
+        latency_spike_rate=args.latency_rate, latency_spike_s=args.latency_s,
+        eviction_storm_rate=args.evict_rate, queue_stall_rate=args.stall_rate,
+        queue_stall_s=args.stall_s,
+        shard_kill_rate=args.kill_rate if args.shards else 0.0,
+        telemetry_drop_rate=args.telemetry_drop_rate,
+        telemetry_dup_rate=args.telemetry_dup_rate,
     )
+    drill = service_chaos_drill(
+        workload, plan, verify_determinism=args.verify_determinism,
+        shards=args.shards, max_attempts=args.max_attempts,
+        fallback=not args.no_fallback,
+        telemetry_interval=args.telemetry_interval,
+    )
+    stats, faults, unhandled, _, sampler = drill.first
     print(stats.render(title="chaos report (service under faults)"))
     print()
-    print(fault_report)
+    print(faults.render())
     print()
     print(
         f"availability: {stats.availability:.2%}  "
         f"(p95 under faults {stats.p95_latency_s * 1000:.1f} ms, "
         f"{stats.n_degraded} degraded, {unhandled} unanswered)"
     )
-    ok = True
     # Telemetry liveness: the sampler observed the whole drill, so a
     # gap past twice its cadence means the faults it was watching also
     # took the watcher down.
@@ -1734,71 +1197,13 @@ def _cmd_chaos(args) -> int:
         f"{gap * 1000:.0f} ms (bound {bound * 1000:.0f} ms): "
         f"{'ok' if alive else 'VIOLATED'}"
     )
-    ok &= alive
     if args.telemetry:
-        n_records = sampler.export_jsonl(args.telemetry)
-        print(
-            f"exported {n_records} telemetry records to "
-            f"{args.telemetry} (`repro top {args.telemetry} --once`)",
-            file=sys.stderr,
-        )
+        _exported(sampler.export_jsonl(args.telemetry), "telemetry records",
+                  args.telemetry, f"top {args.telemetry} --once")
     if args.verify_determinism:
-        counters = ("n_retries", "n_breaker_trips", "n_degraded",
-                    "n_unavailable", "n_logical")
-
-        def service_faults(counts: dict) -> dict:
-            # Telemetry drop/dup decisions are seeded per sample seq,
-            # but how many samples a run takes is wall-clock — only the
-            # request-schedule faults are comparable across runs.
-            return {
-                k: v for k, v in counts.items()
-                if not k.startswith("telemetry")
-            }
-
-        def compare(label, stats2, faults2, unhandled2, values2,
-                    sampler2) -> bool:
-            fields = _json.dumps(
-                deterministic_fields(records), sort_keys=True
-            )
-            fields2 = _json.dumps(
-                deterministic_fields(sampler2.records()), sort_keys=True
-            )
-            same = (
-                all(
-                    getattr(stats, c) == getattr(stats2, c)
-                    for c in counters
-                )
-                and service_faults(faults) == service_faults(faults2)
-                and unhandled == unhandled2
-                and values == values2
-                and fields == fields2
-            )
-            print(f"deterministic {label}: {'yes' if same else 'NO'}")
-            if not same:
-                for c in counters:
-                    print(
-                        f"  {c}: {getattr(stats, c)} "
-                        f"vs {getattr(stats2, c)}"
-                    )
-                print(f"  faults: {faults} vs {faults2}")
-                diverged = sum(
-                    a != b for a, b in zip(values, values2)
-                ) + abs(len(values) - len(values2))
-                print(f"  responses diverging: {diverged}/{len(values)}")
-                if fields != fields2:
-                    print(f"  telemetry fields: {fields} vs {fields2}")
-            return same
-
-        s2, f2, _, u2, v2, t2 = _run_chaos_once(args, workload)
-        ok &= compare("across two identical runs", s2, f2, u2, v2, t2)
-        # Third run with degraded cache serves interleaved: cached
-        # responses must leave the admission-ordered fault schedule (and
-        # hence every counter and response value) untouched.
-        s3, f3, _, u3, v3, t3 = _run_chaos_once(args, workload,
-                                                cache_probes=True)
-        ok &= compare("with degraded cache serves interleaved",
-                      s3, f3, u3, v3, t3)
-    return 0 if ok else 1
+        print(drill.render("across two identical runs", 1))
+        print(drill.render("with degraded cache serves interleaved", 2))
+    return 0 if alive and drill.ok else 1
 
 
 def _cmd_trace(args) -> int:

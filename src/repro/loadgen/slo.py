@@ -160,7 +160,8 @@ class SLOReport:
     * the **schedule layer** (spec echo, digests, outcome counts,
       per-tenant counts, goodput) is a pure function of the seed on a
       healthy run — :meth:`deterministic_payload` extracts exactly this
-      slice and the CLI determinism check compares it byte-for-byte;
+      slice, which ``repro loadtest --check-determinism`` diffs key by
+      key (:func:`repro.drills.verify_deterministic`);
     * the **measured layer** (latency quantiles, achieved rps, elapsed
       wall time) reflects the actual execution and differs run to run.
     """

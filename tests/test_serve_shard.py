@@ -321,7 +321,12 @@ class TestShardDeath:
             assert response.prediction is not None
             assert service.shard_info["respawns"] == 1
             # Second death exhausts max_restarts=1 → permanent failure.
-            future = service.submit_async(request)
+            # A fresh seed keeps the request off the result cache (which
+            # would answer before the kill lands); routing keys on the
+            # seed-independent prompt_key, so it still targets shard 0.
+            future = service.submit_async(
+                make_request(sm_dataset, examples, query=victim, seed=1)
+            )
             service.kill_shard(0)
             with pytest.raises(ShardCrashError):
                 future.result(timeout=30)
