@@ -51,7 +51,11 @@ def _workload() -> list[Request]:
     return unique * N_REPEATS
 
 
-def _run(workload: list[Request], caches: bool, sampler=None):
+def _run(
+    workload: list[Request], caches: bool, sampler=None, one_by_one: int = 0
+):
+    """Serve ``workload``; the first ``one_by_one`` requests are served
+    one at a time (each its own batch) before the rest go in bulk."""
     with PredictionService(
         max_batch_size=8,
         max_wait_s=0.002,
@@ -68,7 +72,10 @@ def _run(workload: list[Request], caches: bool, sampler=None):
             sampler.start()
         try:
             with Timer() as timer:
-                responses = service.submit_many(workload)
+                responses = [
+                    service.submit(r) for r in workload[:one_by_one]
+                ]
+                responses += service.submit_many(workload[one_by_one:])
             stats = service.stats()
         finally:
             if sampler is not None:
@@ -144,25 +151,34 @@ def test_tracing_overhead_under_five_percent(emit):
     path is not measured against a bar here because it is structurally
     free (the global tracer stays the disabled singleton and every
     instrumented site short-circuits).
+
+    Both sides must do the same serving work, or the comparison measures
+    scheduling luck: a duplicate submitted while its original is still
+    queued is a batched decode, one submitted after it is an admission
+    hit.  So each trial serves the unique wave first, one request at a
+    time (every unique prompt is one singleton batch and one result
+    miss), and only then the repeats, which all hit at admission; each
+    pair asserts equal batch and miss counts.
     """
     import gc
     import time
 
     from repro.obs import TelemetrySampler, Tracer, use_tracer
 
-    workload = _workload() * 6
-    _run(workload, caches=True)  # warm the per-size surrogate cache
+    workload = _workload() * 6  # the first N_UNIQUE are the unique wave
+    # Warm the per-size surrogate cache.
+    _run(workload, caches=True, one_by_one=N_UNIQUE)
 
     tracer = Tracer()
     n_telemetry_samples = 0
 
-    def plain_trial() -> float:
+    def plain_trial():
         gc.collect()
         t0 = time.process_time()
-        _run(workload, caches=True)
-        return time.process_time() - t0
+        _, stats, _ = _run(workload, caches=True, one_by_one=N_UNIQUE)
+        return time.process_time() - t0, stats
 
-    def traced_trial() -> float:
+    def traced_trial():
         nonlocal n_telemetry_samples
         tracer.clear()
         # Fresh sampler per trial: collectors close over the trial's
@@ -171,10 +187,12 @@ def test_tracing_overhead_under_five_percent(emit):
         gc.collect()
         with use_tracer(tracer):
             t0 = time.process_time()
-            _run(workload, caches=True, sampler=sampler)
+            _, stats, _ = _run(
+                workload, caches=True, sampler=sampler, one_by_one=N_UNIQUE
+            )
             elapsed = time.process_time() - t0
         n_telemetry_samples = len(sampler.records())
-        return elapsed
+        return elapsed, stats
 
     min_pairs, max_pairs = 4, 40
     plain_cpu = traced_cpu = float("inf")
@@ -184,7 +202,15 @@ def test_tracing_overhead_under_five_percent(emit):
             else (traced_trial, plain_trial)
         )
         a, b = first(), second()
-        plain, traced = (a, b) if pair % 2 == 0 else (b, a)
+        (plain, plain_stats), (traced, traced_stats) = (
+            (a, b) if pair % 2 == 0 else (b, a)
+        )
+        # Identical work on both sides: one decode batch per unique
+        # prompt, and every repeat an admission hit.
+        work = [
+            (s.n_batches, s.result_misses) for s in (plain_stats, traced_stats)
+        ]
+        assert work == [(N_UNIQUE, N_UNIQUE)] * 2, work
         plain_cpu = min(plain_cpu, plain)
         traced_cpu = min(traced_cpu, traced)
         if pair + 1 >= min_pairs and traced_cpu / plain_cpu - 1.0 < 0.05:

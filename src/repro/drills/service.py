@@ -110,9 +110,9 @@ def run_service_chaos(
     # Retries absorb shard kills; give the drill enough respawn budget
     # that repeated kills of one shard don't exhaust it mid-run.  The
     # shard-stats timeout is tuned well under the sampler cadence (one
-    # scrape round-trips shard stats twice: service counters, then
-    # fault counters) so a mid-respawn shard cannot stall a scrape past
-    # the telemetry liveness bound of twice the cadence.
+    # scrape is one shard-stats round-trip) so a mid-respawn shard
+    # cannot stall a scrape past the telemetry liveness bound of twice
+    # the cadence.
     with make_service(
         shards=shards, max_restarts=len(workload), fault_plan=plan,
         stats_timeout_s=min(2.0, max(telemetry_interval / 8, 0.02)),

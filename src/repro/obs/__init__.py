@@ -13,12 +13,12 @@ Five pieces, all in-process and stdlib+numpy only:
   until :func:`set_tracer` / :func:`use_tracer` installs a live one, so
   instrumented hot paths cost one attribute check when tracing is off.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — named counters /
-  gauges / log-bucket :class:`Histogram`\\ s (bounded and mergeable;
-  also behind ``StatsRecorder`` and the load generator's SLO reports)
-  with label sets, one ``snapshot()``/``render()``
-  over what ``StatsRecorder``, ``LRUCache``, ``FaultInjector.stats`` and
-  ``CircuitBreaker.trips`` each count separately
-  (:func:`collect_service_metrics` does the mapping, idempotently).
+  gauges / log-bucket :class:`Histogram`\\ s (bounded and mergeable)
+  with label sets, one ``snapshot()``/``render()``; registries pickle
+  and merge.  It is where the serving stack counts (each backend's
+  ``StatsRecorder`` records into one) and what the load generator's SLO
+  reports use; :func:`collect_service_metrics` copies a service's
+  registry into an export registry, idempotently.
 * continuous telemetry (:mod:`repro.obs.telemetry`) — a background
   :class:`TelemetrySampler` scraping every registered collector on a
   cadence into a ring-buffer timeline with multi-window SLO burn-rate

@@ -1,14 +1,17 @@
 """A labelled metrics registry: counters, gauges, histograms.
 
-The serving stack already counts things in four unrelated places —
-:class:`~repro.serve.stats.StatsRecorder` (request/latency counters),
-:class:`~repro.serve.cache.LRUCache` (hit/miss), ``FaultInjector.stats``
-(injected faults), and ``CircuitBreaker.trips`` — each with its own ad-hoc
-snapshot and render.  :class:`MetricsRegistry` is the single vocabulary
-over all of them: named instruments with label sets, one ``snapshot()``
-(plain dict, JSON-friendly) and one ``render()`` (ASCII table).
-:func:`collect_service_metrics` maps a live service (and optionally its
-resilience wrapper) onto that vocabulary at a point in time.
+:class:`MetricsRegistry` is the one place the serving stack counts.
+Each backend's :class:`~repro.serve.stats.StatsRecorder` binds its
+instruments in a registry once, at construction, and records straight
+into them; the :class:`~repro.serve.stats.ServiceStats` view, the
+cross-shard aggregate and the exported metrics are all read off that
+registry.  Instruments are named and labelled, with one ``snapshot()``
+(plain dict, JSON-friendly) and one ``render()`` (ASCII table);
+registries pickle, and :meth:`MetricsRegistry.merge` folds one into
+another (counters add, histograms merge bucket by bucket), which is how
+a sharded parent combines its workers' counts.
+:func:`collect_service_metrics` copies a live service's registry, plus
+its resilience wrapper's breaker state, into an export registry.
 
 Metric names are dotted, labels identify the sub-stream::
 
@@ -18,15 +21,17 @@ Metric names are dotted, labels identify the sub-stream::
 :class:`Histogram` is the one latency distribution in the package:
 fixed log-spaced buckets, so memory and quantile cost stay constant
 over any run length and histograms from several processes merge
-bucket by bucket.  ``StatsRecorder``, the sharded service's
-cross-shard aggregate and the load generator's SLO reports all use it.
+bucket by bucket.  The service registries and the load generator's SLO
+reports both use it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -48,22 +53,13 @@ def _label_suffix(labels: tuple) -> str:
     return "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
 
 
-class _Instrument:
-    """Shared identity: a name plus a frozen, sorted label set."""
+def _label_key(labels: dict) -> tuple:
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
-    kind = "instrument"
 
-    def __init__(self, name: str, labels: tuple):
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
+class _Locked:
+    """Locks do not pickle; an unpickled copy gets a fresh one."""
 
-    @property
-    def key(self) -> str:
-        """Render key: ``name{label=value,...}``."""
-        return self.name + _label_suffix(self.labels)
-
-    # Locks do not pickle; an unpickled instrument gets a fresh one.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
@@ -71,6 +67,19 @@ class _Instrument:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+
+class _Instrument(_Locked):
+    """Shared identity: a name plus a frozen, sorted label set."""
+
+    kind = "instrument"
+
+    def __init__(self, name: str, labels: tuple):
+        self.name = name
+        self.labels = labels
+        #: Render key: ``name{label=value,...}``.
+        self.key = name + _label_suffix(labels)
         self._lock = threading.Lock()
 
 
@@ -92,11 +101,11 @@ class Counter(_Instrument):
     def set_absolute(self, value: int) -> None:
         """Set the counter to an externally-maintained cumulative total.
 
-        Collectors scrape sources that own their own cumulative counts
-        (``ServiceStats``, ``FaultStats``, cache snapshots); ``inc``
-        would compound the source total on every scrape, so periodic
-        sampling writes the absolute value instead — scraping twice is
-        the same as scraping once.
+        Collectors copy sources that keep their own cumulative counts
+        (a service registry, storage integrity counters); ``inc`` would
+        compound the source total on every scrape, so periodic sampling
+        writes the absolute value instead — scraping twice is the same
+        as scraping once.
         """
         if value < 0:
             raise ValueError(
@@ -128,6 +137,14 @@ class Gauge(_Instrument):
     def value(self) -> float:
         with self._lock:
             return self._value
+
+
+@functools.lru_cache(maxsize=None)
+def _bucket_edges(lo: float, bpd: int, n_buckets: int) -> np.ndarray:
+    """One read-only edge array per layout, shared by its histograms."""
+    edges = lo * np.power(10.0, np.arange(n_buckets + 1, dtype=np.float64) / bpd)
+    edges.flags.writeable = False
+    return edges
 
 
 class Histogram(_Instrument):
@@ -172,9 +189,7 @@ class Histogram(_Instrument):
         )
         #: ``edges[k]`` is the lower bound of bucket ``k``; bucket ``k``
         #: covers ``[edges[k], edges[k + 1])``.
-        self.edges = self.lo * np.power(
-            10.0, np.arange(n_buckets + 1, dtype=np.float64) / self.bpd
-        )
+        self.edges = _bucket_edges(self.lo, self.bpd, n_buckets)
         self.counts = [0] * n_buckets
         self.n = 0
         self.total = 0.0
@@ -216,7 +231,7 @@ class Histogram(_Instrument):
             counts = other.counts.copy()
             n, total, lo, hi = other.n, other.total, other.min, other.max
         with self._lock:
-            self.counts = [a + b for a, b in zip(self.counts, counts)]
+            self.counts = list(map(operator.add, self.counts, counts))
             self.n += n
             self.total += total
             self.min = min(self.min, lo)
@@ -266,11 +281,13 @@ class Histogram(_Instrument):
             }
 
 
-class MetricsRegistry:
+class MetricsRegistry(_Locked):
     """Get-or-create registry of labelled instruments.
 
     The same ``(name, labels)`` pair always returns the same instrument;
     requesting it as a different kind is an error (one name, one meaning).
+    A registry pickles with its instruments' values, so a snapshot can
+    cross a process pipe.
     """
 
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -279,13 +296,12 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, _Instrument] = {}
 
-    def _get(self, kind: str, name: str, labels: dict):
-        key = (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
+    def _bind(self, kind: str, key: tuple):
         cls = self._KINDS[kind]
         with self._lock:
             inst = self._instruments.get(key)
             if inst is None:
-                inst = self._instruments[key] = cls(name, key[1])
+                inst = self._instruments[key] = cls(*key)
             elif not isinstance(inst, cls):
                 raise ValueError(
                     f"metric {inst.key!r} already registered as a "
@@ -293,14 +309,52 @@ class MetricsRegistry:
                 )
             return inst
 
+    def _replace(self, inst: _Instrument) -> None:
+        key = (inst.name, inst.labels)
+        with self._lock:
+            mine = self._instruments.get(key)
+            if mine is not None and mine.kind != inst.kind:
+                raise ValueError(
+                    f"metric {inst.key!r} already registered as a "
+                    f"{mine.kind}, not a {inst.kind}"
+                )
+            self._instruments[key] = inst
+
     def counter(self, name: str, **labels) -> Counter:
-        return self._get("counter", name, labels)
+        return self._bind("counter", (name, _label_key(labels)))
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", name, labels)
+        return self._bind("gauge", (name, _label_key(labels)))
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._get("histogram", name, labels)
+        return self._bind("histogram", (name, _label_key(labels)))
+
+    def get(self, name: str, **labels) -> _Instrument | None:
+        """The instrument registered under ``name`` and ``labels``, if any
+        (a read that, unlike :meth:`counter` and friends, creates none)."""
+        with self._lock:
+            return self._instruments.get((name, _label_key(labels)))
+
+    def merge(self, other: "MetricsRegistry", names=None) -> None:
+        """Fold ``other``'s instruments into this registry.
+
+        Counters add, histograms merge bucket by bucket, and gauges take
+        ``other``'s value.  ``names`` (a collection of metric names)
+        limits the fold to those metrics.  Merging into an empty
+        registry makes a copy that later observations do not touch.
+        """
+        with other._lock:
+            theirs = list(other._instruments.values())
+        for inst in theirs:
+            if names is not None and inst.name not in names:
+                continue
+            mine = self._bind(inst.kind, (inst.name, inst.labels))
+            if isinstance(inst, Histogram):
+                mine.merge(inst)
+            elif isinstance(inst, Counter):
+                mine.inc(inst.value)
+            else:
+                mine.set(inst.value)
 
     def instruments(self) -> list[_Instrument]:
         """All instruments, sorted by render key."""
@@ -341,102 +395,24 @@ class MetricsRegistry:
 def collect_service_metrics(
     service, resilient=None, registry: MetricsRegistry | None = None
 ) -> MetricsRegistry:
-    """Unify a live service's scattered counters into one registry.
+    """Copy a live service's registry into ``registry`` for export.
 
-    Maps :class:`~repro.serve.stats.ServiceStats` (request outcomes,
-    latency percentiles, resilience counters), both
-    :class:`~repro.serve.cache.LRUCache` levels, the fault injector's
-    :class:`~repro.faults.FaultStats`, and — when the ``resilient``
-    wrapper is given — per-route circuit-breaker state onto labelled
-    instruments.  Idempotent: counters are written as absolute values
-    from the sources' own cumulative counts, so the telemetry sampler
-    can scrape the same registry every interval without compounding.
+    ``service.metrics()`` is the backend's registry snapshot: request
+    outcomes, batching, cache lookups, injected faults, resilience and
+    (sharded) shard-health counts, with the p50/p95, rate and ratio
+    gauges read off them.  Its counters and gauges land in ``registry``
+    as absolute values, replacing what an earlier scrape put there, so
+    the telemetry sampler can scrape into the same registry every
+    interval without compounding; histograms stay behind, exported
+    through their quantile gauges.  With the ``resilient`` wrapper,
+    per-route circuit-breaker state is added.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    stats = service.stats()
-
-    for event, count in (
-        ("submitted", stats.n_submitted),
-        ("completed", stats.n_completed),
-        ("failed", stats.n_failed),
-        ("rejected_overload", stats.n_rejected),
-        ("rejected_closed", stats.n_closed_rejects),
-        ("timeout", stats.n_timeouts),
-        ("late_discard", stats.n_late_discards),
-    ):
-        registry.counter("serve.requests", event=event).set_absolute(count)
-    registry.counter("serve.batches").set_absolute(stats.n_batches)
-    registry.gauge("serve.batch_occupancy").set(stats.batch_occupancy)
-    registry.gauge("serve.throughput_rps").set(stats.throughput_rps)
-    registry.gauge("serve.latency_s", quantile="p50").set(stats.p50_latency_s)
-    registry.gauge("serve.latency_s", quantile="p95").set(stats.p95_latency_s)
-    registry.gauge("serve.queue_wait_s", quantile="p50").set(
-        stats.p50_queue_wait_s
-    )
-    registry.gauge("serve.queue_wait_s", quantile="p95").set(
-        stats.p95_queue_wait_s
-    )
-
-    for level, cache in (
-        ("prepare", service.prepare_cache),
-        ("result", service.result_cache),
-    ):
-        if cache is None:
-            continue
-        # One locked snapshot per level: reading hits and misses as two
-        # separate calls can tear around a concurrent lookup and report
-        # a hit rate above 1.0.
-        hits, misses, size = cache.snapshot()
-        registry.counter(
-            "cache.lookups", level=level, outcome="hit"
-        ).set_absolute(hits)
-        registry.counter(
-            "cache.lookups", level=level, outcome="miss"
-        ).set_absolute(misses)
-        registry.gauge("cache.entries", level=level).set(size)
-        registry.gauge("cache.capacity", level=level).set(cache.capacity)
-
-    # Prefix-reuse layer: snapshot cache hit/miss plus decode grouping.
-    if stats.prefix_hits or stats.prefix_misses:
-        registry.counter(
-            "cache.lookups", level="prefix", outcome="hit"
-        ).set_absolute(stats.prefix_hits)
-        registry.counter(
-            "cache.lookups", level="prefix", outcome="miss"
-        ).set_absolute(stats.prefix_misses)
-    if stats.n_groups:
-        registry.counter("serve.prefix_groups").set_absolute(stats.n_groups)
-        registry.counter("serve.grouped_requests").set_absolute(
-            stats.n_group_served
-        )
-        registry.gauge("serve.mean_group_width").set(stats.mean_group_width)
-
-    if service.faults is not None:
-        for kind, count in service.faults.stats.snapshot().items():
-            registry.counter("faults.injected", kind=kind).set_absolute(count)
-
-    # Sharded backend: topology and worker-death accounting (duck-typed;
-    # the single-process service has no shard_info attribute).
-    shard_info = getattr(service, "shard_info", None)
-    if shard_info is not None:
-        registry.gauge("serve.shards").set(shard_info["n_shards"])
-        registry.gauge("serve.shards_failed").set(shard_info["failed"])
-        registry.counter("serve.shard_respawns").set_absolute(
-            shard_info["respawns"]
-        )
-        registry.counter("serve.shard_crashed_tickets").set_absolute(
-            shard_info["crashed_tickets"]
-        )
-
-    for name, count in (
-        ("logical", stats.n_logical),
-        ("retries", stats.n_retries),
-        ("breaker_trips", stats.n_breaker_trips),
-        ("degraded", stats.n_degraded),
-        ("unavailable", stats.n_unavailable),
-    ):
-        registry.counter(f"resilience.{name}").set_absolute(count)
-    registry.gauge("resilience.availability").set(stats.availability)
+    # The snapshot is this call's own, so its instruments move over
+    # as they are.
+    for inst in service.metrics().instruments():
+        if not isinstance(inst, Histogram):
+            registry._replace(inst)
 
     if resilient is not None:
         for route, breaker in resilient.breakers.items():

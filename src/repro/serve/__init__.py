@@ -9,7 +9,8 @@ proper inference service (SURGE's "LLM as surrogate executor" framing):
   admission queue, a flush-on-size-or-wait microbatching scheduler, and a
   two-level cache (prompt-analysis memoization + full-result memoization);
 * :class:`ServiceStats` — p50/p95 latency, throughput, batch occupancy,
-  and cache hit rates, rendered by ``repro serve-bench``;
+  and cache hit rates, rendered by ``repro serve-bench``: a view of the
+  metrics registry a service counts in (``service.metrics()``);
 * typed failure modes in :mod:`repro.errors` —
   :class:`~repro.errors.ServiceOverloadedError` (backpressure),
   :class:`~repro.errors.RequestTimeoutError` (per-request deadline),

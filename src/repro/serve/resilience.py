@@ -335,7 +335,7 @@ class ResilientService:
         always propagates (a closed service is operator intent, not an
         outage to paper over).
         """
-        self._stats.record_logical()
+        self._stats.logical.inc()
         tracer = get_tracer()
         key = next(self._keys)
         breaker = self.breaker(request.size)
@@ -352,11 +352,11 @@ class ResilientService:
                     # Operator intent, not an outage: return the half-open
                     # admission token (no outcome to record) and re-raise.
                     breaker.release()
-                    self._stats.record_unavailable()
+                    self._stats.unavailable.inc()
                     raise
                 except Exception as exc:
                     if breaker.record_failure():
-                        self._stats.record_breaker_trip()
+                        self._stats.breaker_trips.inc()
                     last_exc = exc
                     if not self.retry_policy.retryable(exc):
                         break
@@ -365,7 +365,7 @@ class ResilientService:
                         or not self._spend_retry()
                     ):
                         break
-                    self._stats.record_retry()
+                    self._stats.retries.inc()
                     delay = self.retry_policy.delay_s(key, attempt)
                     with tracer.span(
                         "resilience.backoff", attempt=attempt, delay_s=delay
@@ -381,11 +381,11 @@ class ResilientService:
                     request, request_id=key
                 )
                 if response is not None:
-                    self._stats.record_degraded()
+                    self._stats.degraded.inc()
                     root.set(outcome="degraded", rung=response.provenance,
                              attempts=attempt)
                     return response
-            self._stats.record_unavailable()
+            self._stats.unavailable.inc()
             root.set(outcome="unavailable", attempts=attempt)
             if last_exc is not None:
                 raise last_exc

@@ -26,6 +26,7 @@ per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import threading
 import time
@@ -37,14 +38,19 @@ from repro.core.surrogate import DiscriminativeSurrogate
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import RequestTimeoutError, ServiceClosedError
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs import get_tracer
+from repro.obs import MetricsRegistry, get_tracer
 from repro.prompts.builder import PromptParts
 from repro.serve.cache import MISS, LRUCache, prompt_fingerprint
 from repro.serve.request import Request, Response
 from repro.serve.scheduler import MicroBatcher, Ticket
-from repro.serve.stats import ServiceStats, StatsRecorder
+from repro.serve.stats import (
+    ServiceStats,
+    StatsRecorder,
+    read_outs,
+    service_stats,
+)
 
-__all__ = ["PredictionService"]
+__all__ = ["PredictionService", "ServiceBase"]
 
 
 class _PrefixGroup:
@@ -77,7 +83,72 @@ class _Lookup(NamedTuple):
     cached: object
 
 
-class PredictionService:
+class ServiceBase:
+    """What every serving backend shares: the blocking submit with its
+    timeout and late-discard accounting, the bulk submit, the
+    :class:`ServiceStats` view and the context manager.
+
+    A backend provides ``submit_async``, ``metrics``, ``close``,
+    ``default_timeout_s`` and its :class:`StatsRecorder` as ``_stats``.
+    """
+
+    def submit(self, request: Request) -> Response:
+        """Serve one request synchronously.
+
+        Waits up to ``request.timeout_s`` (or the service default); on
+        expiry the request is cancelled if still queued and
+        :class:`RequestTimeoutError` is raised.
+        """
+        future = self.submit_async(request)
+        timeout = (
+            request.timeout_s
+            if request.timeout_s is not None
+            else self.default_timeout_s
+        )
+        try:
+            return future.result(timeout=timeout)
+        except FuturesTimeoutError:
+            if not future.cancel():
+                # The work already started: it will finish in the
+                # background with nobody left to read it.  Count that
+                # discarded late completion instead of dropping it
+                # silently (failures/cancellations are already counted
+                # through their own paths).
+                future.add_done_callback(self._note_late_discard)
+            self._stats.timeouts.inc()
+            raise RequestTimeoutError(float(timeout)) from None
+
+    def _note_late_discard(self, future: Future) -> None:
+        if not future.cancelled() and future.exception() is None:
+            self._stats.late_discards.inc()
+
+    def submit_many(self, requests: Iterable[Request]) -> list[Response]:
+        """Serve a bulk workload, preserving input order.
+
+        Admission blocks on queue space rather than raising, so bulk
+        submitters cooperate with backpressure instead of tripping it.
+        """
+        futures = [self.submit_async(r, block=True) for r in requests]
+        return [f.result() for f in futures]
+
+    def stats(self) -> ServiceStats:
+        """Snapshot current service metrics (the view of :meth:`metrics`)."""
+        return service_stats(self.metrics(), self._stats.max_batch_size)
+
+    @property
+    def stats_recorder(self) -> StatsRecorder:
+        """The live recorder (shared with the resilience wrapper)."""
+        return self._stats
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        # Drain on clean exit; abandon queued work when unwinding an error.
+        self.close(drain=exc_type is None)
+
+
+class PredictionService(ServiceBase):
     """Batched, cached serving front-end for surrogate predictions.
 
     Parameters
@@ -182,7 +253,7 @@ class PredictionService:
         admitted_at = time.monotonic()
         request_id = next(self._ids)
         if self._batcher.closed:
-            self._stats.record_closed_reject()
+            self._stats.closed_rejects.inc()
             raise ServiceClosedError("service is shut down")
         try:
             # An id a per-request fault fires for goes through the batcher
@@ -208,39 +279,13 @@ class PredictionService:
         try:
             self._batcher.submit(ticket, block=block)
         except ServiceClosedError:
-            self._stats.record_closed_reject()
+            self._stats.closed_rejects.inc()
             raise
         except Exception:
-            self._stats.record_reject()
+            self._stats.rejected.inc()
             raise
         self._stats.record_submit()
         return ticket.future
-
-    def submit(self, request: Request) -> Response:
-        """Serve one request synchronously.
-
-        Waits up to ``request.timeout_s`` (or the service default); on
-        expiry the request is cancelled if still queued and
-        :class:`RequestTimeoutError` is raised.
-        """
-        future = self.submit_async(request)
-        timeout = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.default_timeout_s
-        )
-        try:
-            return future.result(timeout=timeout)
-        except FuturesTimeoutError:
-            if not future.cancel():
-                # The batch already started: the work will finish in the
-                # background with nobody left to read it.  Count that
-                # discarded late completion instead of dropping it
-                # silently (failures/cancellations are already counted
-                # through their own paths).
-                future.add_done_callback(self._note_late_discard)
-            self._stats.record_timeout()
-            raise RequestTimeoutError(float(timeout)) from None
 
     def _fault_due(self, request_id: int) -> bool:
         """Whether a per-request fault fires for this admission id.
@@ -310,19 +355,6 @@ class PredictionService:
         future.set_exception(exc)
         return future
 
-    def _note_late_discard(self, future: Future) -> None:
-        if not future.cancelled() and future.exception() is None:
-            self._stats.record_late_discard()
-
-    def submit_many(self, requests: Iterable[Request]) -> list[Response]:
-        """Serve a bulk workload, preserving input order.
-
-        Admission blocks on queue space rather than raising, so bulk
-        submitters cooperate with backpressure instead of tripping it.
-        """
-        futures = [self.submit_async(r, block=True) for r in requests]
-        return [f.result() for f in futures]
-
     # ------------------------------------------------------------------ #
     # Lifecycle & introspection
     # ------------------------------------------------------------------ #
@@ -330,30 +362,23 @@ class PredictionService:
         """Shut down (gracefully draining admitted requests by default)."""
         self._batcher.close(drain=drain)
 
-    def __enter__(self) -> "PredictionService":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        # Drain on clean exit; abandon queued work when unwinding an error.
-        self.close(drain=exc_type is None)
-
-    def stats(self) -> ServiceStats:
-        """Snapshot current service metrics (including cache counters)."""
-        pc, rc = self.prepare_cache, self.result_cache
-        prepare_hits, prepare_misses, _ = pc.snapshot() if pc else (0, 0, 0)
-        result_hits, result_misses, _ = rc.snapshot() if rc else (0, 0, 0)
-        prefix_hits, prefix_misses = self.prefix_cache_counts()
-        return self._stats.snapshot(
-            prepare_hits=prepare_hits,
-            prepare_misses=prepare_misses,
-            result_hits=result_hits,
-            result_misses=result_misses,
-            prefix_hits=prefix_hits,
-            prefix_misses=prefix_misses,
-        )
-
-    def prefix_cache_counts(self) -> tuple[int, int]:
-        """(hits, misses) summed over every surrogate's prefix cache."""
+    def metrics(self) -> MetricsRegistry:
+        """A frozen snapshot of this service's registry, with the cache
+        lookups and injected faults (see :mod:`repro.serve.stats`)."""
+        snap = self._stats.snapshot()
+        lookups = functools.partial(snap.counter, "cache.lookups")
+        for level, cache in (
+            ("prepare", self.prepare_cache),
+            ("result", self.result_cache),
+        ):
+            if cache is not None:
+                # One locked read per level: hits and misses read apart
+                # can tear around a concurrent lookup.
+                hits, misses, size = cache.snapshot()
+                lookups(level=level, outcome="hit").inc(hits)
+                lookups(level=level, outcome="miss").inc(misses)
+                snap.gauge("cache.entries", level=level).set(size)
+                snap.gauge("cache.capacity", level=level).set(cache.capacity)
         if self._fixed_surrogate is not None:
             surrogates = [self._fixed_surrogate]
         else:
@@ -361,17 +386,17 @@ class PredictionService:
                 surrogates = list(self._surrogates.values())
         hits = misses = 0
         for surrogate in surrogates:
-            cache = surrogate.prefix_cache
-            if cache is not None:
-                cache_hits, cache_misses = cache.snapshot()
+            if surrogate.prefix_cache is not None:
+                cache_hits, cache_misses = surrogate.prefix_cache.snapshot()
                 hits += cache_hits
                 misses += cache_misses
-        return hits, misses
-
-    @property
-    def stats_recorder(self) -> StatsRecorder:
-        """The live accumulator (shared with the resilience wrapper)."""
-        return self._stats
+        if hits or misses:
+            lookups(level="prefix", outcome="hit").inc(hits)
+            lookups(level="prefix", outcome="miss").inc(misses)
+        if self.faults is not None:
+            for kind, count in self.faults.stats.snapshot().items():
+                snap.counter("faults.injected", kind=kind).inc(count)
+        return read_outs(snap, self._stats.max_batch_size)
 
     # ------------------------------------------------------------------ #
     # Execution path (batch workers)
@@ -508,7 +533,7 @@ class PredictionService:
                 "serve.queue_wait", ticket.enqueued_at, serve_start,
                 parent=root.span_id,
             )
-            self._stats.record_queue_wait(serve_start - ticket.enqueued_at)
+            self._stats.queue_wait.observe(serve_start - ticket.enqueued_at)
             if self.faults is not None:
                 # Deterministic per-request injection, keyed on the
                 # ticket's admission-ordered id: eviction storm / latency

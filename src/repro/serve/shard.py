@@ -68,11 +68,8 @@ import threading
 import time
 from multiprocessing import connection as mp_connection
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Iterable
 
 from repro.errors import (
-    RequestTimeoutError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
@@ -80,11 +77,11 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultStats
-from repro.obs import Histogram, Tracer, get_tracer, set_tracer
+from repro.obs import MetricsRegistry, Tracer, get_tracer, set_tracer
 from repro.obs.tracer import worker_id_start
 from repro.serve.request import Request, Response
-from repro.serve.service import PredictionService
-from repro.serve.stats import ServiceStats, StatsRecorder
+from repro.serve.service import PredictionService, ServiceBase
+from repro.serve.stats import WORKER_METRICS, StatsRecorder, read_outs
 from repro.utils.parallel import mp_context
 from repro.utils.rng import derive_seed
 
@@ -95,46 +92,6 @@ _WATCHDOG_POLL_S = 0.05
 
 #: Per-attempt wait while cooperatively block-putting into a full inbox.
 _BLOCK_PUT_POLL_S = 0.05
-
-
-def aggregate_stats(
-    base: ServiceStats, workers: list[ServiceStats]
-) -> ServiceStats:
-    """Fold shard snapshots into the parent's own snapshot ``base``.
-
-    The parent is authoritative for submissions, outcomes, end-to-end
-    latencies and throughput.  Batching, cache and prefix-group counters
-    are summed over ``workers`` (every shard incarnation, retired ones
-    included).  Queue waits are measured inside the workers, so their
-    p50/p95 are read off the bucket-by-bucket merge of the workers'
-    histograms: a percentile of the union at bucket resolution.
-    """
-    waits = Histogram()
-    for s in workers:
-        waits.merge(s.queue_wait_hist)
-    n_batches = sum(s.n_batches for s in workers)
-    # Batch sizes are integers: rounding mean * count recovers each
-    # worker's exact total, so the aggregate mean is exact too.
-    batched = sum(round(s.mean_batch_size * s.n_batches) for s in workers)
-    n_groups = sum(s.n_groups for s in workers)
-    n_group_served = sum(s.n_group_served for s in workers)
-    return dataclasses.replace(
-        base,
-        p50_queue_wait_s=waits.quantile(0.50),
-        p95_queue_wait_s=waits.quantile(0.95),
-        queue_wait_hist=waits,
-        n_batches=n_batches,
-        mean_batch_size=(batched / n_batches) if n_batches else 0.0,
-        prepare_hits=sum(s.prepare_hits for s in workers),
-        prepare_misses=sum(s.prepare_misses for s in workers),
-        result_hits=sum(s.result_hits for s in workers),
-        result_misses=sum(s.result_misses for s in workers),
-        prefix_hits=sum(s.prefix_hits for s in workers),
-        prefix_misses=sum(s.prefix_misses for s in workers),
-        n_groups=n_groups,
-        n_group_served=n_group_served,
-        mean_group_width=n_group_served / n_groups if n_groups else 0.0,
-    )
 
 
 def route_shard(prompt_key: str, n_shards: int, route_seed: int = 0) -> int:
@@ -206,15 +163,15 @@ def _shard_worker_main(
 
         ("req", ticket_id, Request, trace_parent|None)
                                       submit; outcome goes to ``results``
-        ("stats", token)              reply with a stats/fault snapshot
+        ("stats", token)              reply with a metrics snapshot
         ("stop", drain)               close the service, reply "bye", exit
 
     and worker → parent over this shard's private ``results`` pipe::
 
         ("ok"|"err", shard, gen, ticket_id, Response|error)
         ("spans", shard, gen, span records, worker monotonic now)
-        ("stats", shard, gen, token, ServiceStats, fault snapshot|None)
-        ("bye", shard, gen, ServiceStats, fault snapshot|None)
+        ("stats", shard, gen, token, MetricsRegistry)
+        ("bye", shard, gen, MetricsRegistry)
 
     ``trace_parent`` is the parent process's ``shard.submit`` span id;
     when present, a worker-side tracer (ids from a disjoint
@@ -242,11 +199,6 @@ def _shard_worker_main(
                 results.send(msg)
         except (BrokenPipeError, OSError):  # parent gone; nothing to tell
             pass
-
-    def faults_snapshot():
-        if service.faults is None:
-            return None
-        return service.faults.stats.snapshot()
 
     # Created on the first traced request; untraced runs never pay for
     # a tracer (the global stays the disabled NULL_TRACER).
@@ -311,31 +263,15 @@ def _shard_worker_main(
                     )
                 )
             elif kind == "stats":
-                reply(
-                    (
-                        "stats",
-                        shard_id,
-                        generation,
-                        msg[1],
-                        service.stats(),
-                        faults_snapshot(),
-                    )
-                )
+                reply(("stats", shard_id, generation, msg[1],
+                       service.metrics()))
             elif kind == "stop":
                 service.close(drain=bool(msg[1]))
                 # Final span drain before the goodbye: drained requests'
                 # done-callbacks have all fired by now, so this sweep
                 # catches spans whose piggyback raced the close.
                 ship_spans()
-                reply(
-                    (
-                        "bye",
-                        shard_id,
-                        generation,
-                        service.stats(),
-                        faults_snapshot(),
-                    )
-                )
+                reply(("bye", shard_id, generation, service.metrics()))
                 return
     except (EOFError, KeyboardInterrupt):  # parent gone / interrupted
         service.close(drain=False)
@@ -366,16 +302,8 @@ class _ShardSlot:
     """One shard's process, inbox, and per-incarnation bookkeeping."""
 
     __slots__ = (
-        "index",
-        "process",
-        "inbox",
-        "generation",
-        "restarts",
-        "failed",
-        "last_stats",
-        "last_faults",
-        "retired_stats",
-        "retired_faults",
+        "index", "process", "inbox", "generation", "restarts", "failed",
+        "metrics",
     )
 
     def __init__(self, index: int):
@@ -385,34 +313,38 @@ class _ShardSlot:
         self.generation = 0
         self.restarts = 0
         self.failed = False
-        #: Latest snapshots from the *current* incarnation.
-        self.last_stats: ServiceStats | None = None
-        self.last_faults: dict | None = None
-        #: Final (last-known) snapshots of dead incarnations; counters
-        #: a shard accumulated after its last stats exchange die with it.
-        self.retired_stats: list[ServiceStats] = []
-        self.retired_faults: list[dict] = []
+        #: Latest metrics snapshot from the *current* incarnation.
+        self.metrics: MetricsRegistry | None = None
 
 
 class _ShardFaultView:
     """Duck-typed ``service.faults`` for the sharded backend.
 
     Exposes the same ``.plan`` / ``.stats`` /
-    ``.on_telemetry_sample`` surface the obs collectors, the telemetry
-    sampler, and the chaos CLI read from
-    :class:`~repro.faults.FaultInjector`; ``stats`` aggregates the
-    parent's shard-kill and telemetry counters with every worker's
-    injected-fault snapshot (refreshing live shards first).
+    ``.on_telemetry_sample`` surface the telemetry sampler and the chaos
+    drills read from :class:`~repro.faults.FaultInjector`.  The parent's
+    own faults (shard kills, telemetry drops and dups) count in its
+    registry; ``stats`` reads the ``faults.injected`` counters of the
+    service's merged metrics, so every worker's faults are in it too.
     """
 
     def __init__(self, owner: "ShardedPredictionService", plan: FaultPlan):
         self._owner = owner
         self.plan = plan
+        count = functools.partial(
+            owner.stats_recorder.registry.counter, "faults.injected"
+        )
+        self.shard_kills = count(kind="shard_kills")
+        self._drops = count(kind="telemetry_drops")
+        self._dups = count(kind="telemetry_dups")
 
     @property
     def stats(self) -> FaultStats:
-        self._owner._refresh_shard_stats()
-        return self._owner._aggregate_fault_stats()
+        stats = FaultStats()
+        for inst in self._owner.metrics().instruments():
+            if inst.name == "faults.injected" and inst.value:
+                stats.add(dict(inst.labels)["kind"], inst.value)
+        return stats
 
     def on_telemetry_sample(self, key: object) -> str:
         """Telemetry export faults are parent-side: the sampler lives in
@@ -420,15 +352,15 @@ class _ShardFaultView:
         too — mirrored from ``FaultInjector.on_telemetry_sample``."""
         plan = self.plan
         if plan.telemetry_drop(key):
-            self._owner._kill_stats.record("telemetry_drops")
+            self._drops.inc()
             return "drop"
         if plan.telemetry_dup(key):
-            self._owner._kill_stats.record("telemetry_dups")
+            self._dups.inc()
             return "dup"
         return "keep"
 
 
-class ShardedPredictionService:
+class ShardedPredictionService(ServiceBase):
     """N-process sharded drop-in for :class:`PredictionService`.
 
     Parameters
@@ -465,11 +397,11 @@ class ShardedPredictionService:
         ``surrogate`` is rejected — sharded workers build their
         surrogates per size, lazily, like the default service.
 
-    The parent's :class:`~repro.serve.stats.StatsRecorder` is
-    authoritative for request outcomes and end-to-end latencies;
-    batch/cache/prefix-group counters are aggregated from the worker
-    replicas (fetched on :meth:`stats`, finalized by the drain
-    handshake on :meth:`close`).
+    The parent counts what it owns — request outcomes, end-to-end
+    latencies, resilience and shard health — in its own registry, and
+    merges the :data:`~repro.serve.stats.WORKER_METRICS` of every worker
+    incarnation into :meth:`metrics` (fetched on each call, finalized by
+    the drain handshake on :meth:`close`).
     """
 
     def __init__(
@@ -516,18 +448,26 @@ class ShardedPredictionService:
         self._service_kwargs = dict(service_kwargs)
         self._shard_queue_capacity = int(shard_queue_capacity)
         self._max_restarts = int(max_restarts)
+        self._stats = StatsRecorder(
+            max_batch_size=service_kwargs.get("max_batch_size", 8)
+        )
+        registry = self._stats.registry
+        registry.gauge("serve.shards").set(self.n_shards)
+        self._shards_failed = registry.gauge("serve.shards_failed")
+        self._respawns = registry.counter("serve.shard_respawns")
+        self._crashed_tickets = registry.counter("serve.shard_crashed_tickets")
+        #: Worker-owned counts of dead incarnations: their last
+        #: snapshots, merged (what a shard counted after its last stats
+        #: exchange dies with it).
+        self._retired = MetricsRegistry()
         if isinstance(fault_plan, FaultInjector):
             fault_plan = fault_plan.plan
         self._plan = fault_plan
         self._fault_view = (
             _ShardFaultView(self, fault_plan) if fault_plan is not None else None
         )
-        self._kill_stats = FaultStats()
-        self._stats = StatsRecorder(
-            max_batch_size=service_kwargs.get("max_batch_size", 8)
-        )
         #: The caches live inside the worker replicas; the façade keeps
-        #: the attributes for API parity (obs collectors skip None).
+        #: the attributes for API parity.
         self.prepare_cache = None
         self.result_cache = None
         #: Tracer that absorbs worker span shipments; captured at traced
@@ -540,8 +480,6 @@ class ShardedPredictionService:
         self._inflight: dict[int, _Inflight] = {}
         self._stats_pending: dict[int, dict] = {}
         self._closed = threading.Event()
-        self._respawns = 0
-        self._crashed_tickets = 0
         self._ctx = mp_context()
         #: Open read ends of the per-shard result pipes.  A dead
         #: incarnation's pipe stays here until the collector has drained
@@ -589,7 +527,7 @@ class ShardedPredictionService:
 
     def _dispatch_request(self, request: Request, block: bool, span) -> Future:
         if self._closed.is_set():
-            self._stats.record_closed_reject()
+            self._stats.closed_rejects.inc()
             raise ServiceClosedError("service is shut down")
         shard_idx = route_shard(
             request.prompt_key, self.n_shards, self.route_seed
@@ -608,7 +546,7 @@ class ShardedPredictionService:
             # Register-then-kill: the triggering ticket is already
             # in flight on the victim shard, so it deterministically
             # fails with ShardCrashError regardless of watchdog timing.
-            self._kill_stats.record("shard_kills")
+            self._fault_view.shard_kills.inc()
             self.kill_shard(shard_idx)
         msg = ("req", ticket_id, request, span.span_id)
         if block:
@@ -620,7 +558,7 @@ class ShardedPredictionService:
                 # a full queue — shed instead of waiting.
                 with self._lock:
                     self._inflight.pop(ticket_id, None)
-                self._stats.record_reject()
+                self._stats.rejected.inc()
                 raise ServiceOverloadedError(
                     self._shard_queue_capacity,
                     depth=self._shard_queue_capacity,
@@ -630,7 +568,7 @@ class ShardedPredictionService:
             except queue.Full:
                 with self._lock:
                     self._inflight.pop(ticket_id, None)
-                self._stats.record_reject()
+                self._stats.rejected.inc()
                 raise ServiceOverloadedError(
                     self._shard_queue_capacity,
                     depth=_inbox_depth(inbox, self._shard_queue_capacity),
@@ -652,7 +590,7 @@ class ShardedPredictionService:
                 with self._lock:
                     self._inflight.pop(ticket_id, None)
                 entry.future.cancel()
-                self._stats.record_closed_reject()
+                self._stats.closed_rejects.inc()
                 raise ServiceClosedError(
                     "service shut down during submission"
                 )
@@ -666,32 +604,6 @@ class ShardedPredictionService:
                 return
             except queue.Full:
                 continue
-
-    def submit(self, request: Request) -> Response:
-        """Serve one request synchronously (same timeout semantics as
-        the single-process service)."""
-        future = self.submit_async(request)
-        timeout = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.default_timeout_s
-        )
-        try:
-            return future.result(timeout=timeout)
-        except FuturesTimeoutError:
-            if not future.cancel():
-                future.add_done_callback(self._note_late_discard)
-            self._stats.record_timeout()
-            raise RequestTimeoutError(float(timeout)) from None
-
-    def _note_late_discard(self, future: Future) -> None:
-        if not future.cancelled() and future.exception() is None:
-            self._stats.record_late_discard()
-
-    def submit_many(self, requests: Iterable[Request]) -> list[Response]:
-        """Serve a bulk workload, preserving input order."""
-        futures = [self.submit_async(r, block=True) for r in requests]
-        return [f.result() for f in futures]
 
     def cached_response(self, request: Request) -> Response | None:
         """Always ``None``: result caches live inside the shard workers.
@@ -739,28 +651,26 @@ class ShardedPredictionService:
             # The incarnation's counters survive only as their last
             # exchanged snapshot; anything accumulated since is lost
             # with the process (documented in DESIGN §12).
-            if slot.last_stats is not None:
-                slot.retired_stats.append(slot.last_stats)
-                slot.last_stats = None
-            if slot.last_faults is not None:
-                slot.retired_faults.append(slot.last_faults)
-                slot.last_faults = None
+            if slot.metrics is not None:
+                self._retired.merge(slot.metrics, WORKER_METRICS)
+                slot.metrics = None
             stale_ids = [
                 tid
                 for tid, entry in self._inflight.items()
                 if entry.shard == slot.index and entry.generation <= dead_gen
             ]
             entries = [self._inflight.pop(tid) for tid in stale_ids]
-            self._crashed_tickets += len(entries)
+            self._crashed_tickets.inc(len(entries))
             respawn = (
                 slot.restarts < self._max_restarts
                 and not self._closed.is_set()
             )
             if respawn:
                 slot.restarts += 1
-                self._respawns += 1
+                self._respawns.inc()
             else:
                 slot.failed = True
+                self._shards_failed.set(sum(s.failed for s in self._shards))
         if respawn:
             # Spawning a replacement takes process-start time; doing it
             # outside the lock keeps submitters and the telemetry
@@ -891,7 +801,7 @@ class ShardedPredictionService:
             # nobody left to read it is a late discard, same as the
             # single-process path.
             if kind == "ok":
-                self._stats.record_late_discard()
+                self._stats.late_discards.inc()
             return
         done_at = time.monotonic()
         if kind == "ok":
@@ -922,12 +832,10 @@ class ShardedPredictionService:
 
     def _absorb_snapshot(self, kind: str, msg: tuple) -> None:
         shard_id, gen = msg[1], msg[2]
-        stats, faults = msg[-2], msg[-1]
         with self._lock:
             slot = self._shards[shard_id]
             if gen == slot.generation:
-                slot.last_stats = stats
-                slot.last_faults = faults
+                slot.metrics = msg[-1]
             if kind == "stats":
                 pending = self._stats_pending.get(msg[3])
                 if pending is not None:
@@ -974,44 +882,22 @@ class ShardedPredictionService:
         with self._lock:
             self._stats_pending.pop(token, None)
 
-    def _worker_stats(self) -> list[ServiceStats]:
-        with self._lock:
-            out: list[ServiceStats] = []
-            for slot in self._shards:
-                out.extend(slot.retired_stats)
-                if slot.last_stats is not None:
-                    out.append(slot.last_stats)
-            return out
+    def metrics(self) -> MetricsRegistry:
+        """The parent's registry snapshot with every worker incarnation's
+        :data:`~repro.serve.stats.WORKER_METRICS` merged in (counters
+        add, histograms merge bucket by bucket, so the cross-shard
+        queue-wait percentiles are percentiles of the union).
 
-    def stats(self) -> ServiceStats:
-        """Aggregate snapshot: parent request accounting + shard counters.
-
-        Live shards are polled first; see :func:`aggregate_stats`.
+        Live shards are polled first.
         """
         self._refresh_shard_stats()
-        return aggregate_stats(self._stats.snapshot(), self._worker_stats())
-
-    def prefix_cache_counts(self) -> tuple[int, int]:
-        """(hits, misses) summed over every shard's prefix caches."""
-        stats = self.stats()
-        return stats.prefix_hits, stats.prefix_misses
-
-    def _aggregate_fault_stats(self) -> FaultStats:
-        aggregate = FaultStats()
-        for kind, count in self._kill_stats.snapshot().items():
-            if count:
-                aggregate.add(kind, count)
+        snap = self._stats.snapshot()
         with self._lock:
-            snapshots = []
+            snap.merge(self._retired)
             for slot in self._shards:
-                snapshots.extend(slot.retired_faults)
-                if slot.last_faults is not None:
-                    snapshots.append(slot.last_faults)
-        for snapshot in snapshots:
-            for kind, count in snapshot.items():
-                if count:
-                    aggregate.add(kind, count)
-        return aggregate
+                if slot.metrics is not None:
+                    snap.merge(slot.metrics, WORKER_METRICS)
+        return read_outs(snap, self._stats.max_batch_size)
 
     @property
     def faults(self):
@@ -1019,20 +905,14 @@ class ShardedPredictionService:
         return self._fault_view
 
     @property
-    def stats_recorder(self) -> StatsRecorder:
-        """The parent-side accumulator (shared with ResilientService)."""
-        return self._stats
-
-    @property
     def shard_info(self) -> dict:
-        """Point-in-time shard topology/health (obs collectors read this)."""
-        with self._lock:
-            return {
-                "n_shards": self.n_shards,
-                "respawns": self._respawns,
-                "failed": sum(1 for s in self._shards if s.failed),
-                "crashed_tickets": self._crashed_tickets,
-            }
+        """Point-in-time shard topology and health."""
+        return {
+            "n_shards": self.n_shards,
+            "respawns": self._respawns.value,
+            "failed": int(self._shards_failed.value),
+            "crashed_tickets": self._crashed_tickets.value,
+        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1040,8 +920,9 @@ class ShardedPredictionService:
     def close(self, drain: bool = True) -> None:
         """Shut down every shard (draining admitted requests by default).
 
-        The drain handshake delivers each worker's final stats/fault
-        snapshot, so post-close :meth:`stats` aggregation is exact.
+        The drain handshake delivers each worker's final metrics
+        snapshot, so post-close :meth:`metrics` and :meth:`stats` are
+        exact.
         """
         if self._closed.is_set():
             return
@@ -1093,12 +974,6 @@ class ShardedPredictionService:
                 entry.future.set_exception(
                     ServiceClosedError("service shut down before execution")
                 )
-
-    def __enter__(self) -> "ShardedPredictionService":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        self.close(drain=exc_type is None)
 
 
 def _inbox_depth(inbox, capacity: int) -> int | None:

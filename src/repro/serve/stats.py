@@ -1,26 +1,53 @@
-"""Service metrics: latency percentiles, throughput, batching, cache hits.
+"""Service metrics: one registry of counts, and views read off it.
 
-A :class:`StatsRecorder` is the live, lock-protected accumulator the
-service updates on every event; :meth:`StatsRecorder.snapshot` freezes it
-into an immutable :class:`ServiceStats` for reporting (the ``repro
-serve-bench`` subcommand renders one per configuration).  Latencies and
-queue waits stream into log-bucket histograms
-(:class:`~repro.obs.metrics.Histogram`), so the recorder's memory and
+A :class:`StatsRecorder` binds a service's counters and histograms in a
+:class:`~repro.obs.metrics.MetricsRegistry` once, at construction, and
+the serving code records straight into them — the registry is the only
+place the serving stack counts.  :meth:`StatsRecorder.snapshot` freezes
+a copy; a backend adds its cache lookups and injected faults to it (a
+sharded parent merges its workers' copies, :data:`WORKER_METRICS`),
+:func:`read_outs` sets the percentile, rate and ratio gauges an export
+reads, and :func:`service_stats` reads the immutable
+:class:`ServiceStats` view the ``repro serve-bench`` report renders.
+Latencies, queue waits and batch sizes stream into log-bucket
+histograms (:class:`~repro.obs.metrics.Histogram`), so memory and
 snapshot cost stay constant over any run length and p50/p95 read at
 bucket resolution (within a factor of 10^(1/16) ≈ 1.155).
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.utils.tables import Table
 from repro.utils.timing import format_duration
 
-__all__ = ["ServiceStats", "StatsRecorder"]
+__all__ = [
+    "WORKER_METRICS",
+    "ServiceStats",
+    "StatsRecorder",
+    "read_outs",
+    "service_stats",
+]
+
+#: The metrics a sharded service's worker replicas count.  The parent
+#: admits and answers requests — it owns admission outcomes, end-to-end
+#: latency, the resilience wrapper's counts and shard health — while
+#: batching, queue waits, decode groups, cache lookups and request-level
+#: faults happen inside the workers, so the parent merges these names
+#: from every worker incarnation's registry and nothing else.
+WORKER_METRICS = frozenset({
+    "serve.batches",
+    "serve.batch_size",
+    "serve.queue_wait_s",
+    "serve.prefix_groups",
+    "serve.grouped_requests",
+    "cache.lookups",
+    "faults.injected",
+})
 
 
 @dataclass(frozen=True)
@@ -77,9 +104,8 @@ class ServiceStats:
     n_degraded: int = 0
     n_logical: int = 0
     n_unavailable: int = 0
-    #: The bucket counts behind ``p50/p95_queue_wait_s``.  It pickles,
-    #: so shards ship it to the parent, which merges the workers'
-    #: histograms and reads the cross-shard percentiles off the merge.
+    #: The bucket counts behind ``p50/p95_queue_wait_s`` (for a sharded
+    #: service, the merge of every worker's histogram).
     queue_wait_hist: Histogram = field(
         default_factory=Histogram, compare=False, repr=False
     )
@@ -169,166 +195,168 @@ class ServiceStats:
 
 
 class StatsRecorder:
-    """Lock-protected accumulator behind :class:`ServiceStats`.
+    """A service's instruments, bound once in one registry.
 
-    Holds two histograms plus counts and sums, nothing that grows with
-    the number of events.
+    Events that touch one instrument record through it directly
+    (``recorder.timeouts.inc()``, ``recorder.queue_wait.observe(w)``);
+    the ``record_*`` methods cover events that touch several, or the
+    busy window behind ``throughput_rps``.  Nothing here grows with the
+    number of events.
     """
 
     def __init__(self, max_batch_size: int):
-        self._lock = threading.Lock()
-        self._max_batch_size = int(max_batch_size)
-        self._latencies = Histogram()
-        self._queue_waits = Histogram()
-        self._n_batches = 0
-        self._batched = 0  # sum of batch sizes
-        self._n_groups = 0
-        self._grouped = 0  # sum of group widths
-        self._submitted = 0
-        self._failed = 0
-        self._rejected = 0
-        self._closed_rejects = 0
-        self._timeouts = 0
-        self._late_discards = 0
-        self._retries = 0
-        self._breaker_trips = 0
-        self._degraded = 0
-        self._logical = 0
-        self._unavailable = 0
+        self.max_batch_size = int(max_batch_size)
+        self.registry = registry = MetricsRegistry()
+        requests = functools.partial(registry.counter, "serve.requests")
+        self._submitted = requests(event="submitted")
+        self._failed = requests(event="failed")
+        #: Overload rejections only (queue full — genuine backpressure).
+        self.rejected = requests(event="rejected_overload")
+        #: Submissions refused because the service was closed/draining.
+        self.closed_rejects = requests(event="rejected_closed")
+        self.timeouts = requests(event="timeout")
+        #: A timed-out request's work completed anyway and was dropped.
+        self.late_discards = requests(event="late_discard")
+        #: End-to-end latency of each completion (its count is the
+        #: completed-request count).
+        self.latency = registry.histogram("serve.latency_s")
+        #: Admission-to-pickup delay of each request a batch worker ran.
+        self.queue_wait = registry.histogram("serve.queue_wait_s")
+        self._batches = registry.counter("serve.batches")
+        self._batch_sizes = registry.histogram("serve.batch_size")
+        self._groups = registry.counter("serve.prefix_groups")
+        self._grouped = registry.counter("serve.grouped_requests")
+        #: One ``ResilientService.submit`` call (availability's
+        #: denominator), and its outcomes.
+        self.logical = registry.counter("resilience.logical")
+        self.retries = registry.counter("resilience.retries")
+        self.breaker_trips = registry.counter("resilience.breaker_trips")
+        self.degraded = registry.counter("resilience.degraded")
+        #: A logical request that ultimately raised to its caller.
+        self.unavailable = registry.counter("resilience.unavailable")
+        # The busy window: first submit to last completion.  Plain
+        # stores (atomic under the GIL), read only by snapshot().
         self._first_submit_t: float | None = None
         self._last_done_t: float | None = None
 
     # ------------------------------------------------------------------ #
     def record_submit(self) -> None:
-        with self._lock:
-            self._submitted += 1
-            if self._first_submit_t is None:
-                self._first_submit_t = time.monotonic()
-
-    def record_reject(self) -> None:
-        """An overload rejection (queue full — genuine backpressure)."""
-        with self._lock:
-            self._rejected += 1
-
-    def record_closed_reject(self) -> None:
-        """A submission refused because the service was closed/draining."""
-        with self._lock:
-            self._closed_rejects += 1
-
-    def record_timeout(self) -> None:
-        with self._lock:
-            self._timeouts += 1
-
-    def record_late_discard(self) -> None:
-        """A timed-out request's work completed anyway and was dropped."""
-        with self._lock:
-            self._late_discards += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self._retries += 1
-
-    def record_breaker_trip(self) -> None:
-        with self._lock:
-            self._breaker_trips += 1
-
-    def record_degraded(self) -> None:
-        with self._lock:
-            self._degraded += 1
-
-    def record_logical(self) -> None:
-        """One ``ResilientService.submit`` call (denominator of availability)."""
-        with self._lock:
-            self._logical += 1
-
-    def record_unavailable(self) -> None:
-        """A logical request that ultimately raised to its caller."""
-        with self._lock:
-            self._unavailable += 1
-
-    def record_batch(self, batch_size: int) -> None:
-        with self._lock:
-            self._n_batches += 1
-            self._batched += int(batch_size)
-
-    def record_queue_wait(self, wait_s: float) -> None:
-        """Admission-to-pickup delay for one request."""
-        self._queue_waits.observe(max(float(wait_s), 0.0))
-
-    def record_group(self, width: int) -> None:
-        """One shared-prompt lockstep decode serving ``width`` requests."""
-        with self._lock:
-            self._n_groups += 1
-            self._grouped += int(width)
+        self._submitted.inc()
+        if self._first_submit_t is None:
+            self._first_submit_t = time.monotonic()
 
     def record_done(self, latency_s: float) -> None:
         """A successful completion with its end-to-end latency."""
-        with self._lock:
-            self._last_done_t = time.monotonic()
-            self._latencies.observe(latency_s)
+        self._last_done_t = time.monotonic()
+        self.latency.observe(latency_s)
 
     def record_failed(self) -> None:
         """A failed request.  Latency-free by design: a failure has no
-        meaningful end-to-end latency, and the ``0.0`` the old API forced
-        callers to pass would have poisoned the percentiles had it ever
-        been recorded."""
-        with self._lock:
-            self._last_done_t = time.monotonic()
-            self._failed += 1
+        meaningful end-to-end latency, and a placeholder sample would
+        poison the percentiles.  It still ends the busy window."""
+        self._last_done_t = time.monotonic()
+        self._failed.inc()
+
+    def record_batch(self, batch_size: int) -> None:
+        self._batches.inc()
+        self._batch_sizes.observe(batch_size)
+
+    def record_group(self, width: int) -> None:
+        """One shared-prompt lockstep decode serving ``width`` requests."""
+        self._groups.inc()
+        self._grouped.inc(width)
 
     # ------------------------------------------------------------------ #
-    def snapshot(
-        self,
-        prepare_hits: int = 0,
-        prepare_misses: int = 0,
-        result_hits: int = 0,
-        result_misses: int = 0,
-        prefix_hits: int = 0,
-        prefix_misses: int = 0,
-    ) -> ServiceStats:
-        """Freeze current counters (cache counters supplied by the owner)."""
-        with self._lock:
-            # A private copy: the frozen snapshot must not see later
-            # observations.
-            waits = Histogram()
-            waits.merge(self._queue_waits)
-            n_done = self._latencies.n
-            window = 0.0
-            if self._first_submit_t is not None and self._last_done_t is not None:
-                window = max(self._last_done_t - self._first_submit_t, 1e-9)
-            return ServiceStats(
-                n_submitted=self._submitted,
-                n_completed=n_done,
-                n_failed=self._failed,
-                n_rejected=self._rejected,
-                n_closed_rejects=self._closed_rejects,
-                n_timeouts=self._timeouts,
-                n_batches=self._n_batches,
-                max_batch_size=self._max_batch_size,
-                mean_batch_size=(
-                    self._batched / self._n_batches if self._n_batches else 0.0
-                ),
-                p50_latency_s=self._latencies.quantile(0.50),
-                p95_latency_s=self._latencies.quantile(0.95),
-                p50_queue_wait_s=waits.quantile(0.50),
-                p95_queue_wait_s=waits.quantile(0.95),
-                queue_wait_hist=waits,
-                throughput_rps=(n_done / window) if window else 0.0,
-                prepare_hits=prepare_hits,
-                prepare_misses=prepare_misses,
-                result_hits=result_hits,
-                result_misses=result_misses,
-                prefix_hits=prefix_hits,
-                prefix_misses=prefix_misses,
-                n_groups=self._n_groups,
-                n_group_served=self._grouped,
-                mean_group_width=(
-                    self._grouped / self._n_groups if self._n_groups else 0.0
-                ),
-                n_late_discards=self._late_discards,
-                n_retries=self._retries,
-                n_breaker_trips=self._breaker_trips,
-                n_degraded=self._degraded,
-                n_logical=self._logical,
-                n_unavailable=self._unavailable,
-            )
+    def snapshot(self) -> MetricsRegistry:
+        """A frozen copy of the registry, with the completed-request
+        count and the throughput over the busy window."""
+        snap = MetricsRegistry()
+        snap.merge(self.registry)
+        done = snap.histogram("serve.latency_s").n
+        snap.counter("serve.requests", event="completed").inc(done)
+        first, last = self._first_submit_t, self._last_done_t
+        window = 0.0
+        if first is not None and last is not None:
+            window = max(last - first, 1e-9)
+        snap.gauge("serve.throughput_rps").set(done / window if window else 0.0)
+        return snap
+
+
+def _count(registry: MetricsRegistry, name: str, **labels) -> int:
+    inst = registry.get(name, **labels)
+    return inst.value if inst is not None else 0
+
+
+def _histogram(registry: MetricsRegistry, name: str) -> Histogram:
+    inst = registry.get(name)
+    return inst if inst is not None else Histogram(name)
+
+
+def read_outs(registry: MetricsRegistry, max_batch_size: int) -> MetricsRegistry:
+    """Set the gauges an export reads off a snapshot's counts.
+
+    p50/p95 of the latency and queue-wait histograms, batch occupancy,
+    mean decode-group width and availability.  Returns ``registry``.
+    """
+    for name in ("serve.latency_s", "serve.queue_wait_s"):
+        hist = _histogram(registry, name)
+        for q in (50, 95):
+            registry.gauge(name, quantile=f"p{q}").set(hist.quantile(q / 100))
+    mean_batch = _histogram(registry, "serve.batch_size").mean
+    registry.gauge("serve.batch_occupancy").set(
+        mean_batch / max_batch_size if max_batch_size > 0 else 0.0
+    )
+    groups = _count(registry, "serve.prefix_groups")
+    registry.gauge("serve.mean_group_width").set(
+        _count(registry, "serve.grouped_requests") / groups if groups else 0.0
+    )
+    logical = _count(registry, "resilience.logical")
+    registry.gauge("resilience.availability").set(
+        1.0 - _count(registry, "resilience.unavailable") / logical
+        if logical else 1.0
+    )
+    return registry
+
+
+def service_stats(registry: MetricsRegistry, max_batch_size: int) -> ServiceStats:
+    """The :class:`ServiceStats` view of a registry snapshot."""
+    count = functools.partial(_count, registry)
+    requests = functools.partial(count, "serve.requests")
+    lookups = functools.partial(count, "cache.lookups")
+    latency = _histogram(registry, "serve.latency_s")
+    waits = _histogram(registry, "serve.queue_wait_s")
+    throughput = registry.get("serve.throughput_rps")
+    n_groups = count("serve.prefix_groups")
+    grouped = count("serve.grouped_requests")
+    return ServiceStats(
+        n_submitted=requests(event="submitted"),
+        n_completed=latency.n,
+        n_failed=requests(event="failed"),
+        n_rejected=requests(event="rejected_overload"),
+        n_closed_rejects=requests(event="rejected_closed"),
+        n_timeouts=requests(event="timeout"),
+        n_late_discards=requests(event="late_discard"),
+        n_batches=count("serve.batches"),
+        max_batch_size=int(max_batch_size),
+        mean_batch_size=_histogram(registry, "serve.batch_size").mean,
+        p50_latency_s=latency.quantile(0.50),
+        p95_latency_s=latency.quantile(0.95),
+        p50_queue_wait_s=waits.quantile(0.50),
+        p95_queue_wait_s=waits.quantile(0.95),
+        queue_wait_hist=waits,
+        throughput_rps=throughput.value if throughput is not None else 0.0,
+        prepare_hits=lookups(level="prepare", outcome="hit"),
+        prepare_misses=lookups(level="prepare", outcome="miss"),
+        result_hits=lookups(level="result", outcome="hit"),
+        result_misses=lookups(level="result", outcome="miss"),
+        prefix_hits=lookups(level="prefix", outcome="hit"),
+        prefix_misses=lookups(level="prefix", outcome="miss"),
+        n_groups=n_groups,
+        n_group_served=grouped,
+        mean_group_width=grouped / n_groups if n_groups else 0.0,
+        n_retries=count("resilience.retries"),
+        n_breaker_trips=count("resilience.breaker_trips"),
+        n_degraded=count("resilience.degraded"),
+        n_logical=count("resilience.logical"),
+        n_unavailable=count("resilience.unavailable"),
+    )

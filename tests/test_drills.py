@@ -17,7 +17,7 @@ from repro.drills import (
 )
 from repro.drills.harness import MISSING
 from repro.faults import DEFAULT_FAULT_PLAN
-from repro.serve import StatsRecorder
+from repro.serve.stats import StatsRecorder, service_stats
 
 
 def stub_runs(*results):
@@ -167,7 +167,7 @@ class TestCliRendersDiffs:
     def test_sessions_chaos_names_the_diverged_session(
         self, monkeypatch, capsys
     ):
-        stats = StatsRecorder(8).snapshot()
+        stats = service_stats(StatsRecorder(8).snapshot(), 8)
         good = {"tenant-0/s0": ((1, 2), (0.5, 0.25))}
         bad = {"tenant-0/s0": ((1, 3), (0.5, 0.125))}
         runs = iter([

@@ -1,10 +1,9 @@
 """Tests for :mod:`repro.obs.metrics`: instruments, registry, collection.
 
-The registry's job is unification: one vocabulary over what
-``StatsRecorder``, ``LRUCache``, ``FaultInjector.stats`` and
-``CircuitBreaker.trips`` each count separately.  The collection test
-drives a real service and checks the mapped values agree with the
-original sources.
+The registry is where the serving stack counts; the collection tests
+drive real services and check that the exported values agree with the
+``ServiceStats`` view and the original sources (caches, fault
+injector, breakers), for the in-process and the sharded backend.
 """
 
 import math
@@ -224,6 +223,59 @@ class TestRegistry:
             "a{x=1}", "a{x=2}", "b"
         ]
 
+    def test_merge_adds_counters_merges_histograms_sets_gauges(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter("n", k="x").inc(2)
+        b.counter("n", k="x").inc(3)
+        b.counter("only_b").inc(1)
+        a.histogram("h").observe(0.001)
+        b.histogram("h").observe(0.5)
+        a.gauge("g").set(1.0)
+        b.gauge("g").set(7.0)
+        a.merge(b)
+        assert a.counter("n", k="x").value == 5
+        assert a.counter("only_b").value == 1
+        assert a.histogram("h").n == 2
+        assert a.histogram("h").max == 0.5
+        assert a.gauge("g").value == 7.0
+        # The source is untouched.
+        assert b.counter("n", k="x").value == 3
+
+    def test_merge_limited_to_names(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        b.counter("kept", k="1").inc(4)
+        b.counter("dropped").inc(9)
+        a.merge(b, names={"kept"})
+        assert a.snapshot() == {"kept{k=1}": 4}
+
+    def test_merge_into_empty_is_a_frozen_copy(self):
+        live = MetricsRegistry()
+        live.counter("n").inc()
+        live.histogram("h").observe(0.01)
+        copy = MetricsRegistry()
+        copy.merge(live)
+        live.counter("n").inc()
+        live.histogram("h").observe(0.02)
+        assert copy.counter("n").value == 1
+        assert copy.histogram("h").n == 1
+
+    def test_get_creates_nothing(self):
+        r = MetricsRegistry()
+        assert r.get("absent", k="v") is None
+        assert r.snapshot() == {}
+        c = r.counter("present", k="v")
+        assert r.get("present", k="v") is c
+
+    def test_registry_pickles_with_values(self):
+        r = MetricsRegistry()
+        r.counter("n", k="v").inc(3)
+        r.gauge("g").set(0.25)
+        r.histogram("h").observe(0.004)
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy.snapshot() == r.snapshot()
+        copy.counter("n", k="v").inc()  # fresh, working locks
+        assert (copy.counter("n", k="v").value, r.counter("n", k="v").value) == (4, 3)
+
     def test_concurrent_increments_are_lossless(self):
         r = MetricsRegistry()
         n_threads, per_thread = 8, 500
@@ -322,6 +374,64 @@ class TestCollectServiceMetrics:
             == resilient.breaker("SM").trips
         )
         assert "breaker.open{route=SM}" in snap
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_cache_lookups_equal_stats(self, shards, sm_dataset):
+        """Both backends export the prepare and result cache lookups
+        their ServiceStats view reports (the sharded parent has no
+        caches of its own; the lookups come from its workers)."""
+        from repro.serve import Request, make_service
+
+        examples = [
+            (sm_dataset.config(i), float(sm_dataset.runtimes[i]))
+            for i in range(3)
+        ]
+        requests = [
+            Request(
+                examples=examples,
+                query_config=sm_dataset.config(40 + i % 2),
+                seed=1,
+                size="SM",
+            )
+            for i in range(6)
+        ]
+        with make_service(shards=shards) as service:
+            service.submit_many(requests)
+            snap = collect_service_metrics(service).snapshot()
+            stats = service.stats()
+        lookups = {
+            (level, outcome): snap[
+                f"cache.lookups{{level={level},outcome={outcome}}}"
+            ]
+            for level in ("prepare", "result")
+            for outcome in ("hit", "miss")
+        }
+        assert lookups == {
+            ("prepare", "hit"): stats.prepare_hits,
+            ("prepare", "miss"): stats.prepare_misses,
+            ("result", "hit"): stats.result_hits,
+            ("result", "miss"): stats.result_misses,
+        }
+        # Two prompts, three copies each: the first of each misses.
+        assert (stats.result_hits, stats.result_misses) == (4, 2)
+        assert (stats.prepare_hits, stats.prepare_misses) == (0, 2)
+
+    def test_scraping_twice_equals_scraping_once(self, sm_dataset):
+        from repro.serve import PredictionService, Request
+
+        examples = [
+            (sm_dataset.config(i), float(sm_dataset.runtimes[i]))
+            for i in range(3)
+        ]
+        request = Request(examples=examples,
+                          query_config=sm_dataset.config(40), seed=1,
+                          size="SM")
+        with PredictionService() as service:
+            service.submit_many([request, request])
+            registry = collect_service_metrics(service)
+            once = registry.snapshot()
+            collect_service_metrics(service, registry=registry)
+        assert registry.snapshot() == once
 
     def test_disabled_caches_record_nothing(self, sm_dataset):
         from repro.serve import PredictionService

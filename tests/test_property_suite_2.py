@@ -181,3 +181,110 @@ class TestHistogramMerge:
         assert merged.total == pytest.approx(union.total, rel=1e-12)
         for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0):
             assert merged.quantile(q) == union.quantile(q)
+
+
+_PARENT_EVENTS = {
+    "rejected": "rejected", "closed_reject": "closed_rejects",
+    "timeout": "timeouts", "late_discard": "late_discards",
+    "logical": "logical", "retry": "retries",
+    "breaker_trip": "breaker_trips", "degraded": "degraded",
+    "unavailable": "unavailable",
+}
+_EVENTS = (
+    # Counted by the parent of a sharded service.
+    "submit", "done", "failed", *_PARENT_EVENTS,
+    # Counted by the worker replicas.
+    "batch", "queue_wait", "group", "lookup", "fault",
+    # A worker dies: its last snapshot is retired, a fresh one starts.
+    "retire",
+)
+
+
+def _record(recorder, kind, value, size):
+    if kind == "submit":
+        recorder.record_submit()
+    elif kind == "done":
+        recorder.record_done(value)
+    elif kind == "failed":
+        recorder.record_failed()
+    elif kind == "batch":
+        recorder.record_batch(size)
+    elif kind == "group":
+        recorder.record_group(size)
+    elif kind == "queue_wait":
+        recorder.queue_wait.observe(value)
+    elif kind == "lookup":
+        # What a replica's snapshot carries from its caches.
+        recorder.registry.counter(
+            "cache.lookups",
+            level=("prepare", "result", "prefix")[size % 3],
+            outcome=("hit", "miss")[size % 2],
+        ).inc()
+    elif kind == "fault":
+        recorder.registry.counter(
+            "faults.injected", kind=("transient_errors", "stalls")[size % 2]
+        ).inc()
+    else:
+        getattr(recorder, _PARENT_EVENTS[kind]).inc()
+
+
+class TestShardMergeEqualsOneRecorder:
+    """The sharded parent's view — its own counts plus every worker
+    incarnation's worker-owned metrics — equals the view of one recorder
+    that saw every event."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_EVENTS),
+                st.integers(min_value=0, max_value=3),  # worker
+                st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+                st.integers(min_value=1, max_value=8),  # batch/group size
+            ),
+            max_size=150,
+        ),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merged_view_equals_union(self, events, k):
+        import dataclasses
+        import pickle
+
+        from repro.obs import MetricsRegistry
+        from repro.serve.stats import (
+            WORKER_METRICS,
+            StatsRecorder,
+            service_stats,
+        )
+
+        def ship(recorder):  # a snapshot crosses the pipe pickled
+            return pickle.loads(pickle.dumps(recorder.snapshot()))
+
+        single, parent = StatsRecorder(8), StatsRecorder(8)
+        workers = [StatsRecorder(8) for _ in range(k)]
+        retired = MetricsRegistry()
+        for kind, worker, value, size in events:
+            worker %= k
+            if kind == "retire":
+                retired.merge(ship(workers[worker]), WORKER_METRICS)
+                workers[worker] = StatsRecorder(8)
+                continue
+            _record(single, kind, value, size)
+            if kind in ("submit", "done", "failed", *_PARENT_EVENTS):
+                _record(parent, kind, value, size)
+            # Every replica also counts its own admissions; the merge
+            # must take only what the workers own.
+            _record(workers[worker], kind, value, size)
+
+        merged = parent.snapshot()
+        merged.merge(retired, WORKER_METRICS)
+        for recorder in workers:
+            merged.merge(ship(recorder), WORKER_METRICS)
+        got = service_stats(merged, 8)
+        want = service_stats(single.snapshot(), 8)
+        # Every count, the exact means and both percentiles; only the
+        # wall-clock throughput differs between the two recorders.
+        assert dataclasses.replace(got, throughput_rps=0.0) == (
+            dataclasses.replace(want, throughput_rps=0.0)
+        )
+        assert got.queue_wait_hist.counts == want.queue_wait_hist.counts

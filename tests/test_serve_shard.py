@@ -38,7 +38,7 @@ from repro.serve import (
     make_service,
     route_shard,
 )
-from repro.serve.shard import aggregate_stats
+from repro.serve.stats import WORKER_METRICS, service_stats
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +112,13 @@ class TestRouteShard:
 
 
 class TestAggregateStats:
-    """Cross-shard folding of worker snapshots, fed in directly."""
+    """Cross-shard folding of worker registries, fed in directly."""
 
     @staticmethod
     def worker(waits=(), batches=(), hits=0):
         r = StatsRecorder(max_batch_size=8)
         for w in waits:
-            r.record_queue_wait(w)
+            r.queue_wait.observe(w)
             r.record_done(w)
         for size in batches:
             r.record_batch(size)
@@ -127,32 +127,40 @@ class TestAggregateStats:
         # Snapshots reach the parent through a pickled pipe message.
         return pickle.loads(pickle.dumps(r.snapshot()))
 
+    @staticmethod
+    def aggregate(workers):
+        """What the sharded parent does: its own snapshot, plus the
+        worker-owned metrics of every worker incarnation."""
+        merged = StatsRecorder(max_batch_size=8).snapshot()
+        for worker in workers:
+            merged.merge(worker, WORKER_METRICS)
+        return service_stats(merged, 8)
+
     def test_queue_wait_percentiles_are_read_off_the_merge(self):
         waits = [0.001] * 99 + [1.0]
         union = Histogram()
         for w in waits:
             union.observe(w)
-        base = StatsRecorder(max_batch_size=8).snapshot()
         shards = [self.worker(waits[:99]), self.worker(waits[99:])]
-        out = aggregate_stats(base, shards)
+        out = self.aggregate(shards)
         assert out.p50_queue_wait_s == union.quantile(0.50)
         assert out.p95_queue_wait_s == union.quantile(0.95)
         # ~1.15 ms; a completed-weighted mean of per-shard p95s reads
         # 12.7 ms, pulled up by the one slow wait.
         assert out.p95_queue_wait_s == pytest.approx(1.15e-3, rel=0.01)
         assert out.queue_wait_hist.counts == union.counts
+        # Completions are the parent's to count, not the workers'.
+        assert out.n_completed == 0
         # A shard whose completions were all admission hits never
         # queued anything and adds no weight.
-        with_hits = aggregate_stats(base, shards + [self.worker(hits=500)])
+        with_hits = self.aggregate(shards + [self.worker(hits=500)])
         assert with_hits.p50_queue_wait_s == out.p50_queue_wait_s
         assert with_hits.p95_queue_wait_s == out.p95_queue_wait_s
 
     def test_batch_counters_exact_across_incarnations(self):
         retired = self.worker(batches=[1])
         live = self.worker(batches=[3, 3, 3] + [2] * 8)  # 11 batches, 25
-        out = aggregate_stats(
-            StatsRecorder(max_batch_size=8).snapshot(), [retired, live]
-        )
+        out = self.aggregate([retired, live])
         assert out.n_batches == 12
         assert out.mean_batch_size == 26 / 12
 

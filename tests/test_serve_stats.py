@@ -1,9 +1,15 @@
 """Tests for service metrics: percentiles, throughput, occupancy, render."""
 
+import functools
+
 import pytest
 
 from repro.obs import Histogram
-from repro.serve.stats import ServiceStats, StatsRecorder
+from repro.serve.stats import ServiceStats, StatsRecorder, service_stats
+
+
+def view(recorder: StatsRecorder) -> ServiceStats:
+    return service_stats(recorder.snapshot(), recorder.max_batch_size)
 
 
 def make_stats(**overrides) -> ServiceStats:
@@ -82,7 +88,7 @@ class TestStatsRecorder:
         for ms in range(1, 101):      # 1..100 ms
             r.record_submit()
             r.record_done(ms / 1000.0)
-        s = r.snapshot()
+        s = view(r)
         assert s.n_completed == 100
         assert s.p50_latency_s == pytest.approx(0.0505, abs=1e-3)
         assert s.p95_latency_s == pytest.approx(0.09505, abs=1e-3)
@@ -91,13 +97,19 @@ class TestStatsRecorder:
         r = StatsRecorder(max_batch_size=8)
         r.record_submit()
         r.record_submit()
-        r.record_reject()
-        r.record_timeout()
+        r.rejected.inc()
+        r.timeouts.inc()
         r.record_batch(2)
         r.record_done(0.01)
         r.record_failed()
-        s = r.snapshot(prepare_hits=1, prepare_misses=2,
-                       result_hits=3, result_misses=4)
+        # Cache lookups reach the view through the snapshot's registry.
+        snap = r.snapshot()
+        lookups = functools.partial(snap.counter, "cache.lookups")
+        lookups(level="prepare", outcome="hit").inc(1)
+        lookups(level="prepare", outcome="miss").inc(2)
+        lookups(level="result", outcome="hit").inc(3)
+        lookups(level="result", outcome="miss").inc(4)
+        s = service_stats(snap, r.max_batch_size)
         assert s.n_submitted == 2
         assert s.n_rejected == 1
         assert s.n_timeouts == 1
@@ -108,10 +120,10 @@ class TestStatsRecorder:
 
     def test_closed_rejects_split_from_overload(self):
         r = StatsRecorder(max_batch_size=8)
-        r.record_reject()
-        r.record_closed_reject()
-        r.record_closed_reject()
-        s = r.snapshot()
+        r.rejected.inc()
+        r.closed_rejects.inc()
+        r.closed_rejects.inc()
+        s = view(r)
         assert s.n_rejected == 1
         assert s.n_closed_rejects == 2
         out = s.render()
@@ -124,7 +136,7 @@ class TestStatsRecorder:
         r.record_done(0.100)
         r.record_failed()
         r.record_failed()
-        s = r.snapshot()
+        s = view(r)
         assert s.n_completed == 1
         assert s.n_failed == 2
         # Failures used to force a bogus 0.0 latency sample through the
@@ -143,28 +155,54 @@ class TestStatsRecorder:
         def feed(n):
             for i in range(n):
                 r.record_done(0.001 * (i % 100 + 1))
-                r.record_queue_wait(0.0001 * (i % 50))
+                r.queue_wait.observe(0.0001 * (i % 50))
                 r.record_batch(i % 8 + 1)
                 r.record_group(i % 4 + 1)
 
         def lengths():
-            out = {}
-            for name, value in vars(r).items():
-                if isinstance(value, Histogram):
-                    value = value.counts
-                if hasattr(value, "__len__"):
-                    out[name] = len(value)
+            instruments = r.registry.instruments()
+            out = {"instruments": len(instruments)}
+            for inst in instruments:
+                if isinstance(inst, Histogram):
+                    out[inst.key] = len(inst.counts)
             return out
 
         feed(10)
         after_ten = lengths()
         feed(10**5 - 10)
         assert lengths() == after_ten
-        s = r.snapshot()
+        s = view(r)
         assert s.n_completed == s.n_batches == s.n_groups == 10**5
 
+    def test_instruments_are_bound_at_construction(self):
+        """Recording never registers an instrument: every one exists
+        before the first event, and events only move their values."""
+        r = StatsRecorder(max_batch_size=8)
+        before = [inst.key for inst in r.registry.instruments()]
+        r.record_submit()
+        r.record_done(0.01)
+        r.record_failed()
+        r.record_batch(3)
+        r.record_group(2)
+        r.queue_wait.observe(0.001)
+        for counter in (r.rejected, r.closed_rejects, r.timeouts,
+                        r.late_discards, r.logical, r.retries,
+                        r.breaker_trips, r.degraded, r.unavailable):
+            counter.inc()
+        assert [inst.key for inst in r.registry.instruments()] == before
+
+    def test_snapshot_is_frozen(self):
+        r = StatsRecorder(max_batch_size=8)
+        r.record_done(0.01)
+        snap = r.snapshot()
+        r.record_done(0.02)
+        r.record_batch(4)
+        s = service_stats(snap, 8)
+        assert (s.n_completed, s.n_batches) == (1, 0)
+        assert snap.snapshot()["serve.requests{event=completed}"] == 1
+
     def test_empty_snapshot(self):
-        s = StatsRecorder(max_batch_size=8).snapshot()
+        s = view(StatsRecorder(max_batch_size=8))
         assert s.n_completed == 0
         assert s.p50_latency_s == 0.0 and s.p95_latency_s == 0.0
         assert s.throughput_rps == 0.0
@@ -174,19 +212,19 @@ class TestStatsRecorder:
         r = StatsRecorder(max_batch_size=1)
         r.record_submit()
         r.record_done(0.001)
-        assert r.snapshot().throughput_rps > 0.0
+        assert view(r).throughput_rps > 0.0
 
     def test_resilience_counters(self):
         r = StatsRecorder(max_batch_size=8)
         for _ in range(5):
-            r.record_logical()
-        r.record_retry()
-        r.record_retry()
-        r.record_breaker_trip()
-        r.record_degraded()
-        r.record_unavailable()
-        r.record_late_discard()
-        s = r.snapshot()
+            r.logical.inc()
+        r.retries.inc()
+        r.retries.inc()
+        r.breaker_trips.inc()
+        r.degraded.inc()
+        r.unavailable.inc()
+        r.late_discards.inc()
+        s = view(r)
         assert s.n_logical == 5
         assert s.n_retries == 2
         assert s.n_breaker_trips == 1
