@@ -248,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument(
         "--max-wait", type=float, default=0.005,
-        help="microbatch flush deadline in seconds",
+        help="upper bound in seconds on a partial batch's wait; it "
+        "binds only while every batch worker is busy or a burst is "
+        "still being admitted (an idle worker flushes at once)",
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(

@@ -395,6 +395,11 @@ class ResilientService:
         """Serve a workload sequentially (deterministic fault/retry order)."""
         return [self.submit(request) for request in requests]
 
+    def hold(self):
+        """The wrapped service's
+        :meth:`~repro.serve.service.ServiceBase.hold`."""
+        return self.service.hold()
+
     # ------------------------------------------------------------------ #
     def stats(self) -> ServiceStats:
         """Snapshot of the wrapped service (includes resilience counters)."""

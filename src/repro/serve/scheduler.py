@@ -1,11 +1,22 @@
-"""Microbatching scheduler: bounded admission queue + flush-on-size-or-wait.
+"""Microbatching scheduler: bounded admission queue + work-conserving flush.
 
 The scheduler owns one collector thread and a pool of batch workers.  The
-collector pulls tickets off a bounded queue and groups them into batches,
-flushing as soon as either the batch is full (``max_batch_size``) or the
-oldest queued ticket has waited ``max_wait_s`` — the classic
-latency/throughput microbatching trade-off.  Full batches are handed to
-the worker pool, so multiple batches execute concurrently while the
+collector pulls tickets off a bounded queue and groups them into batches.
+A batch flushes as soon as any of these holds:
+
+- it is full (``max_batch_size``);
+- a batch worker is idle (fewer dispatched-but-unfinished batches than
+  workers), the admission queue is empty, and no caller holds the
+  scheduler open (:meth:`MicroBatcher.hold`) — waiting longer could only
+  add latency, since nothing else is about to join;
+- its oldest ticket has waited ``max_wait_s``.
+
+So ``max_wait_s`` is an upper bound on any ticket's wait, and it binds
+only while every worker is busy or a burst is still being admitted: a
+lone request with an idle worker flushes at once, while a burst admitted
+under :meth:`~MicroBatcher.hold` still forms one batch (its same-prompt
+tickets share one lockstep decode downstream).  Flushed batches go to the
+worker pool, so multiple batches execute concurrently while the
 collector keeps admitting traffic.
 
 The worker pool is sized through :func:`repro.utils.parallel.effective_workers`
@@ -16,6 +27,7 @@ cores to keep batches flowing while others sit on cache locks.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -74,11 +86,23 @@ class _Sentinel:
     """Queue marker that tells the collector to flush and exit."""
 
 
+class _Wake:
+    """Queue marker that tells the collector to re-check its flush rule
+    (a batch finished or the last hold closed)."""
+
+
 _STOP = _Sentinel()
+_WAKE = _Wake()
 
 
 class MicroBatcher:
-    """Batch requests by size/deadline and dispatch them to a worker pool.
+    """Batch requests and dispatch them to a worker pool.
+
+    The flush rule is the module docstring's.  A batch held back waits
+    for the queue to bring a ticket or a wake marker (put when a batch
+    finishes or the last :meth:`hold` closes), or for its deadline.  Each
+    ``serve.flush`` span records why it flushed as
+    ``reason=size|idle|deadline|close``.
 
     Parameters
     ----------
@@ -88,8 +112,9 @@ class MicroBatcher:
     max_batch_size:
         Flush threshold; also the denominator of batch occupancy.
     max_wait_s:
-        Maximum time the oldest ticket may wait before a partial batch is
-        flushed anyway.
+        Upper bound on how long the oldest ticket waits before a partial
+        batch is flushed anyway; it binds only while every worker is busy
+        or a hold is open.
     queue_capacity:
         Bound on admitted-but-unbatched tickets; beyond it
         :meth:`submit` raises :class:`ServiceOverloadedError`.
@@ -147,6 +172,14 @@ class MicroBatcher:
         #: to decide the in-hand partial batch's fate (execute vs. fail).
         self._drain_on_close = True
         self._inflight = threading.Semaphore(max_inflight_batches)
+        # Batches that can run at once: past this many dispatched, a new
+        # batch would only wait for a worker or a dispatch slot.
+        self._slots = min(nworkers, max_inflight_batches)
+        # Dispatched-but-unfinished batches and open holds; both change
+        # on other threads than the collector's, so under one lock.
+        self._lock = threading.Lock()
+        self._busy = 0
+        self._holds = 0
         self._pool = ThreadPoolExecutor(
             max_workers=nworkers,
             thread_name_prefix="repro-serve-batch",
@@ -194,6 +227,27 @@ class MicroBatcher:
         # normally and the submission stands.
         if self._closed.is_set() and ticket.future.cancel():
             raise ServiceClosedError("service shut down during submission")
+
+    @contextlib.contextmanager
+    def hold(self):
+        """Declare that more tickets are on their way.
+
+        While any hold is open an idle worker does not flush a partial
+        batch, so a burst admitted inside one forms full batches (or
+        flushes at ``max_wait_s``).  Holds nest and may overlap across
+        threads; when the last one closes the collector re-checks its
+        flush rule at once.
+        """
+        with self._lock:
+            self._holds += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holds -= 1
+                last = self._holds == 0
+            if last:
+                self._wake()
 
     def close(self, drain: bool = True) -> None:
         """Stop admissions and shut the scheduler down.
@@ -254,13 +308,13 @@ class MicroBatcher:
                 item = self._queue.get(timeout=timeout)
             except queue.Empty:
                 if batch and time.monotonic() >= deadline:
-                    self._flush(batch)
+                    self._flush(batch, "deadline")
                     batch, deadline = [], None
                 continue
             if isinstance(item, _Sentinel):
                 if batch:
                     if self._drain_on_close:
-                        self._flush(batch)
+                        self._flush(batch, "close")
                     else:
                         # Non-drain close: the docstring promises every
                         # unbatched ticket fails with ServiceClosedError
@@ -269,19 +323,53 @@ class MicroBatcher:
                         for ticket in batch:
                             _fail_closed(ticket)
                 break
-            if not batch:
-                # Anchor the flush deadline at the ticket's *enqueue*
-                # time, not collector pickup: if the collector was parked
-                # in a flush (dispatch-slot wait), time already spent in
-                # the queue counts against max_wait_s instead of silently
-                # restarting the clock.
-                deadline = item.enqueued_at + self.max_wait_s
-            batch.append(item)
-            if len(batch) >= self.max_batch_size:
-                self._flush(batch)
+            if isinstance(item, Ticket):
+                if not batch:
+                    # Anchor the flush deadline at the ticket's *enqueue*
+                    # time, not collector pickup: if the collector was
+                    # parked in a flush (dispatch-slot wait), time
+                    # already spent in the queue counts against
+                    # max_wait_s instead of silently restarting the
+                    # clock.
+                    deadline = item.enqueued_at + self.max_wait_s
+                batch.append(item)
+                if len(batch) >= self.max_batch_size:
+                    self._flush(batch, "size")
+                    batch, deadline = [], None
+                    continue
+            if batch and self._idle():
+                self._flush(batch, "idle")
                 batch, deadline = [], None
 
-    def _flush(self, batch: list[Ticket]) -> None:
+    def _idle(self) -> bool:
+        """Whether nothing can join a partial batch soon: a worker is
+        free, the queue is empty and no caller holds the scheduler."""
+        with self._lock:
+            return (
+                self._busy < self._slots
+                and not self._holds
+                and self._queue.empty()
+            )
+
+    def _wake(self) -> None:
+        """Make the collector re-check its flush rule now.  Skipped once
+        closed (the collector is draining or gone); a full queue already
+        guarantees the collector another look.  The marker holds a queue
+        slot only until the collector takes it."""
+        if self._closed.is_set():
+            return
+        try:
+            self._queue.put_nowait(_WAKE)
+        except queue.Full:
+            pass
+
+    def _done(self, _future) -> None:
+        self._inflight.release()
+        with self._lock:
+            self._busy -= 1
+        self._wake()
+
+    def _flush(self, batch: list[Ticket], reason: str) -> None:
         if len(batch) > 1 and any(t.group_key for t in batch):
             # Stable sort: same-prompt tickets become adjacent (one
             # lockstep decode group downstream) while admission order is
@@ -289,7 +377,9 @@ class MicroBatcher:
             batch.sort(key=lambda t: t.group_key)
         # The flush span covers the injected stall and the dispatch-slot
         # wait — the two places a batch loses time before a worker has it.
-        with get_tracer().span("serve.flush", batch_size=len(batch)) as span:
+        with get_tracer().span(
+            "serve.flush", batch_size=len(batch), reason=reason
+        ) as span:
             if self._faults is not None:
                 # Only the collector thread flushes, so the index needs
                 # no lock.
@@ -301,8 +391,10 @@ class MicroBatcher:
             # to submitters) instead of hiding it in the executor's
             # backlog.
             self._inflight.acquire()
+            with self._lock:
+                self._busy += 1
             future = self._pool.submit(self._execute_batch, list(batch))
-            future.add_done_callback(lambda _f: self._inflight.release())
+            future.add_done_callback(self._done)
 
 
 def _fail_closed(ticket: Ticket) -> None:

@@ -89,7 +89,8 @@ class ServiceBase:
     :class:`ServiceStats` view and the context manager.
 
     A backend provides ``submit_async``, ``metrics``, ``close``,
-    ``default_timeout_s`` and its :class:`StatsRecorder` as ``_stats``.
+    ``default_timeout_s`` and its :class:`StatsRecorder` as ``_stats``;
+    one that batches in-process also overrides :meth:`hold`.
     """
 
     def submit(self, request: Request) -> Response:
@@ -128,8 +129,16 @@ class ServiceBase:
         Admission blocks on queue space rather than raising, so bulk
         submitters cooperate with backpressure instead of tripping it.
         """
-        futures = [self.submit_async(r, block=True) for r in requests]
+        with self.hold():
+            futures = [self.submit_async(r, block=True) for r in requests]
         return [f.result() for f in futures]
+
+    def hold(self) -> contextlib.AbstractContextManager:
+        """Declare that more requests are on their way, so a batch does
+        not flush short while a burst is still being admitted (see
+        :meth:`~repro.serve.scheduler.MicroBatcher.hold`).  A backend with
+        no in-process batcher has nothing to hold."""
+        return contextlib.nullcontext()
 
     def stats(self) -> ServiceStats:
         """Snapshot current service metrics (the view of :meth:`metrics`)."""
@@ -358,6 +367,9 @@ class PredictionService(ServiceBase):
     # ------------------------------------------------------------------ #
     # Lifecycle & introspection
     # ------------------------------------------------------------------ #
+    def hold(self) -> contextlib.AbstractContextManager:
+        return self._batcher.hold()
+
     def close(self, drain: bool = True) -> None:
         """Shut down (gracefully draining admitted requests by default)."""
         self._batcher.close(drain=drain)

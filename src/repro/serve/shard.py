@@ -211,68 +211,84 @@ def _shard_worker_main(
         if records:
             reply(("spans", shard_id, generation, records, time.monotonic()))
 
-    try:
-        while True:
-            msg = inbox.get()
-            kind = msg[0]
-            if kind == "req":
-                ticket_id, request = msg[1], msg[2]
-                trace_parent = msg[3] if len(msg) > 3 else None
-                if trace_parent is not None and tracer is None:
-                    tracer = Tracer(
-                        id_start=worker_id_start(shard_id, generation)
-                    )
-                    set_tracer(tracer)
-                if trace_parent is not None and tracer is not None:
-                    span = tracer.span(
-                        "shard.worker",
-                        parent=trace_parent,
-                        shard=shard_id,
-                        generation=generation,
-                    )
-                else:
-                    span = contextlib.nullcontext()
-                try:
-                    # block=True: a saturated replica parks this loop,
-                    # the inbox fills, and the parent's put_nowait sees
-                    # queue.Full — backpressure propagates end to end.
-                    # The shard.worker span is open across the submit, so
-                    # the replica's Ticket captures it as trace parent
-                    # and the in-process span chain hangs off it.
-                    with span:
-                        future = service.submit_async(request, block=True)
-                except Exception as exc:
-                    reply(
-                        (
-                            "err",
-                            shard_id,
-                            generation,
-                            ticket_id,
-                            _portable_error(exc),
-                        )
-                    )
-                    continue
-                future.add_done_callback(
-                    functools.partial(
-                        _relay_result,
-                        reply,
-                        ship_spans,
+    def handle(msg) -> bool:
+        """Act on one inbox message; True once the worker should exit."""
+        nonlocal tracer
+        kind = msg[0]
+        if kind == "req":
+            ticket_id, request = msg[1], msg[2]
+            trace_parent = msg[3] if len(msg) > 3 else None
+            if trace_parent is not None and tracer is None:
+                tracer = Tracer(
+                    id_start=worker_id_start(shard_id, generation)
+                )
+                set_tracer(tracer)
+            if trace_parent is not None and tracer is not None:
+                span = tracer.span(
+                    "shard.worker",
+                    parent=trace_parent,
+                    shard=shard_id,
+                    generation=generation,
+                )
+            else:
+                span = contextlib.nullcontext()
+            try:
+                # block=True: a saturated replica parks this loop,
+                # the inbox fills, and the parent's put_nowait sees
+                # queue.Full — backpressure propagates end to end.
+                # The shard.worker span is open across the submit, so
+                # the replica's Ticket captures it as trace parent
+                # and the in-process span chain hangs off it.
+                with span:
+                    future = service.submit_async(request, block=True)
+            except Exception as exc:
+                reply(
+                    (
+                        "err",
                         shard_id,
                         generation,
                         ticket_id,
+                        _portable_error(exc),
                     )
                 )
-            elif kind == "stats":
-                reply(("stats", shard_id, generation, msg[1],
-                       service.metrics()))
-            elif kind == "stop":
-                service.close(drain=bool(msg[1]))
-                # Final span drain before the goodbye: drained requests'
-                # done-callbacks have all fired by now, so this sweep
-                # catches spans whose piggyback raced the close.
-                ship_spans()
-                reply(("bye", shard_id, generation, service.metrics()))
-                return
+                return False
+            future.add_done_callback(
+                functools.partial(
+                    _relay_result,
+                    reply,
+                    ship_spans,
+                    shard_id,
+                    generation,
+                    ticket_id,
+                )
+            )
+        elif kind == "stats":
+            reply(("stats", shard_id, generation, msg[1],
+                   service.metrics()))
+        elif kind == "stop":
+            service.close(drain=bool(msg[1]))
+            # Final span drain before the goodbye: drained requests'
+            # done-callbacks have all fired by now, so this sweep
+            # catches spans whose piggyback raced the close.
+            ship_spans()
+            reply(("bye", shard_id, generation, service.metrics()))
+            return True
+        return False
+
+    try:
+        while True:
+            msg = inbox.get()
+            # Hold the replica while draining what is already in the
+            # inbox: a burst the parent sent together still batches
+            # together instead of flushing one request at a time.
+            with service.hold():
+                while True:
+                    if handle(msg):
+                        return
+                    try:
+                        msg = inbox.get_nowait()
+                    except queue.Empty:
+                        break
     except (EOFError, KeyboardInterrupt):  # parent gone / interrupted
         service.close(drain=False)
 

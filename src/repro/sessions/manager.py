@@ -476,22 +476,26 @@ class SessionManager:
                         for s in self.registry.by_state(RUNNING)
                         if not s.inflight and s.remaining > 0
                     }
-                    while eligible:
-                        # Global saturation is checked before selecting:
-                        # charging the scheduler for a dispatch that can
-                        # never be admitted would skew fair shares (the
-                        # ring parity can then starve low-weight
-                        # tenants outright).
-                        if (
-                            self.admission.total_inflight
-                            >= self.admission.max_inflight
-                        ):
-                            break
-                        served = self._dispatch_once(eligible)
-                        if served == "saturated":
-                            break
-                        if served is not None:
-                            progress = True
+                    # One tick's dispatches are one burst: holding the
+                    # service keeps them in one batch, so campaigns that
+                    # share a prompt still decode in lockstep.
+                    with self.service.hold():
+                        while eligible:
+                            # Global saturation is checked before
+                            # selecting: charging the scheduler for a
+                            # dispatch that can never be admitted would
+                            # skew fair shares (the ring parity can then
+                            # starve low-weight tenants outright).
+                            if (
+                                self.admission.total_inflight
+                                >= self.admission.max_inflight
+                            ):
+                                break
+                            served = self._dispatch_once(eligible)
+                            if served == "saturated":
+                                break
+                            if served is not None:
+                                progress = True
                     if not self._inflight and not self.registry.by_state(
                         RUNNING
                     ):

@@ -9,13 +9,14 @@ Improvement, and evaluate the maximizer.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.dataset.space import ConfigSpace
 from repro.errors import TuningError
 from repro.tuning.base import Tuner, TuningHistory
 from repro.tuning.gp import GaussianProcess, GPParams
 from repro.utils.rng import rng_from
+
+# scipy.stats is imported where it is used (see repro.analysis.clt).
 
 __all__ = ["BayesianOptTuner"]
 
@@ -91,6 +92,8 @@ class BayesianOptTuner(Tuner):
         mean, std = gp.predict(self._features(pool), return_std=True)
 
         best = float(np.min(y))
+        from scipy import stats
+
         # Expected improvement for minimization of log-runtime.
         gamma = (best - mean) / std
         ei = std * (gamma * stats.norm.cdf(gamma) + stats.norm.pdf(gamma))

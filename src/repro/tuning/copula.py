@@ -21,13 +21,15 @@ near the target optimum without any target evaluations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
 
 from repro.dataset.generate import PerformanceDataset
 from repro.dataset.space import ConfigSpace
 from repro.errors import TuningError
 from repro.tuning.base import Tuner, TuningHistory
 from repro.utils.rng import rng_from
+
+# scipy.stats is imported where it is used (see repro.analysis.clt).
 
 __all__ = ["GaussianCopula", "CopulaTransferTuner"]
 
@@ -48,12 +50,16 @@ class _OrdinalMarginal:
         self.cum = np.cumsum(self.probs)
         # Midpoint CDF value per level (the normal score of that level).
         mid = self.cum - self.probs / 2.0
+        from scipy import stats
+
         self.z_of_level = stats.norm.ppf(np.clip(mid, 1e-6, 1 - 1e-6))
 
     def to_z(self, levels: np.ndarray) -> np.ndarray:
         return self.z_of_level[np.asarray(levels, dtype=np.int64)]
 
     def from_z(self, z: np.ndarray) -> np.ndarray:
+        from scipy import stats
+
         u = stats.norm.cdf(np.asarray(z, dtype=float))
         return np.searchsorted(self.cum, u, side="left").clip(
             0, self.probs.size - 1
@@ -78,6 +84,8 @@ class GaussianCopula:
             [m.to_z(digits[:, j]) for j, m in enumerate(self._marginals)]
         )
         # Objective: empirical normal scores of the runtimes.
+        from scipy import stats
+
         ranks = stats.rankdata(dataset.runtimes, method="average")
         u = (ranks - 0.5) / len(dataset)
         z_obj = stats.norm.ppf(np.clip(u, 1e-6, 1 - 1e-6))
@@ -127,6 +135,8 @@ class GaussianCopula:
             raise TuningError(f"quantile must be in (0,1), got {quantile}")
         if n < 1:
             raise TuningError(f"n must be >= 1, got {n}")
+        from scipy import stats
+
         z_y = float(stats.norm.ppf(quantile))
         mean = self._sigma_py * (z_y / self._sigma_yy)
         eps = rng.standard_normal((n, mean.size))

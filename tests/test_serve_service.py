@@ -231,18 +231,20 @@ class TestRobustness:
                 if t.future.set_running_or_notify_cancel():
                     t.future.set_result("ran")
 
-        # Batch threshold and deadline both unreachably large: the
-        # collector picks the tickets up and then just holds them.
+        # Batch threshold and deadline both unreachably large, and the
+        # open hold keeps the idle worker from flushing: the collector
+        # picks the tickets up and then just holds them.
         mb = MicroBatcher(
             execute, max_batch_size=64, max_wait_s=60.0, workers=1
         )
         tickets = [Ticket(request_id=i, request=None) for i in range(3)]
-        for t in tickets:
-            mb.submit(t)
-        deadline = time.monotonic() + 5.0
-        while mb._queue.qsize() > 0 and time.monotonic() < deadline:
-            time.sleep(0.001)  # wait for the collector to take them
-        mb.close(drain=False)
+        with mb.hold():
+            for t in tickets:
+                mb.submit(t)
+            deadline = time.monotonic() + 5.0
+            while mb._queue.qsize() > 0 and time.monotonic() < deadline:
+                time.sleep(0.001)  # wait for the collector to take them
+            mb.close(drain=False)
         for t in tickets:
             with pytest.raises(ServiceClosedError):
                 t.future.result(timeout=5)
@@ -278,15 +280,17 @@ class TestMicroBatcherDeadline:
                 if t.future.set_running_or_notify_cancel():
                     t.future.set_result("ran")
 
-        # Batch threshold unreachable: every flush is deadline-driven.
+        # Batch threshold unreachable, and the open hold keeps the idle
+        # worker from flushing: every flush is deadline-driven.
         mb = MicroBatcher(
             execute, max_batch_size=64, max_wait_s=0.05, workers=1
         )
         try:
-            for i in range(20):
-                ticket = Ticket(request_id=i, request=None)
-                mb.submit(ticket)
-                ticket.future.result(timeout=5)
+            with mb.hold():
+                for i in range(20):
+                    ticket = Ticket(request_id=i, request=None)
+                    mb.submit(ticket)
+                    ticket.future.result(timeout=5)
         finally:
             mb.close()
         waits.sort()

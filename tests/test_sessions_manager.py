@@ -8,6 +8,7 @@ the real service too (covered by one integration test at the end and
 the sessions benchmarks).
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -60,6 +61,9 @@ class StubService:
         self.overload_first = overload_first
         self.fail_submits = set(fail_submits)
         self.requests = []
+
+    def hold(self):
+        return contextlib.nullcontext()
 
     def submit_async(self, request):
         self.n_submits += 1
@@ -441,6 +445,7 @@ class TestEventLogAndResume:
         lost or duplicated evaluations."""
         log = tmp_path / "sessions.jsonl"
         child = f"""
+import contextlib
 import os
 from concurrent.futures import Future
 from types import SimpleNamespace
@@ -452,6 +457,8 @@ from repro.tuning import RandomSearchTuner
 class DyingStub:
     def __init__(self):
         self.n = 0
+    def hold(self):
+        return contextlib.nullcontext()
     def submit_async(self, request):
         self.n += 1
         if self.n > 8:
