@@ -20,7 +20,7 @@ import pytest
 from repro.dataset import generate_dataset
 from repro.dataset.splits import disjoint_example_sets
 from repro.errors import ServiceError
-from repro.faults import DEFAULT_FAULT_PLAN
+from repro.faults import DEFAULT_FAULT_PLAN, fault_counts
 from repro.serve import (
     PredictionService,
     Request,
@@ -80,7 +80,7 @@ def _drill(workload: list[Request]):
                 except ServiceError as exc:
                     unhandled.append(exc)
         stats = svc.stats()
-    faults = base.faults.stats.snapshot()
+    faults = fault_counts(base.metrics())
     return stats, faults, responses, unhandled, timer.elapsed
 
 

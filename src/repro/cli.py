@@ -1109,6 +1109,7 @@ def _cmd_chaos_disk(args) -> int:
     import tempfile
 
     from repro.drills.disk import disk_drill, drill_specs
+    from repro.faults import render_fault_counts
 
     n_cells = len(drill_specs(args.size, args.seed))
     print(f"disk-fault drill: {n_cells}-cell checkpointed grid under "
@@ -1132,10 +1133,9 @@ def _cmd_chaos_disk(args) -> int:
             print(report.render(f"{name} history vs unfaulted run"))
         ok &= report.ok and not recovery.problems
     print()
-    print(injected.render(title="chaos --disk: injected disk faults"))
+    print(render_fault_counts(injected, title="chaos --disk: injected disk faults"))
     disk_total = sum(
-        injected.snapshot()[k]
-        for k in ("torn_writes", "bitflips", "enospc", "fsync_failures")
+        injected[k] for k in ("torn_writes", "bitflips", "enospc", "fsync_failures")
     )
     if disk_total == 0:
         print("drill invalid: no disk fault ever fired")
@@ -1153,7 +1153,7 @@ def _cmd_chaos(args) -> int:
     if args.disk:
         return _cmd_chaos_disk(args)
     from repro.drills import repeated_workload, service_chaos_drill
-    from repro.faults import FaultPlan
+    from repro.faults import FaultPlan, render_fault_counts
     from repro.obs import max_sample_gap_s
 
     workload = repeated_workload(
@@ -1180,7 +1180,7 @@ def _cmd_chaos(args) -> int:
     stats, faults, unhandled, _, sampler = drill.first
     print(stats.render(title="chaos report (service under faults)"))
     print()
-    print(faults.render())
+    print(render_fault_counts(faults))
     print()
     print(
         f"availability: {stats.availability:.2%}  "

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +52,7 @@ from repro.analysis.decoding import StepCandidates
 from repro.core.grid import ExperimentSpec
 from repro.core.runner import ProbeResult
 from repro.errors import ExperimentError
-from repro.obs import get_tracer
+from repro.obs import MetricsRegistry, get_tracer
 from repro.utils.tables import Table
 
 __all__ = [
@@ -70,6 +69,7 @@ __all__ = [
     "verify_artifact",
     "repair_artifact",
     "set_fault_injector",
+    "INTEGRITY_METRICS",
     "integrity_counters",
     "reset_integrity_counters",
 ]
@@ -88,46 +88,30 @@ _EVENTS_VERSION = _FORMAT_VERSION
 
 
 # ---------------------------------------------------------------------- #
-# Integrity counters (surfaced by repro.obs.collect_service_metrics)
+# Integrity counters (surfaced by repro.obs.collect_storage_metrics)
 # ---------------------------------------------------------------------- #
-class _IntegrityCounters:
-    """Process-wide storage-integrity counters (thread-safe).
-
-    ``crc_failures`` counts v2 frames whose checksum did not verify;
-    ``records_quarantined`` counts lines copied to quarantine sidecars;
-    ``recoveries`` counts tolerant loads/repairs that found any damage.
-    """
-
-    _NAMES = ("crc_failures", "records_quarantined", "recoveries")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {name: 0 for name in self._NAMES}
-
-    def add(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += n
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = {name: 0 for name in self._NAMES}
-
-
-_INTEGRITY = _IntegrityCounters()
+#: Process-wide storage-integrity counters: ``storage.crc_failures``
+#: (v2 frames whose checksum did not verify),
+#: ``storage.records_quarantined`` (lines copied to quarantine sidecars)
+#: and ``storage.recoveries`` (tolerant loads/repairs that found damage).
+INTEGRITY_METRICS = MetricsRegistry()
+_CRC_FAILURES = INTEGRITY_METRICS.counter("storage.crc_failures")
+_QUARANTINED = INTEGRITY_METRICS.counter("storage.records_quarantined")
+_RECOVERIES = INTEGRITY_METRICS.counter("storage.recoveries")
 
 
 def integrity_counters() -> dict[str, int]:
     """Snapshot of the process-wide storage-integrity counters."""
-    return _INTEGRITY.snapshot()
+    return {
+        inst.name.removeprefix("storage."): inst.value
+        for inst in INTEGRITY_METRICS.instruments()
+    }
 
 
 def reset_integrity_counters() -> None:
     """Zero the integrity counters (test isolation)."""
-    _INTEGRITY.reset()
+    for inst in INTEGRITY_METRICS.instruments():
+        inst.set_absolute(0)
 
 
 # ---------------------------------------------------------------------- #
@@ -618,11 +602,11 @@ def _finish_report(
         if _quarantine_write(qpath, path, bad_spans):
             report.quarantine_path = str(qpath)
     if crc_failures:
-        _INTEGRITY.add("crc_failures", crc_failures)
+        _CRC_FAILURES.inc(crc_failures)
     if report.records_quarantined:
-        _INTEGRITY.add("records_quarantined", report.records_quarantined)
+        _QUARANTINED.inc(report.records_quarantined)
     if not report.clean:
-        _INTEGRITY.add("recoveries")
+        _RECOVERIES.inc()
         logger.warning("storage recovery: %s", report.summary())
 
 
@@ -696,13 +680,13 @@ def _prepare_append(
             )
         # Crash between file creation and the header landing: quarantine
         # the torn bytes and start the file over.
-        _INTEGRITY.add("recoveries")
+        _RECOVERIES.inc()
         logger.warning(
             "storage: repairing torn header in %s (%d bytes quarantined)",
             path, len(first),
         )
         if first:
-            _INTEGRITY.add("records_quarantined")
+            _QUARANTINED.inc()
             _quarantine_write(
                 path.with_name(path.name + ".quarantine"), path,
                 [(0, first)],

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -25,7 +26,7 @@ from repro.core.storage import (
 )
 from repro.drills.harness import verify_deterministic
 from repro.errors import ExperimentError, InjectedFaultError
-from repro.faults import DISK_FAULT_PLAN, FaultInjector, FaultStats
+from repro.faults import DISK_FAULT_PLAN, FaultInjector, fault_counts
 
 
 def drill_specs(size: str, seed: int):
@@ -55,9 +56,9 @@ def grid_round(path: str, size: str, seed: int, round_seed: int) -> None:
         # ExperimentError here means a bitflip landed in the (CRC-less)
         # header of the checkpoint: the append path refuses it and defers
         # to fsck, which the parent runs between rounds.
-        print(json.dumps(inj.stats.snapshot()), flush=True)
+        print(json.dumps(fault_counts(inj.registry)), flush=True)
         os._exit(23)  # hard kill: no atexit, no finally, no flush
-    print(json.dumps(inj.stats.snapshot()))
+    print(json.dumps(fault_counts(inj.registry)))
 
 
 def _spawn_grid_round(path, size: str, seed: int, round_seed: int):
@@ -107,8 +108,7 @@ def _faulted_grid(specs, path: Path, size, seed, injected) -> Recovery:
             path.with_name(path.name + ".quarantine").unlink(missing_ok=True)
             reroll += 1
             continue
-        for kind, count in counts.items():
-            injected.add(kind, count)
+        injected.update(counts)
         if finished:
             break
         crashes += 1
@@ -142,8 +142,7 @@ def _faulted_journal(events, jpath: Path, seed, injected) -> Recovery:
             failed_appends += 1
         finally:
             set_fault_injector(None)
-            for kind, count in inj.stats.snapshot().items():
-                injected.add(kind, count)
+            injected.update(fault_counts(inj.registry))
         # fsck after every round: repair, then trust only what
         # strictly verifies (the journal truncates at damage).
         if jpath.exists():
@@ -161,10 +160,10 @@ def _faulted_journal(events, jpath: Path, seed, injected) -> Recovery:
 
 def disk_drill(directory, *, size: str, seed: int):
     """Both phases, artifacts under ``directory``: ``(grid report,
-    journal report, injected FaultStats)``.  Each report's runs are the
-    unfaulted :class:`Recovery` and then the faulted one."""
+    journal report, injected fault counts)``.  Each report's runs are
+    the unfaulted :class:`Recovery` and then the faulted one."""
     specs = drill_specs(size, seed)
-    injected = FaultStats()
+    injected = Counter()
     events = [{"event": "eval", "step": i, "runtime": i / 7.0} for i in range(30)]
 
     def unfaulted_grid():

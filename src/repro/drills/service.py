@@ -15,7 +15,7 @@ from repro.dataset.splits import disjoint_example_sets
 from repro.dataset.syr2k import syr2k_space
 from repro.drills.harness import DeterminismReport, verify_deterministic
 from repro.errors import ServiceError
-from repro.faults import DEFAULT_FAULT_PLAN, FaultPlan, FaultStats
+from repro.faults import DEFAULT_FAULT_PLAN, FaultPlan, fault_counts
 from repro.loadgen import LoadDriver, LoadSpec, SLOReport, collect_loadgen_metrics
 from repro.obs import (
     BurnRatePolicy, TelemetrySampler, collect_service_metrics,
@@ -74,7 +74,7 @@ def _resilient(service, max_attempts: int, seed: int, fallback: bool):
 
 class ChaosRun(NamedTuple):
     stats: ServiceStats
-    faults: FaultStats
+    faults: dict[str, int]  # fault_counts of the service's metrics
     unhandled: int
     values: list[float | None]
     sampler: TelemetrySampler
@@ -90,7 +90,7 @@ def service_chaos_slice(run: ChaosRun) -> dict:
         # Telemetry drop/dup decisions are seeded per sample seq, but how
         # many samples a run takes is wall-clock — only the
         # request-schedule faults are comparable across runs.
-        "faults": {k: v for k, v in run.faults.snapshot().items()
+        "faults": {k: v for k, v in run.faults.items()
                    if not k.startswith("telemetry")},
         "unhandled": run.unhandled,
         "responses": dict(enumerate(run.values)),
@@ -136,7 +136,7 @@ def run_service_chaos(
                     values.append(None)
                 else:
                     values.append(response.prediction.value)
-        stats, faults = service.stats(), service.faults.stats
+        stats, faults = service.stats(), fault_counts(service.metrics())
     return ChaosRun(stats, faults, unhandled, values, sampler)
 
 

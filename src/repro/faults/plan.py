@@ -5,34 +5,40 @@ worker exceptions, latency spikes, cache-eviction storms, queue stalls,
 and grid-cell faults — whose decisions are *pure functions* of
 ``(plan seed, site, key)`` via :func:`repro.utils.rng.derive_seed`.  Hook
 points in the stack (``MicroBatcher._flush``,
-``PredictionService._serve_one``, :func:`repro.core.runner.run_spec`)
-pass their natural keys (flush index, request id, cell key), so a given
-plan + seed reproduces the exact same fault sequence run after run: the
-chaos drills in ``repro chaos`` and the resilience tests are
-bit-reproducible, not flaky.
+``PredictionService._serve_one``, the sharded dispatch,
+:func:`repro.core.runner.run_spec`) pass their natural keys (flush
+index, request id, dispatch index, cell key), so a given plan + seed
+reproduces the exact same fault sequence run after run: the chaos
+drills in ``repro chaos`` and the resilience tests are bit-reproducible,
+not flaky.
 
 A :class:`FaultInjector` binds a plan to runtime effects (sleeping,
-raising :class:`~repro.errors.InjectedFaultError`, clearing caches) and
-counts every injected fault in a thread-safe :class:`FaultStats`.
+raising :class:`~repro.errors.InjectedFaultError`, clearing caches,
+deciding shard kills) and counts every injected fault as
+``faults.injected{kind}`` in a :class:`~repro.obs.MetricsRegistry`;
+:func:`fault_counts` reads them back.  ``run_spec`` asks the plan's
+:meth:`FaultPlan.cell_fault` itself and raises uncounted.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import threading
 import time
 from dataclasses import dataclass
 
 from repro.errors import InjectedFaultError
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.utils.rng import derive_seed
 from repro.utils.tables import Table
 
 __all__ = [
     "FaultPlan",
     "FaultInjector",
-    "FaultStats",
     "FaultyFile",
+    "FAULT_KINDS",
+    "fault_counts",
+    "render_fault_counts",
     "DEFAULT_FAULT_PLAN",
     "DISK_FAULT_PLAN",
 ]
@@ -245,70 +251,46 @@ DISK_FAULT_PLAN = FaultPlan(
 )
 
 
-class FaultStats:
-    """Thread-safe counters of injected faults (one per failure mode)."""
+#: Every counted fault kind, mapped to its row label in the report
+#: table (in table order).
+FAULT_KINDS = {
+    "transient_errors": "transient worker errors",
+    "latency_spikes": "latency spikes",
+    "evictions": "cache-eviction storms",
+    "stalls": "queue stalls",
+    "shard_kills": "shard kills",
+    "torn_writes": "torn writes",
+    "bitflips": "bitflips after ack",
+    "enospc": "ENOSPC writes",
+    "fsync_failures": "fsync failures",
+    "telemetry_drops": "telemetry samples dropped",
+    "telemetry_dups": "telemetry samples duplicated",
+}
 
-    _KINDS = (
-        "transient_errors",
-        "latency_spikes",
-        "evictions",
-        "stalls",
-        "cell_faults",
-        "shard_kills",
-        "torn_writes",
-        "bitflips",
-        "enospc",
-        "fsync_failures",
-        "telemetry_drops",
-        "telemetry_dups",
-    )
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {kind: 0 for kind in self._KINDS}
+def fault_counts(registry: MetricsRegistry) -> dict[str, int]:
+    """Injected faults per kind, read off a registry's
+    ``faults.injected{kind}`` counters (0 for a kind never counted).
 
-    def record(self, kind: str) -> None:
-        if kind not in self._counts:
-            raise ValueError(f"unknown fault kind {kind!r}")
-        with self._lock:
-            self._counts[kind] += 1
+    ``registry`` is an injector's own registry or a service's
+    ``metrics()`` snapshot, which for a sharded service includes every
+    worker's faults.
+    """
+    counts = {}
+    for kind in FAULT_KINDS:
+        inst = registry.get("faults.injected", kind=kind)
+        counts[kind] = inst.value if inst is not None else 0
+    return counts
 
-    def add(self, kind: str, n: int) -> None:
-        """Bulk-add ``n`` faults of one kind (merging shard snapshots)."""
-        if kind not in self._counts:
-            raise ValueError(f"unknown fault kind {kind!r}")
-        if n < 0:
-            raise ValueError(f"fault counts only go up; got add({n})")
-        with self._lock:
-            self._counts[kind] += n
 
-    def snapshot(self) -> dict[str, int]:
-        """Copy of the current counters."""
-        with self._lock:
-            return dict(self._counts)
-
-    @property
-    def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
-    def render(self, title: str = "injected faults") -> str:
-        """ASCII table of the counters (the chaos report body)."""
-        snap = self.snapshot()
-        t = Table(["fault", "count"], title=title)
-        t.add_row(["transient worker errors", snap["transient_errors"]])
-        t.add_row(["latency spikes", snap["latency_spikes"]])
-        t.add_row(["cache-eviction storms", snap["evictions"]])
-        t.add_row(["queue stalls", snap["stalls"]])
-        t.add_row(["grid-cell faults", snap["cell_faults"]])
-        t.add_row(["shard kills", snap["shard_kills"]])
-        t.add_row(["torn writes", snap["torn_writes"]])
-        t.add_row(["bitflips after ack", snap["bitflips"]])
-        t.add_row(["ENOSPC writes", snap["enospc"]])
-        t.add_row(["fsync failures", snap["fsync_failures"]])
-        t.add_row(["telemetry samples dropped", snap["telemetry_drops"]])
-        t.add_row(["telemetry samples duplicated", snap["telemetry_dups"]])
-        return t.render()
+def render_fault_counts(
+    counts: dict[str, int], title: str = "injected faults"
+) -> str:
+    """ASCII table of :func:`fault_counts` (the chaos report body)."""
+    t = Table(["fault", "count"], title=title)
+    for kind, label in FAULT_KINDS.items():
+        t.add_row([label, counts.get(kind, 0)])
+    return t.render()
 
 
 class FaultyFile:
@@ -327,11 +309,11 @@ class FaultyFile:
     syscall.  ``fsync`` may raise ``OSError(EIO)`` on its own schedule.
     """
 
-    def __init__(self, fh, plan: FaultPlan, stats: FaultStats,
+    def __init__(self, fh, plan: FaultPlan, counters: dict[str, Counter],
                  site: str, name: str):
         self._fh = fh
         self._plan = plan
-        self._stats = stats
+        self._counters = counters
         self._site = site
         self._name = name
 
@@ -342,13 +324,13 @@ class FaultyFile:
         plan = self._plan
         key = self._key("write")
         if plan.enospc(key):
-            self._stats.record("enospc")
+            self._counters["enospc"].inc()
             raise OSError(errno.ENOSPC, "injected: no space left on device")
         if plan.torn_write(key):
             cut = plan.torn_cut(key, len(data))
             self._fh.write(data[:cut])
             self._fh.flush()
-            self._stats.record("torn_writes")
+            self._counters["torn_writes"].inc()
             raise InjectedFaultError(self._site, key)
         if plan.bitflip(key) and data.strip():
             pos, bit = plan.bitflip_site(key, len(data))
@@ -358,7 +340,7 @@ class FaultyFile:
             if flipped in ("\n", "\r") or data[pos] in ("\n", "\r"):
                 flipped = "X" if data[pos] != "X" else "Y"
             data = data[:pos] + flipped + data[pos + 1:]
-            self._stats.record("bitflips")
+            self._counters["bitflips"].inc()
         return self._fh.write(data)
 
     def flush(self) -> None:
@@ -366,7 +348,7 @@ class FaultyFile:
 
     def fsync(self) -> None:
         if self._plan.fsync_fails(self._key("fsync")):
-            self._stats.record("fsync_failures")
+            self._counters["fsync_failures"].inc()
             raise OSError(errno.EIO, "injected: fsync failed")
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -381,12 +363,21 @@ class FaultInjector:
         The fault schedule; decisions stay pure functions of its seed.
     sleep:
         Injectable sleep (tests pass a stub so stalls cost no wall time).
+    registry:
+        Where each injection counts, as ``faults.injected{kind}`` (one
+        counter per :data:`FAULT_KINDS` entry, bound here).  A service
+        passes its own registry; by default the injector makes one.
     """
 
-    def __init__(self, plan: FaultPlan, sleep=time.sleep):
+    def __init__(self, plan: FaultPlan, sleep=time.sleep,
+                 registry: MetricsRegistry | None = None):
         self.plan = plan
-        self.stats = FaultStats()
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._sleep = sleep
+        self._counters = {
+            kind: self.registry.counter("faults.injected", kind=kind)
+            for kind in FAULT_KINDS
+        }
 
     def before_request(self, key: object, caches=()) -> None:
         """Per-request hook (``PredictionService._serve_one``).
@@ -397,30 +388,32 @@ class FaultInjector:
         """
         plan = self.plan
         if plan.eviction_storm(key):
-            self.stats.record("evictions")
+            self._counters["evictions"].inc()
             for cache in caches:
                 if cache is not None:
                     cache.clear()
         spike = plan.latency_spike(key)
         if spike > 0.0:
-            self.stats.record("latency_spikes")
+            self._counters["latency_spikes"].inc()
             self._sleep(spike)
         if plan.transient_error(key):
-            self.stats.record("transient_errors")
+            self._counters["transient_errors"].inc()
             raise InjectedFaultError("serve", key)
 
     def before_flush(self, key: object) -> None:
         """Per-flush hook (``MicroBatcher._flush``): maybe stall."""
         stall = self.plan.queue_stall(key)
         if stall > 0.0:
-            self.stats.record("stalls")
+            self._counters["stalls"].inc()
             self._sleep(stall)
 
-    def before_cell(self, key: object) -> None:
-        """Per-cell hook (:func:`repro.core.runner.run_spec`)."""
-        if self.plan.cell_fault(key):
-            self.stats.record("cell_faults")
-            raise InjectedFaultError("run_spec", key)
+    def before_dispatch(self, key: object) -> bool:
+        """Per-dispatch hook of the sharded backend: whether to kill the
+        target shard before this ticket is enqueued."""
+        if self.plan.shard_kill(key):
+            self._counters["shard_kills"].inc()
+            return True
+        return False
 
     def on_telemetry_sample(self, key: object) -> str:
         """Telemetry-sampler hook: fate of one sample.
@@ -431,10 +424,10 @@ class FaultInjector:
         """
         plan = self.plan
         if plan.telemetry_drop(key):
-            self.stats.record("telemetry_drops")
+            self._counters["telemetry_drops"].inc()
             return "drop"
         if plan.telemetry_dup(key):
-            self.stats.record("telemetry_dups")
+            self._counters["telemetry_dups"].inc()
             return "dup"
         return "keep"
 
@@ -446,4 +439,4 @@ class FaultInjector:
         """
         if not self.plan.disk_active:
             return fh
-        return FaultyFile(fh, self.plan, self.stats, site, name)
+        return FaultyFile(fh, self.plan, self._counters, site, name)

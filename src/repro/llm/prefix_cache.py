@@ -47,7 +47,12 @@ __all__ = ["PreparedPrefix", "PrefixCache", "token_fingerprint"]
 
 
 def token_fingerprint(token_ids: np.ndarray) -> str:
-    """Stable fingerprint of a token-id sequence (the snapshot key)."""
+    """Collision-resistant digest of a token-id sequence.
+
+    The snapshot key here and the serving caches' prompt fingerprint:
+    token ids fully determine the prompt, so hashing the raw int64 id
+    bytes keys both without retaining the prompt itself.
+    """
     ids = np.ascontiguousarray(token_ids, dtype=np.int64)
     return hashlib.blake2b(ids.tobytes(), digest_size=16).hexdigest()
 

@@ -102,7 +102,7 @@ class Counter(_Instrument):
         """Set the counter to an externally-maintained cumulative total.
 
         Collectors copy sources that keep their own cumulative counts
-        (a service registry, storage integrity counters); ``inc`` would
+        (a service registry, the storage integrity registry); ``inc`` would
         compound the source total on every scrape, so periodic sampling
         writes the absolute value instead — scraping twice is the same
         as scraping once.
@@ -440,9 +440,9 @@ def collect_storage_metrics(
     """
     # Imported lazily: storage pulls in the runner/obs stack and the
     # metrics module must stay importable on its own.
-    from repro.core.storage import integrity_counters
+    from repro.core.storage import INTEGRITY_METRICS
 
     registry = registry if registry is not None else MetricsRegistry()
-    for name, count in integrity_counters().items():
-        registry.counter(f"storage.{name}").set_absolute(count)
+    for inst in INTEGRITY_METRICS.instruments():
+        registry.counter(inst.name).set_absolute(inst.value)
     return registry

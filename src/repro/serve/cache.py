@@ -14,12 +14,13 @@ Two cache levels share this implementation (see DESIGN.md §Serving layer):
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Hashable
 
-import numpy as np
+# The cache key's fingerprint is the prefix cache's token fingerprint;
+# this name stays for callers that import it from here.
+from repro.llm.prefix_cache import token_fingerprint as prompt_fingerprint
 
 __all__ = ["MISS", "LRUCache", "prompt_fingerprint"]
 
@@ -37,22 +38,12 @@ class _Miss:
 MISS = _Miss()
 
 
-def prompt_fingerprint(prompt_ids: np.ndarray) -> str:
-    """Collision-resistant digest of a token-id sequence.
-
-    Token ids fully determine the prompt (the tokenizer is injective over
-    its vocabulary), so hashing the raw id bytes keys both cache levels
-    without retaining the prompt itself.
-    """
-    ids = np.ascontiguousarray(np.asarray(prompt_ids, dtype=np.int64))
-    return hashlib.blake2b(ids.tobytes(), digest_size=16).hexdigest()
-
-
 class LRUCache:
-    """A bounded least-recently-used map with hit/miss counters.
+    """A bounded least-recently-used map.
 
     All operations are O(1) and thread-safe; the service's batch workers
-    share one instance per cache level.
+    share one instance per cache level.  Lookups are counted by the
+    service, in its metrics registry, not here.
     """
 
     def __init__(self, capacity: int):
@@ -61,17 +52,13 @@ class LRUCache:
         self.capacity = int(capacity)
         self._data: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
 
     def get(self, key: Hashable) -> object:
         """Return the cached value or :data:`MISS`, updating recency."""
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-                self._hits += 1
                 return self._data[key]
-            self._misses += 1
             return MISS
 
     def put(self, key: Hashable, value: object) -> None:
@@ -84,45 +71,14 @@ class LRUCache:
                 self._data.popitem(last=False)
 
     def peek(self, key: Hashable) -> object:
-        """Return the cached value or :data:`MISS` without side effects.
-
-        Neither the hit/miss counters nor LRU recency are touched — the
-        degradation fallback uses this so its cache probes don't distort
-        the service's hit-rate metrics or eviction order.
-        """
+        """Return the cached value or :data:`MISS` without touching
+        recency (the degradation fallback probes with this, so its probes
+        do not reorder evictions)."""
         with self._lock:
             return self._data.get(key, MISS)
 
-    @property
-    def hits(self) -> int:
-        with self._lock:
-            return self._hits
-
-    @property
-    def misses(self) -> int:
-        with self._lock:
-            return self._misses
-
-    def snapshot(self) -> tuple[int, int, int]:
-        """Consistent ``(hits, misses, size)`` taken under one lock.
-
-        Reading ``hits`` and ``misses`` as two separate property calls can
-        tear around a concurrent :meth:`get` (hit counted in one read but
-        not the other), which is how a metrics scrape once reported a hit
-        rate above 1.0.  Metrics collectors must use this instead.
-        """
-        with self._lock:
-            return (self._hits, self._misses, len(self._data))
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before any lookup)."""
-        hits, misses, _ = self.snapshot()
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
+        """Drop all entries."""
         with self._lock:
             self._data.clear()
 

@@ -26,7 +26,6 @@ per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import threading
 import time
@@ -38,9 +37,10 @@ from repro.core.surrogate import DiscriminativeSurrogate
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import RequestTimeoutError, ServiceClosedError
 from repro.faults import FaultInjector, FaultPlan
+from repro.llm.prefix_cache import token_fingerprint
 from repro.obs import MetricsRegistry, get_tracer
 from repro.prompts.builder import PromptParts
-from repro.serve.cache import MISS, LRUCache, prompt_fingerprint
+from repro.serve.cache import MISS, LRUCache
 from repro.serve.request import Request, Response
 from repro.serve.scheduler import MicroBatcher, Ticket
 from repro.serve.stats import (
@@ -51,6 +51,10 @@ from repro.serve.stats import (
 )
 
 __all__ = ["PredictionService", "ServiceBase"]
+
+#: LRU capacities of the two cache levels.
+PREPARE_CACHE_SIZE = 256
+RESULT_CACHE_SIZE = 4096
 
 
 class _PrefixGroup:
@@ -72,7 +76,7 @@ class _PrefixGroup:
 class _Lookup(NamedTuple):
     """A request's prompt, its cache keys, and its result-cache entry.
 
-    ``cached`` is the entry as :meth:`LRUCache.peek` saw it (counters and
+    ``cached`` is the entry as :meth:`LRUCache.peek` saw it (uncounted,
     recency untouched), or :data:`MISS`.
     """
 
@@ -88,26 +92,21 @@ class ServiceBase:
     timeout and late-discard accounting, the bulk submit, the
     :class:`ServiceStats` view and the context manager.
 
-    A backend provides ``submit_async``, ``metrics``, ``close``,
-    ``default_timeout_s`` and its :class:`StatsRecorder` as ``_stats``;
-    one that batches in-process also overrides :meth:`hold`.
+    A backend provides ``submit_async``, ``metrics``, ``close`` and its
+    :class:`StatsRecorder` as ``_stats``; one that batches in-process
+    also overrides :meth:`hold`.
     """
 
     def submit(self, request: Request) -> Response:
         """Serve one request synchronously.
 
-        Waits up to ``request.timeout_s`` (or the service default); on
+        Waits up to ``request.timeout_s`` (``None``: indefinitely); on
         expiry the request is cancelled if still queued and
         :class:`RequestTimeoutError` is raised.
         """
         future = self.submit_async(request)
-        timeout = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.default_timeout_s
-        )
         try:
-            return future.result(timeout=timeout)
+            return future.result(timeout=request.timeout_s)
         except FuturesTimeoutError:
             if not future.cancel():
                 # The work already started: it will finish in the
@@ -117,7 +116,7 @@ class ServiceBase:
                 # through their own paths).
                 future.add_done_callback(self._note_late_discard)
             self._stats.timeouts.inc()
-            raise RequestTimeoutError(float(timeout)) from None
+            raise RequestTimeoutError(float(request.timeout_s)) from None
 
     def _note_late_discard(self, future: Future) -> None:
         if not future.cancelled() and future.exception() is None:
@@ -171,11 +170,10 @@ class PredictionService(ServiceBase):
     max_batch_size, max_wait_s, queue_capacity, workers:
         Microbatching scheduler knobs (see
         :class:`~repro.serve.scheduler.MicroBatcher`).
-    prepare_cache_size, result_cache_size:
-        LRU capacities of the two cache levels.
     enable_prepare_cache, enable_result_cache:
         Cache kill-switches (the throughput benchmark measures both
-        settings; disabled caches record no counters).
+        settings; disabled caches record no counters).  The capacities
+        are :data:`PREPARE_CACHE_SIZE` and :data:`RESULT_CACHE_SIZE`.
     enable_prefix_cache:
         Prefix-reuse kill-switch.  On (default), lazily built per-size
         surrogates carry a :class:`~repro.llm.prefix_cache.PrefixCache`
@@ -185,14 +183,12 @@ class PredictionService(ServiceBase):
         request generates through the scalar cold path — bit-identical
         results either way (the benchmark's baseline).  An explicitly
         passed ``surrogate`` keeps its own prefix-cache setting.
-    default_timeout_s:
-        Fallback per-request deadline for blocking submits when the
-        request does not carry its own (``None``: wait indefinitely).
     fault_plan:
-        Optional :class:`repro.faults.FaultPlan` (or a pre-built
-        :class:`~repro.faults.FaultInjector`) activating deterministic
-        fault injection at the service's hook points; injected faults are
-        counted on ``service.faults.stats``.
+        Optional :class:`repro.faults.FaultPlan` activating deterministic
+        fault injection at the service's hook points.  ``service.faults``
+        is then its :class:`~repro.faults.FaultInjector`, counting into
+        this service's registry (read them with
+        ``fault_counts(service.metrics())``).
     """
 
     def __init__(
@@ -204,26 +200,25 @@ class PredictionService(ServiceBase):
         queue_capacity: int = 1024,
         workers: int | None = None,
         max_inflight_batches: int | None = None,
-        prepare_cache_size: int = 256,
-        result_cache_size: int = 4096,
         enable_prepare_cache: bool = True,
         enable_result_cache: bool = True,
         enable_prefix_cache: bool = True,
-        default_timeout_s: float | None = None,
-        fault_plan: FaultPlan | FaultInjector | None = None,
+        fault_plan: FaultPlan | None = None,
     ):
         self._fixed_surrogate = surrogate
         self.enable_prefix_cache = bool(enable_prefix_cache)
         self._surrogates: dict[str, DiscriminativeSurrogate] = {}
         self._surrogate_lock = threading.Lock()
-        self.default_timeout_s = default_timeout_s
         self.prepare_cache = (
-            LRUCache(prepare_cache_size) if enable_prepare_cache else None
+            LRUCache(PREPARE_CACHE_SIZE) if enable_prepare_cache else None
         )
         self.result_cache = (
-            LRUCache(result_cache_size) if enable_result_cache else None
+            LRUCache(RESULT_CACHE_SIZE) if enable_result_cache else None
         )
-        self._stats = StatsRecorder(max_batch_size=max_batch_size)
+        self._stats = StatsRecorder(max_batch_size, cache_levels=[
+            level for level, on in (("prepare", enable_prepare_cache),
+                                    ("result", enable_result_cache)) if on
+        ])
         # Result key -> event set when the worker holding it is done.
         self._claims: dict[tuple, threading.Event] = {}
         self._claims_lock = threading.Lock()
@@ -233,9 +228,10 @@ class PredictionService(ServiceBase):
         # self._ids would shift every later ticket's admission-ordered id
         # — the key deterministic fault injection is keyed on.
         self._cached_ids = itertools.count(-1, -1)
-        if isinstance(fault_plan, FaultPlan):
-            fault_plan = FaultInjector(fault_plan)
-        self.faults = fault_plan
+        self.faults = (
+            FaultInjector(fault_plan, registry=self._stats.registry)
+            if fault_plan is not None else None
+        )
         self._batcher = MicroBatcher(
             self._execute_batch,
             max_batch_size=max_batch_size,
@@ -328,10 +324,11 @@ class PredictionService(ServiceBase):
             group_width=1,
         ):
             with tracer.span("serve.cache_lookup", level="result"):
-                # Counts the hit and refreshes recency.  The peeked entry
-                # is the answer even if evicted since (the engine's
-                # determinism contract).
+                # Refreshes recency.  The peeked entry is the answer even
+                # if evicted since (the engine's determinism contract),
+                # so it counts as the hit it is served as.
                 self.result_cache.get(lookup.result_key)
+                self._stats.record_lookup("result", hit=True)
         response = Response(
             request_id=request_id,
             prediction=lookup.cached,
@@ -375,21 +372,15 @@ class PredictionService(ServiceBase):
         self._batcher.close(drain=drain)
 
     def metrics(self) -> MetricsRegistry:
-        """A frozen snapshot of this service's registry, with the cache
-        lookups and injected faults (see :mod:`repro.serve.stats`)."""
+        """A frozen snapshot of this service's registry, with the prefix
+        lookups and the cache fill gauges (see :mod:`repro.serve.stats`)."""
         snap = self._stats.snapshot()
-        lookups = functools.partial(snap.counter, "cache.lookups")
         for level, cache in (
             ("prepare", self.prepare_cache),
             ("result", self.result_cache),
         ):
             if cache is not None:
-                # One locked read per level: hits and misses read apart
-                # can tear around a concurrent lookup.
-                hits, misses, size = cache.snapshot()
-                lookups(level=level, outcome="hit").inc(hits)
-                lookups(level=level, outcome="miss").inc(misses)
-                snap.gauge("cache.entries", level=level).set(size)
+                snap.gauge("cache.entries", level=level).set(len(cache))
                 snap.gauge("cache.capacity", level=level).set(cache.capacity)
         if self._fixed_surrogate is not None:
             surrogates = [self._fixed_surrogate]
@@ -403,11 +394,8 @@ class PredictionService(ServiceBase):
                 hits += cache_hits
                 misses += cache_misses
         if hits or misses:
-            lookups(level="prefix", outcome="hit").inc(hits)
-            lookups(level="prefix", outcome="miss").inc(misses)
-        if self.faults is not None:
-            for kind, count in self.faults.stats.snapshot().items():
-                snap.counter("faults.injected", kind=kind).inc(count)
+            for outcome, n in (("hit", hits), ("miss", misses)):
+                snap.counter("cache.lookups", level="prefix", outcome=outcome).inc(n)
         return read_outs(snap, self._stats.max_batch_size)
 
     # ------------------------------------------------------------------ #
@@ -487,7 +475,7 @@ class PredictionService(ServiceBase):
         """
         surrogate = self._surrogate_for(request.size)
         parts = surrogate.build_parts(request.examples, request.query_config)
-        fingerprint = prompt_fingerprint(parts.ids)
+        fingerprint = token_fingerprint(parts.ids)
         result_key = (
             fingerprint,
             int(request.seed),
@@ -505,8 +493,8 @@ class PredictionService(ServiceBase):
 
         Returns ``None`` on a miss or when the result cache is disabled.
         This is the first rung of the resilience layer's degradation
-        chain, so the lookup uses :meth:`LRUCache.peek` (no counter or
-        recency side effects).
+        chain, so the lookup uses :meth:`LRUCache.peek`: it is not
+        counted and leaves recency alone.
         """
         if self.result_cache is None:
             return None
@@ -573,6 +561,7 @@ class PredictionService(ServiceBase):
                     with tracer.span("serve.cache_lookup", level="result"):
                         prediction = self.result_cache.get(lookup.result_key)
                     result_hit = prediction is not MISS
+                    self._stats.record_lookup("result", result_hit)
                     if not result_hit:
                         prediction, prepare_hit, group_width = (
                             self._generate(lookup, seed, group)
@@ -640,6 +629,7 @@ class PredictionService(ServiceBase):
             with tracer.span("serve.prepare") as prep:
                 analysis = self.prepare_cache.get(fingerprint)
                 prepare_hit = analysis is not MISS
+                self._stats.record_lookup("prepare", prepare_hit)
                 prep.set(cache_hit=prepare_hit)
                 if not prepare_hit:
                     analysis = surrogate.model.prepare(parts.ids)

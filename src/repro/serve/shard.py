@@ -76,7 +76,7 @@ from repro.errors import (
     ShardCrashError,
     ShardFailedError,
 )
-from repro.faults import FaultInjector, FaultPlan, FaultStats
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs import MetricsRegistry, Tracer, get_tracer, set_tracer
 from repro.obs.tracer import worker_id_start
 from repro.serve.request import Request, Response
@@ -333,49 +333,6 @@ class _ShardSlot:
         self.metrics: MetricsRegistry | None = None
 
 
-class _ShardFaultView:
-    """Duck-typed ``service.faults`` for the sharded backend.
-
-    Exposes the same ``.plan`` / ``.stats`` /
-    ``.on_telemetry_sample`` surface the telemetry sampler and the chaos
-    drills read from :class:`~repro.faults.FaultInjector`.  The parent's
-    own faults (shard kills, telemetry drops and dups) count in its
-    registry; ``stats`` reads the ``faults.injected`` counters of the
-    service's merged metrics, so every worker's faults are in it too.
-    """
-
-    def __init__(self, owner: "ShardedPredictionService", plan: FaultPlan):
-        self._owner = owner
-        self.plan = plan
-        count = functools.partial(
-            owner.stats_recorder.registry.counter, "faults.injected"
-        )
-        self.shard_kills = count(kind="shard_kills")
-        self._drops = count(kind="telemetry_drops")
-        self._dups = count(kind="telemetry_dups")
-
-    @property
-    def stats(self) -> FaultStats:
-        stats = FaultStats()
-        for inst in self._owner.metrics().instruments():
-            if inst.name == "faults.injected" and inst.value:
-                stats.add(dict(inst.labels)["kind"], inst.value)
-        return stats
-
-    def on_telemetry_sample(self, key: object) -> str:
-        """Telemetry export faults are parent-side: the sampler lives in
-        the parent process, so the decision (and its accounting) does
-        too — mirrored from ``FaultInjector.on_telemetry_sample``."""
-        plan = self.plan
-        if plan.telemetry_drop(key):
-            self._drops.inc()
-            return "drop"
-        if plan.telemetry_dup(key):
-            self._dups.inc()
-            return "dup"
-        return "keep"
-
-
 class ShardedPredictionService(ServiceBase):
     """N-process sharded drop-in for :class:`PredictionService`.
 
@@ -393,16 +350,15 @@ class ShardedPredictionService(ServiceBase):
         Per-shard respawn budget after crashes; beyond it the shard is
         failed permanently and submissions routed to it raise
         :class:`~repro.errors.ShardFailedError`.
-    default_timeout_s:
-        Fallback deadline for blocking :meth:`submit` calls, as on the
-        single-process service.
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` (or injector, for
-        signature parity — only its plan is used).  Request-level
+        Optional :class:`~repro.faults.FaultPlan`.  Request-level
         faults are injected *inside* each worker's replica from the
         same plan; ``shard_kill_rate`` fires parent-side, keyed on the
         dispatch index, SIGKILLing the target shard before the ticket
-        is enqueued.
+        is enqueued.  ``service.faults`` is the parent's
+        :class:`~repro.faults.FaultInjector` (shard kills and telemetry
+        faults, counted in the parent's registry);
+        ``fault_counts(service.metrics())`` adds every worker's.
     route_seed:
         Rendezvous-hash seed (fixed default keeps routing — and thus
         per-shard cache populations — reproducible across runs).
@@ -426,8 +382,7 @@ class ShardedPredictionService(ServiceBase):
         *,
         shard_queue_capacity: int = 64,
         max_restarts: int = 2,
-        default_timeout_s: float | None = None,
-        fault_plan: FaultPlan | FaultInjector | None = None,
+        fault_plan: FaultPlan | None = None,
         route_seed: int = 0,
         stats_timeout_s: float = 2.0,
         **service_kwargs,
@@ -454,7 +409,6 @@ class ShardedPredictionService(ServiceBase):
             )
         service_kwargs.pop("surrogate", None)
         self.n_shards = int(shards)
-        self.default_timeout_s = default_timeout_s
         #: How long a stats round-trip waits for lagging shards.  The
         #: telemetry sampler scrapes stats() on its own cadence; drills
         #: running sub-second sampler intervals lower this so a shard
@@ -476,11 +430,9 @@ class ShardedPredictionService(ServiceBase):
         #: snapshots, merged (what a shard counted after its last stats
         #: exchange dies with it).
         self._retired = MetricsRegistry()
-        if isinstance(fault_plan, FaultInjector):
-            fault_plan = fault_plan.plan
-        self._plan = fault_plan
-        self._fault_view = (
-            _ShardFaultView(self, fault_plan) if fault_plan is not None else None
+        self.faults = (
+            FaultInjector(fault_plan, registry=registry)
+            if fault_plan is not None else None
         )
         #: The caches live inside the worker replicas; the façade keeps
         #: the attributes for API parity.
@@ -558,11 +510,10 @@ class ShardedPredictionService(ServiceBase):
             entry = _Inflight(shard_idx, slot.generation, span.span_id)
             self._inflight[ticket_id] = entry
             inbox = slot.inbox
-        if self._plan is not None and self._plan.shard_kill(dispatch):
+        if self.faults is not None and self.faults.before_dispatch(dispatch):
             # Register-then-kill: the triggering ticket is already
             # in flight on the victim shard, so it deterministically
             # fails with ShardCrashError regardless of watchdog timing.
-            self._fault_view.shard_kills.inc()
             self.kill_shard(shard_idx)
         msg = ("req", ticket_id, request, span.span_id)
         if block:
@@ -727,9 +678,9 @@ class ShardedPredictionService(ServiceBase):
 
     def _worker_plan(self):
         """The fault plan forwarded to workers (shard kills stay parent-side)."""
-        if self._plan is None or self._plan.shard_kill_rate == 0.0:
-            return self._plan
-        return dataclasses.replace(self._plan, shard_kill_rate=0.0)
+        if self.faults is None:
+            return None
+        return dataclasses.replace(self.faults.plan, shard_kill_rate=0.0)
 
     # ------------------------------------------------------------------ #
     # Result collection
@@ -914,11 +865,6 @@ class ShardedPredictionService(ServiceBase):
                 if slot.metrics is not None:
                     snap.merge(slot.metrics, WORKER_METRICS)
         return read_outs(snap, self._stats.max_batch_size)
-
-    @property
-    def faults(self):
-        """Aggregated fault view (``None`` when no plan was given)."""
-        return self._fault_view
 
     @property
     def shard_info(self) -> dict:

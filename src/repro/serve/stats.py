@@ -3,9 +3,10 @@
 A :class:`StatsRecorder` binds a service's counters and histograms in a
 :class:`~repro.obs.metrics.MetricsRegistry` once, at construction, and
 the serving code records straight into them — the registry is the only
-place the serving stack counts.  :meth:`StatsRecorder.snapshot` freezes
-a copy; a backend adds its cache lookups and injected faults to it (a
-sharded parent merges its workers' copies, :data:`WORKER_METRICS`),
+place the serving stack counts, result and prepare cache lookups and
+injected faults included.  :meth:`StatsRecorder.snapshot` freezes a
+copy; a backend adds its prefix-cache lookups and cache fill gauges to
+it (a sharded parent merges its workers' copies, :data:`WORKER_METRICS`),
 :func:`read_outs` sets the percentile, rate and ratio gauges an export
 reads, and :func:`service_stats` reads the immutable
 :class:`ServiceStats` view the ``repro serve-bench`` report renders.
@@ -199,12 +200,14 @@ class StatsRecorder:
 
     Events that touch one instrument record through it directly
     (``recorder.timeouts.inc()``, ``recorder.queue_wait.observe(w)``);
-    the ``record_*`` methods cover events that touch several, or the
-    busy window behind ``throughput_rps``.  Nothing here grows with the
-    number of events.
+    the ``record_*`` methods cover events that touch several, pick one
+    of a family, or the busy window behind ``throughput_rps``.  Nothing
+    here grows with the number of events.  ``cache_levels`` names the
+    enabled caches whose lookups are counted (``cache.lookups{level,
+    outcome}``); a backend without caches passes none.
     """
 
-    def __init__(self, max_batch_size: int):
+    def __init__(self, max_batch_size: int, cache_levels=()):
         self.max_batch_size = int(max_batch_size)
         self.registry = registry = MetricsRegistry()
         requests = functools.partial(registry.counter, "serve.requests")
@@ -226,6 +229,13 @@ class StatsRecorder:
         self._batch_sizes = registry.histogram("serve.batch_size")
         self._groups = registry.counter("serve.prefix_groups")
         self._grouped = registry.counter("serve.grouped_requests")
+        self._lookups = {
+            (level, hit): registry.counter(
+                "cache.lookups", level=level, outcome="hit" if hit else "miss"
+            )
+            for level in cache_levels
+            for hit in (True, False)
+        }
         #: One ``ResilientService.submit`` call (availability's
         #: denominator), and its outcomes.
         self.logical = registry.counter("resilience.logical")
@@ -260,6 +270,10 @@ class StatsRecorder:
     def record_batch(self, batch_size: int) -> None:
         self._batches.inc()
         self._batch_sizes.observe(batch_size)
+
+    def record_lookup(self, level: str, hit: bool) -> None:
+        """One lookup in the ``level`` cache (``"prepare"``/``"result"``)."""
+        self._lookups[level, hit].inc()
 
     def record_group(self, width: int) -> None:
         """One shared-prompt lockstep decode serving ``width`` requests."""

@@ -225,6 +225,35 @@ class TestDurability:
         assert counts["records_quarantined"] >= 1
         assert counts["recoveries"] >= 1
 
+    def test_storage_metrics_scrape_without_compounding(self, tmp_path):
+        from repro.core.storage import (
+            integrity_counters,
+            load_events_jsonl,
+            reset_integrity_counters,
+        )
+        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import collect_storage_metrics
+
+        reset_integrity_counters()
+        assert set(integrity_counters().values()) == {0}
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"format": "repro-events", "kind": "k", "version": 2}\n'
+            '{"crc": 1, "rec": {}, "seq": 0}\n'
+        )
+        load_events_jsonl(path, kind="k", tolerate_partial=True)
+        registry = MetricsRegistry()
+        collect_storage_metrics(registry)
+        first = registry.snapshot()
+        collect_storage_metrics(registry)
+        assert registry.snapshot() == first == {
+            f"storage.{name}": count
+            for name, count in integrity_counters().items()
+        }
+        assert first["storage.crc_failures"] == 1
+        reset_integrity_counters()
+        assert set(integrity_counters().values()) == {0}
+
 
 class TestFsck:
     def test_verify_clean(self, probes, tmp_path):

@@ -127,7 +127,7 @@ class TestServiceChaosDrill:
         assert report.ok, report.render("chaos")
         run = report.first
         assert len(run.values) == 12 and run.stats.n_logical == 12
-        assert report.results[2].faults.snapshot() == run.faults.snapshot()
+        assert report.results[2].faults == run.faults
 
 
 class TestSessionsChaosDrill:

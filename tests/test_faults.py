@@ -6,9 +6,15 @@ bit-reproducible instead of flaky.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InjectedFaultError
-from repro.faults import DEFAULT_FAULT_PLAN, FaultInjector, FaultPlan
+from repro.faults import (
+    DEFAULT_FAULT_PLAN, FAULT_KINDS, FaultInjector, FaultPlan, fault_counts,
+    render_fault_counts,
+)
+from repro.obs import MetricsRegistry
 from repro.serve.cache import MISS, LRUCache
 
 
@@ -87,7 +93,7 @@ class TestFaultInjector:
             injector.before_request(7)
         assert excinfo.value.site == "serve"
         assert excinfo.value.key == 7
-        assert injector.stats.snapshot()["transient_errors"] == 1
+        assert fault_counts(injector.registry)["transient_errors"] == 1
 
     def test_eviction_storm_clears_caches(self):
         cache = LRUCache(8)
@@ -95,7 +101,7 @@ class TestFaultInjector:
         injector = FaultInjector(FaultPlan(seed=1, eviction_storm_rate=1.0))
         injector.before_request(0, caches=(cache, None))
         assert cache.peek("k") is MISS
-        assert injector.stats.snapshot()["evictions"] == 1
+        assert fault_counts(injector.registry)["evictions"] == 1
 
     def test_latency_spike_sleeps(self):
         slept = []
@@ -105,7 +111,7 @@ class TestFaultInjector:
         )
         injector.before_request(0)
         assert slept == [0.25]
-        assert injector.stats.snapshot()["latency_spikes"] == 1
+        assert fault_counts(injector.registry)["latency_spikes"] == 1
 
     def test_queue_stall_sleeps(self):
         slept = []
@@ -115,33 +121,52 @@ class TestFaultInjector:
         )
         injector.before_flush(1)
         assert slept == [0.125]
-        assert injector.stats.snapshot()["stalls"] == 1
+        assert fault_counts(injector.registry)["stalls"] == 1
 
     def test_cell_fault_raises(self):
-        injector = FaultInjector(FaultPlan(seed=1, cell_error_rate=1.0))
-        with pytest.raises(InjectedFaultError):
-            injector.before_cell(("SM", "random", 1, 0, 1))
-        assert injector.stats.snapshot()["cell_faults"] == 1
+        """Grid-cell faults are the plan's decision, which ``run_spec``
+        asks before running any probe (uncounted; the checkpoint/resume
+        tests crash whole grids on it)."""
+        from repro.core import quick_grid, run_spec
+
+        spec = quick_grid(sizes=("SM",), icl_counts=(1,), n_sets=1,
+                          seeds=(1,), selections=("random",))[0]
+        assert FaultPlan(seed=1, cell_error_rate=1.0).cell_fault(spec.cell_key)
+        assert not FaultPlan(seed=1).cell_fault(spec.cell_key)
+        with pytest.raises(InjectedFaultError) as excinfo:
+            run_spec(spec, fault_plan=FaultPlan(seed=1, cell_error_rate=1.0))
+        assert excinfo.value.site == "run_spec"
+        assert excinfo.value.key == spec.cell_key
 
     def test_quiet_plan_is_a_no_op(self):
         injector = FaultInjector(FaultPlan(seed=1))
         injector.before_request(0)
         injector.before_flush(0)
-        injector.before_cell(0)
-        assert injector.stats.total == 0
+        assert not injector.before_dispatch(0)
+        assert injector.on_telemetry_sample(0) == "keep"
+        assert sum(fault_counts(injector.registry).values()) == 0
 
-    def test_stats_rejects_unknown_kind(self):
-        injector = FaultInjector(FaultPlan())
-        with pytest.raises(ValueError):
-            injector.stats.record("nonsense")
+    def test_counts_into_the_given_registry(self):
+        registry = MetricsRegistry()
+        injector = FaultInjector(
+            FaultPlan(seed=1, shard_kill_rate=1.0), registry=registry
+        )
+        assert injector.registry is registry
+        assert injector.before_dispatch(3)
+        snap = registry.snapshot()
+        assert snap["faults.injected{kind=shard_kills}"] == 1
+        # Every kind is bound up front, so a quiet kind reads 0.
+        assert snap["faults.injected{kind=stalls}"] == 0
+        assert fault_counts(MetricsRegistry()) == dict.fromkeys(FAULT_KINDS, 0)
 
     def test_stats_render(self):
         injector = FaultInjector(FaultPlan(seed=1, transient_error_rate=1.0))
         with pytest.raises(InjectedFaultError):
             injector.before_request(0)
-        out = injector.stats.render()
+        out = render_fault_counts(fault_counts(injector.registry))
         assert "transient worker errors" in out
         assert "queue stalls" in out
+        assert "grid-cell faults" not in out
 
 
 class TestDiskFaults:
@@ -177,7 +202,7 @@ class TestDiskFaults:
         text = path.read_text()
         assert "0123456789\n".startswith(text)
         assert len(text) < 11  # a strict prefix: the write really tore
-        assert injector.stats.snapshot()["torn_writes"] == 1
+        assert fault_counts(injector.registry)["torn_writes"] == 1
 
     def test_enospc_lands_nothing(self, tmp_path):
         import errno
@@ -190,7 +215,7 @@ class TestDiskFaults:
                 wrapped.write("payload\n")
         assert err.value.errno == errno.ENOSPC
         assert path.read_text() == ""
-        assert injector.stats.snapshot()["enospc"] == 1
+        assert fault_counts(injector.registry)["enospc"] == 1
 
     def test_bitflip_corrupts_one_char_but_write_succeeds(self, tmp_path):
         injector = FaultInjector(FaultPlan(seed=3, bitflip_rate=1.0))
@@ -204,7 +229,7 @@ class TestDiskFaults:
         diffs = [i for i, (a, b) in enumerate(zip(payload, text)) if a != b]
         assert len(diffs) == 1
         assert "\n" not in text[:-1]  # never splits the record
-        assert injector.stats.snapshot()["bitflips"] == 1
+        assert fault_counts(injector.registry)["bitflips"] == 1
 
     def test_fsync_failure_raises_eio(self, tmp_path):
         import errno
@@ -216,7 +241,7 @@ class TestDiskFaults:
             with pytest.raises(OSError) as err:
                 wrapped.fsync()
         assert err.value.errno == errno.EIO
-        assert injector.stats.snapshot()["fsync_failures"] == 1
+        assert fault_counts(injector.registry)["fsync_failures"] == 1
 
     def test_fsync_passes_through_when_quiet(self, tmp_path):
         injector = FaultInjector(FaultPlan(seed=3, torn_write_rate=0.001))
@@ -248,7 +273,7 @@ class TestDiskFaults:
                     except OSError:
                         outcomes.append("enospc")
             path.unlink()
-            return outcomes, injector.stats.snapshot()
+            return outcomes, fault_counts(injector.registry)
 
         assert run() == run()
 
@@ -260,3 +285,67 @@ class TestDiskFaults:
         assert DEFAULT_FAULT_PLAN.transient_error(("probe", 3)) == FaultPlan(
             seed=20250806, transient_error_rate=0.08
         ).transient_error(("probe", 3))
+
+
+class TestCountsMatchDecisions:
+    """Every hook counts exactly the faults its plan decided."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rates=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                       min_size=10, max_size=10),
+        keys=st.lists(st.integers(-50, 10_000), max_size=30),
+    )
+    def test_counts_equal_pure_decisions(self, tmp_path_factory, seed,
+                                         rates, keys):
+        import errno
+
+        plan = FaultPlan(
+            seed=seed,
+            transient_error_rate=rates[0], latency_spike_rate=rates[1],
+            eviction_storm_rate=rates[2], queue_stall_rate=rates[3],
+            shard_kill_rate=rates[4], telemetry_drop_rate=rates[5],
+            telemetry_dup_rate=rates[6], torn_write_rate=rates[7],
+            bitflip_rate=rates[8], enospc_rate=rates[9],
+        )
+        injector = FaultInjector(plan, sleep=lambda s: None)
+        expected = dict.fromkeys(FAULT_KINDS, 0)
+        for key in keys:
+            expected["evictions"] += plan.eviction_storm(key)
+            expected["latency_spikes"] += plan.latency_spike(key) > 0
+            expected["transient_errors"] += plan.transient_error(key)
+            try:
+                injector.before_request(key, caches=(LRUCache(2),))
+            except InjectedFaultError:
+                pass
+            expected["stalls"] += plan.queue_stall(key) > 0
+            injector.before_flush(key)
+            expected["shard_kills"] += plan.shard_kill(key)
+            injector.before_dispatch(key)
+            drop = plan.telemetry_drop(key)
+            expected["telemetry_drops"] += drop
+            expected["telemetry_dups"] += not drop and plan.telemetry_dup(key)
+            injector.on_telemetry_sample(key)
+
+        # Storage writes, keyed on (name, site, op, byte position).
+        path = tmp_path_factory.mktemp("writes") / "f.txt"
+        with path.open("w") as fh:
+            wrapped = injector.wrap_file(fh, "site", "f.txt")
+            for key in keys:
+                data = f"record-{key}\n"
+                wkey = f"f.txt:site:write:{fh.tell()}"
+                if plan.enospc(wkey):
+                    expected["enospc"] += 1
+                elif plan.torn_write(wkey):
+                    expected["torn_writes"] += 1
+                elif plan.bitflip(wkey):
+                    expected["bitflips"] += 1
+                try:
+                    wrapped.write(data)
+                except InjectedFaultError:
+                    pass
+                except OSError as exc:
+                    assert exc.errno == errno.ENOSPC
+
+        assert fault_counts(injector.registry) == expected

@@ -323,13 +323,16 @@ class TestCollectServiceMetrics:
         assert snap["serve.requests{event=completed}"] == stats.n_completed
         assert snap["serve.batches"] == stats.n_batches
         assert snap["serve.latency_s{quantile=p95}"] == stats.p95_latency_s
-        # ...and the LRU cache counters.
-        assert snap["cache.lookups{level=result,outcome=hit}"] == rc.hits
-        assert snap["cache.lookups{level=result,outcome=miss}"] == rc.misses
+        # ...the lookups the service counted...
+        assert snap["cache.lookups{level=result,outcome=hit}"] == stats.result_hits
+        assert snap["cache.lookups{level=result,outcome=miss}"] == stats.result_misses
+        assert stats.result_hits + stats.result_misses == len(requests)
+        # ...and the caches' fill.
+        assert snap["cache.entries{level=result}"] == len(rc) == 2
         assert snap["cache.capacity{level=result}"] == rc.capacity
 
     def test_maps_faults_and_breakers(self, sm_dataset):
-        from repro.faults import FaultPlan
+        from repro.faults import FaultPlan, fault_counts
         from repro.serve import (
             PredictionService,
             Request,
@@ -359,7 +362,7 @@ class TestCollectServiceMetrics:
             )
             registry = collect_service_metrics(service, resilient=resilient)
             stats = service.stats()
-            faults = service.faults.stats.snapshot()
+            faults = fault_counts(service.metrics())
         snap = registry.snapshot()
         assert (
             snap["faults.injected{kind=transient_errors}"]

@@ -9,7 +9,7 @@ charges sampler stalls but not injector-dropped exports.
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, fault_counts
 from repro.obs import (
     BurnRatePolicy,
     TelemetrySampler,
@@ -144,7 +144,7 @@ class TestInjectedFates:
         sampler, injector = self._sampler(telemetry_drop_rate=0.3)
         results = [sampler.sample() for _ in range(20)]
         drops = sum(1 for r in results if r is None)
-        assert drops == injector.stats.snapshot()["telemetry_drops"] > 0
+        assert drops == fault_counts(injector.registry)["telemetry_drops"] > 0
         seqs = [r["seq"] for r in sampler.records()]
         # Dropped seqs are holes, never reused.
         assert len(set(seqs)) == len(seqs) == 20 - drops
@@ -153,7 +153,7 @@ class TestInjectedFates:
         sampler, injector = self._sampler(telemetry_dup_rate=0.3)
         for _ in range(20):
             sampler.sample()
-        dups = injector.stats.snapshot()["telemetry_dups"]
+        dups = fault_counts(injector.registry)["telemetry_dups"]
         assert dups > 0
         assert len(sampler.records()) == 20 + dups
 
@@ -202,7 +202,7 @@ class TestTimelineIO:
         path = tmp_path / "lossy.jsonl"
         sampler.export_jsonl(path)
         timeline = load_telemetry(path)
-        snap = injector.stats.snapshot()
+        snap = fault_counts(injector.registry)
         assert timeline.report.n_duplicates == snap["telemetry_dups"] > 0
         # Range-based accounting cannot see a drop at the seq boundary,
         # so the detected count is a lower bound on the injected one.

@@ -35,8 +35,6 @@ class TestLRUCache:
         assert c.get("k") is MISS
         c.put("k", 42)
         assert c.get("k") == 42
-        assert c.hits == 1 and c.misses == 1
-        assert c.hit_rate == 0.5
 
     def test_capacity_evicts_least_recent(self):
         c = LRUCache(2)
@@ -59,7 +57,7 @@ class TestLRUCache:
         c = LRUCache(2)
         c.put("k", None)
         assert c.get("k") is None
-        assert c.hits == 1
+        assert c.get("other") is MISS
 
     def test_len_and_clear(self):
         c = LRUCache(8)
@@ -68,16 +66,11 @@ class TestLRUCache:
         assert len(c) == 5
         c.clear()
         assert len(c) == 0
-        # Counters survive a clear (they describe lifetime traffic).
-        c.get(0)
-        assert c.misses == 1
+        assert c.get(0) is MISS
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             LRUCache(0)
-
-    def test_hit_rate_empty(self):
-        assert LRUCache(1).hit_rate == 0.0
 
     def test_peek_has_no_side_effects(self):
         c = LRUCache(2)
@@ -85,67 +78,10 @@ class TestLRUCache:
         c.put("a", 1)
         c.put("b", 2)
         assert c.peek("a") == 1
-        # peek recorded nothing and did not refresh recency: "a" is still
-        # the least recent entry and gets evicted next.
-        assert c.hits == 0 and c.misses == 0
+        # peek did not refresh recency: "a" is still the least recent
+        # entry and gets evicted next.
         c.put("c", 3)
         assert c.peek("a") is MISS
-
-    def test_snapshot_matches_properties(self):
-        c = LRUCache(4)
-        c.put("a", 1)
-        c.get("a")
-        c.get("b")
-        assert c.snapshot() == (1, 1, 1)
-        assert c.snapshot() == (c.hits, c.misses, len(c))
-
-    def test_snapshot_consistent_under_contention(self):
-        """``snapshot()`` must be one locked read: hits + misses can
-        never exceed the number of reads issued so far, and together
-        with size must never tear (separate property reads around a
-        concurrent lookup can report a hit rate above 1.0)."""
-        c = LRUCache(16)
-        stop = threading.Event()
-        reads_issued = [0]
-        errors = []
-
-        def mutate():
-            i = 0
-            while not stop.is_set():
-                c.put(i % 24, i)
-                reads_issued[0] += 1
-                c.get((i * 7) % 24)
-                i += 1
-
-        def observe():
-            try:
-                while not stop.is_set():
-                    hits, misses, size = c.snapshot()
-                    if hits < 0 or misses < 0:
-                        raise AssertionError("negative counter")
-                    if not 0 <= size <= 16:
-                        raise AssertionError(f"size {size} out of bounds")
-                    # reads_issued is sampled *after* the snapshot, so it
-                    # is always >= the reads the snapshot could have seen.
-                    if hits + misses > reads_issued[0]:
-                        raise AssertionError(
-                            f"torn snapshot: {hits}+{misses} reads "
-                            f"recorded, only {reads_issued[0]} issued"
-                        )
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        writer = threading.Thread(target=mutate)
-        readers = [threading.Thread(target=observe) for _ in range(2)]
-        writer.start()
-        for r in readers:
-            r.start()
-        writer.join(0.5)
-        stop.set()
-        writer.join()
-        for r in readers:
-            r.join()
-        assert not errors
 
     def test_thread_safety_smoke(self):
         c = LRUCache(64)
@@ -173,17 +109,15 @@ class TestLRUCache:
         """Concurrency audit: invariants under a seeded multi-thread storm.
 
         Every value stored is a pure function of its key, so any read
-        returning something else is a lost/torn update.  Hit/miss
-        counters must add up to exactly the number of reads issued, and
-        the size bound must hold at the end — a racy eviction loop is
-        what would break it.
+        returning something else is a lost/torn update, and the size
+        bound must hold at the end — a racy eviction loop is what would
+        break it.
         """
         import numpy as np
 
         capacity, n_threads, n_ops = 32, 8, 3000
         c = LRUCache(capacity)
         errors = []
-        gets_done = [0] * n_threads
         start = threading.Barrier(n_threads)
 
         def value_of(key):
@@ -206,7 +140,6 @@ class TestLRUCache:
                                 f"lost update: peek({key}) -> {got}"
                             )
                     else:
-                        gets_done[t] += 1
                         got = c.get(key)
                         if got is not MISS and got != value_of(key):
                             raise AssertionError(
@@ -225,5 +158,3 @@ class TestLRUCache:
             t.join()
         assert not errors
         assert 0 < len(c) <= capacity
-        # No lost counter updates: every get recorded exactly once.
-        assert c.hits + c.misses == sum(gets_done)

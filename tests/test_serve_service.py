@@ -6,6 +6,7 @@ between served predictions and direct surrogate calls, which is what lets
 the experiment runner route paper grids through the service.
 """
 
+import threading
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+from repro.faults import fault_counts
 from repro.serve import PredictionService, Request
 
 
@@ -388,6 +390,72 @@ class TestAdmissionHits:
         assert (stats.result_hits, stats.result_misses) == (1, 1)
         assert again.prediction is first.prediction
 
+    def test_evicted_admission_hit_counts_as_a_hit(self, sm_dataset, examples):
+        """An entry evicted between the admission peek and the counted
+        lookup is still served, and counted as the hit it was."""
+        with PredictionService() as svc:
+            req = make_request(sm_dataset, examples, seed=12)
+            first = svc.submit(req)
+            cache = svc.result_cache
+            get = cache.get
+
+            def evict_then_get(key):
+                cache.clear()
+                return get(key)
+
+            cache.get = evict_then_get
+            again = svc.submit(req)
+            stats = svc.stats()
+        assert again.result_cache_hit
+        assert again.prediction is first.prediction
+        assert (stats.result_hits, stats.result_misses) == (1, 1)
+
+    def test_lookup_counts_add_up_under_contention(
+        self, sm_dataset, examples
+    ):
+        """Every request makes exactly one counted result lookup, with
+        submitters racing each other and a scraper reading throughout:
+        no scrape sees more lookups than submits issued so far."""
+        requests = [
+            make_request(sm_dataset, examples, query=q % 6, seed=q % 2)
+            for q in range(48)
+        ]
+        issued = []  # list.append: atomic across submitter threads
+        errors = []
+        stop = threading.Event()
+
+        def submit(part):
+            for request in part:
+                issued.append(1)
+                svc.submit(request)
+
+        def scrape():
+            while not stop.is_set():
+                stats = svc.stats()
+                lookups = stats.result_hits + stats.result_misses
+                # issued is read after the scrape, so it bounds what
+                # the scrape could have seen.
+                if lookups > len(issued):
+                    errors.append((lookups, len(issued)))
+
+        with PredictionService(max_batch_size=4, workers=2) as svc:
+            scraper = threading.Thread(target=scrape)
+            scraper.start()
+            submitters = [
+                threading.Thread(target=submit, args=(requests[t::4],))
+                for t in range(4)
+            ]
+            for t in submitters:
+                t.start()
+            for t in submitters:
+                t.join(timeout=60)
+            stop.set()
+            scraper.join(timeout=60)
+            stats = svc.stats()
+        assert not any(t.is_alive() for t in [scraper, *submitters])
+        assert not errors
+        assert stats.result_hits + stats.result_misses == len(requests)
+
     def test_closed_service_rejects_a_hit(self, sm_dataset, examples):
         svc = PredictionService()
         req = make_request(sm_dataset, examples, seed=13)
@@ -429,7 +497,7 @@ class TestAdmissionHits:
                     hits += svc.submit(req).result_cache_hit
                 except ServiceError:
                     failed += 1
-            got = svc.faults.stats.snapshot()
+            got = fault_counts(svc.metrics())
         want = {
             "evictions": sum(plan.eviction_storm(i) for i in range(n)),
             "latency_spikes": sum(
@@ -494,7 +562,7 @@ class TestCachedResponseIds:
                         outcomes.append(svc.submit(req).prediction.value)
                     except ServiceError:
                         outcomes.append(None)
-                faults = svc.faults.stats.snapshot()
+                faults = fault_counts(svc.metrics())
             return outcomes, faults
 
         plain_outcomes, plain_faults = run(False)

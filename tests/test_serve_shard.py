@@ -359,6 +359,34 @@ class TestShardDeath:
         with pytest.raises(ServiceClosedError):
             service.submit(request)
 
+    def test_shard_kills_count_the_planned_dispatches(
+        self, sm_dataset, examples
+    ):
+        """The parent's injector kills (and counts) exactly the dispatch
+        indices the plan selects; the merged metrics carry the count."""
+        from repro.faults import FaultInjector, FaultPlan, fault_counts
+
+        plan = FaultPlan(seed=1, shard_kill_rate=0.2)
+        n = 10
+        planned = [i for i in range(n) if plan.shard_kill(i)]
+        assert planned == [2, 4, 7]
+        crashed = []
+        with make_service(
+            shards=2, max_restarts=n, fault_plan=plan
+        ) as service:
+            assert isinstance(service.faults, FaultInjector)
+            for i in range(n):
+                try:
+                    service.submit(
+                        make_request(sm_dataset, examples, query=i, seed=i)
+                    )
+                except ShardCrashError:
+                    crashed.append(i)
+            counts = fault_counts(service.metrics())
+        assert crashed == planned
+        assert counts["shard_kills"] == len(planned)
+        assert sum(counts.values()) == len(planned)
+
     def test_grid_resumes_bit_identical_after_shard_kill(self, tmp_path):
         """Satellite: kill every shard mid-grid, assert the typed
         failure, then resume the checkpoint on a fresh sharded service —
