@@ -3,9 +3,9 @@
 The workload mirrors what :func:`repro.core.runner.run_grid` produces: a
 block of queries sharing one long ICL prefix (30 examples), each scored
 under several sampling seeds.  The warm configuration decodes through the
-prepared-prefix snapshot and the engine's lockstep batch kernel; the cold
-configuration is the pre-reuse scalar path (``prefix_cache=False``, one
-``predict_parts`` per seed).  Predictions must be identical between the
+prepared-prefix snapshot and decodes each query's seeds in one lockstep
+batch; the cold configuration is the pre-reuse path (``prefix_cache=False``,
+one ``predict_parts`` — a group of one — per seed).  Predictions must be identical between the
 two — the speedup may not cost a single bit.
 
 Run explicitly (deselected from tier-1 by the ``slow`` marker):

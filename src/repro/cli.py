@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="reuse prepared prompt-prefix snapshots and group "
         "same-prompt requests into lockstep batch decodes "
-        "(--no-prefix-cache measures the cold scalar path)",
+        "(--no-prefix-cache measures the cold per-request path)",
     )
     p.add_argument(
         "--no-baseline", action="store_true",

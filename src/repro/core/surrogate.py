@@ -157,13 +157,7 @@ class DiscriminativeSurrogate:
             Optional memoized :meth:`SurrogateLM.prepare` result for this
             prompt (must match ``parts.ids``); forwarded to the engine.
         """
-        trace = self.engine.generate(
-            parts.ids,
-            seed=seed,
-            analysis=analysis,
-            prefix=self.prepared_prefix(parts),
-        )
-        return self._prediction_from_trace(parts, trace, seed)
+        return self.predict_parts_batch(parts, [seed], analysis=analysis)[0]
 
     def predict_parts_batch(
         self,
@@ -173,9 +167,9 @@ class DiscriminativeSurrogate:
     ) -> list[SurrogatePrediction]:
         """One prediction per seed for a single built prompt.
 
-        Decodes all seeds through the engine's lockstep batch kernel
-        (sharing the seed-independent content pass per step); each
-        prediction is identical to ``predict_parts(parts, seed=s)``.
+        Decodes all seeds through the engine's lockstep loop (sharing the
+        seed-independent content pass per step); each prediction depends
+        on its own seed alone.
         """
         traces = self.engine.generate_batch(
             parts.ids,

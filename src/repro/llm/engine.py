@@ -47,8 +47,8 @@ class GenerationEngine:
     ) -> GenerationTrace:
         """Generate a completion for ``prompt_ids`` under ``seed``.
 
-        Decoding stops at the first end-of-turn token, at a newline after
-        the value has begun, or at ``max_new_tokens``.
+        A single seed decodes as a group of one:
+        ``generate_batch(prompt_ids, [seed], ...)[0]``.
 
         Determinism contract: generation is a pure function of
         ``(prompt_ids, seed, self.sampling, self.max_new_tokens)`` plus the
@@ -56,9 +56,10 @@ class GenerationEngine:
         Identical (prompt, seed, sampling) triples are bit-reproducible —
         every step's candidate ids, logits, and sampled choice are equal
         across repeated calls and across processes, whether or not a
-        prepared ``prefix`` was supplied.  The result cache in
-        :mod:`repro.serve` memoizes full predictions on exactly this key,
-        and ``tests/test_engine_determinism.py`` pins the contract.
+        prepared ``prefix`` was supplied, and whichever other seeds share
+        the decode.  The result cache in :mod:`repro.serve` memoizes full
+        predictions on exactly this key, and
+        ``tests/test_engine_determinism.py`` pins the contract.
 
         Parameters
         ----------
@@ -78,94 +79,37 @@ class GenerationEngine:
             then processes only the delta past the prefix, bit-identical
             to the cold path.
         """
-        prompt = np.asarray(prompt_ids, dtype=np.int64)
-        if prompt.size == 0:
-            raise GenerationError("cannot generate from an empty prompt")
-        if prefix is not None and not prefix.extends(prompt):
-            raise GenerationError(
-                "prepared prefix does not match the prompt "
-                f"(prefix length {prefix.length}, prompt length {prompt.size})"
-            )
-        with get_tracer().span(
-            "llm.generate",
-            seed=int(seed),
-            n_prompt_tokens=int(prompt.size),
-            prefix_reused=prefix is not None,
-        ) as span:
-            vocab = self.model.vocab
-            rng = rng_from(seed, "sampling")
-            trace = GenerationTrace(prompt_ids=prompt, seed=int(seed))
-            context = prompt.copy()
-            generated_strings: list[str] = []
-            value_started = False
-            if analysis is None:
-                analysis = self.model.prepare(prompt, prefix=prefix)
-
-            for step in range(self.max_new_tokens):
-                ids, logits = self.model.next_token_logits(
-                    context,
-                    generated_strings,
-                    sample_seed=seed,
-                    step=step,
-                    analysis=analysis,
-                    prefix=prefix,
-                )
-                pos = sample_token(ids, logits, self.sampling, rng)
-                trace.steps.append(
-                    GenerationStep(
-                        candidate_ids=ids, logits=logits, chosen_position=pos
-                    )
-                )
-                chosen = int(ids[pos])
-                token_str = vocab.string_of(chosen)
-                context = np.append(context, chosen)
-                generated_strings.append(token_str)
-
-                if chosen == vocab.specials.eot or chosen == vocab.specials.end_of_text:
-                    break
-                if token_str.isdigit():
-                    value_started = True
-                elif value_started and not (token_str == "." or token_str.isdigit()):
-                    # Value terminated by a non-numeric token (e.g. newline).
-                    break
-            span.set(n_new_tokens=len(trace.steps))
-            return trace
+        return self.generate_batch(
+            prompt_ids, [seed], analysis=analysis, prefix=prefix
+        )[0]
 
     def generate_batch(
         self, prompt_ids, seeds, analysis=None, prefix=None
     ) -> list[GenerationTrace]:
         """Generate one completion per seed for a single shared prompt.
 
-        Decodes all seeds in lockstep: at each step, seeds whose
-        generated-so-far token sequences coincide share one call into
-        :meth:`SurrogateLM.next_token_logits_batch` (the vectorized
-        kernel), so the seed-independent content pass runs once per
-        distinct decode state instead of once per seed.  Each returned
-        trace is bit-identical to ``generate(prompt_ids, seed=s, ...)``
-        for its seed — same candidate ids, logits, and chosen tokens.
-
-        Singleton batches short-circuit to the scalar path (no batch
-        bookkeeping overhead), as do empty seed lists.
+        The one decode loop.  All seeds decode in lockstep: at each step,
+        seeds whose generated-so-far token sequences coincide share one
+        call into :meth:`SurrogateLM.next_token_logits_batch`, so the
+        seed-independent content pass runs once per distinct decode state
+        instead of once per seed.  Each seed stops at the first
+        end-of-turn token, at a non-numeric token after the value has
+        begun, or at ``max_new_tokens``.  Each returned trace depends on
+        its own seed alone (see :meth:`generate`).
         """
         prompt = np.asarray(prompt_ids, dtype=np.int64)
         if prompt.size == 0:
             raise GenerationError("cannot generate from an empty prompt")
-        seeds = [int(s) for s in seeds]
-        if not seeds:
-            return []
-        if len(seeds) == 1:
-            return [
-                self.generate(
-                    prompt, seed=seeds[0], analysis=analysis, prefix=prefix
-                )
-            ]
         if prefix is not None and not prefix.extends(prompt):
             raise GenerationError(
                 "prepared prefix does not match the prompt "
                 f"(prefix length {prefix.length}, prompt length {prompt.size})"
             )
+        seeds = [int(s) for s in seeds]
+        if not seeds:
+            return []
         with get_tracer().span(
-            "llm.generate_batch",
+            "llm.generate",
             n_seeds=len(seeds),
             n_prompt_tokens=int(prompt.size),
             prefix_reused=prefix is not None,
@@ -174,7 +118,7 @@ class GenerationEngine:
             if analysis is None:
                 analysis = self.model.prepare(prompt, prefix=prefix)
             states = [_DecodeState(seed, prompt) for seed in seeds]
-            group_widths: list[int] = []
+            n_kernel_calls = 0
             for step in range(self.max_new_tokens):
                 live = [st for st in states if not st.done]
                 if not live:
@@ -193,26 +137,19 @@ class GenerationEngine:
                         analysis=analysis,
                         prefix=prefix,
                     )
-                    group_widths.append(len(members))
+                    n_kernel_calls += 1
                     for st, (ids, logits) in zip(members, results):
                         st.advance(ids, logits, self.sampling, vocab)
             span.set(
-                n_kernel_calls=len(group_widths),
-                mean_group_width=(
-                    sum(group_widths) / len(group_widths)
-                    if group_widths
-                    else 0.0
-                ),
+                n_new_tokens=sum(len(st.trace.steps) for st in states),
+                n_kernel_calls=n_kernel_calls,
             )
             return [st.trace for st in states]
 
 
 class _DecodeState:
-    """Per-seed decoding state for :meth:`GenerationEngine.generate_batch`.
-
-    Mirrors the scalar loop's locals exactly (context growth, termination
-    conditions) so lockstep decoding stays bit-identical per seed.
-    """
+    """One seed's decoding state in :meth:`GenerationEngine.generate_batch`:
+    its sampling stream, its trace, and its context so far."""
 
     def __init__(self, seed: int, prompt: np.ndarray):
         self.seed = seed
@@ -225,7 +162,7 @@ class _DecodeState:
         self.done = False
 
     def advance(self, ids, logits, sampling, vocab) -> None:
-        """Sample one token and apply the scalar loop's termination rules."""
+        """Sample one token and apply the termination rules."""
         pos = sample_token(ids, logits, sampling, self.rng)
         self.trace.steps.append(
             GenerationStep(candidate_ids=ids, logits=logits, chosen_position=pos)

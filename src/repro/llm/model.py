@@ -237,14 +237,10 @@ class SurrogateLM:
             Token ids (sorted ascending) and their logits, restricted to
             the "nonzero" support after the probability floor.
         """
-        ctx = np.asarray(context, dtype=np.int64)
-        if ctx.size == 0:
-            raise GenerationError("cannot score an empty context")
-        ids, probs = self._content_probs(ctx, generated_strings, analysis, prefix)
-        if probs is None:
-            # Degenerate context: fall back to ending the turn.
-            return ids, np.zeros(1)
-        return self._finalize_logits(ids, probs, sample_seed, step)
+        return self.next_token_logits_batch(
+            context, generated_strings, [sample_seed], step,
+            analysis=analysis, prefix=prefix,
+        )[0]
 
     def next_token_logits_batch(
         self,
@@ -258,45 +254,21 @@ class SurrogateLM:
         """Sparse logits for one context under many sampling seeds.
 
         The seed-independent content pass (scorer mixture, prior bias,
-        noise mix) runs once; the per-seed jitter is drawn for all seeds
-        and applied in a single vectorized numpy pass over a
-        ``(n_seeds, support)`` matrix.  Every row is bit-identical to the
-        corresponding scalar :meth:`next_token_logits` call — the matrix
-        ops (correctly-rounded ``+``/``*``, exact ``max``) cannot diverge
-        from their 1-D counterparts, and the row-wise softmax/floor runs
-        on contiguous rows exactly as the scalar path does.
+        noise mix) runs once; each seed then gets its own jitter,
+        re-softmax and support selection (:meth:`_finalize_logits`), so a
+        row depends on its own seed alone, whichever seeds share the call.
         """
-        cfg = self.config
         ctx = np.asarray(context, dtype=np.int64)
         if ctx.size == 0:
             raise GenerationError("cannot score an empty context")
-        seeds = [int(s) for s in sample_seeds]
-        if not seeds:
-            return []
         ids, probs = self._content_probs(ctx, generated_strings, analysis, prefix)
         if probs is None:
-            return [(ids, np.zeros(1)) for _ in seeds]
-        if cfg.seed_jitter > 0 and len(seeds) > 1:
-            base = np.log(probs + 1e-300)
-            jitter = np.stack(
-                [
-                    rng_from(
-                        self.model_seed, "seed-jitter", s, int(step)
-                    ).standard_normal(ids.size)
-                    for s in seeds
-                ]
-            )
-            logit_rows = base[np.newaxis, :] + cfg.seed_jitter * jitter
-            row_max = logit_rows.max(axis=1)
-            out = []
-            for k in range(len(seeds)):
-                logits = logit_rows[k]
-                z = logits - row_max[k]
-                row_probs = np.exp(z)
-                row_probs /= row_probs.sum()
-                out.append(self._select_support(ids, logits, row_probs))
-            return out
-        return [self._finalize_logits(ids, probs, s, step) for s in seeds]
+            # Degenerate context: fall back to ending the turn.
+            return [(ids, np.zeros(1)) for _ in sample_seeds]
+        return [
+            self._finalize_logits(ids, probs, int(s), step)
+            for s in sample_seeds
+        ]
 
     # ------------------------------------------------------------------ #
     def _content_probs(

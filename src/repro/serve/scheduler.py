@@ -70,6 +70,9 @@ class Ticket:
     prompt parts, fingerprint, result key), so the batch worker never
     rebuilds the prompt; ``None`` when admission left the lookup to the
     worker.
+
+    ``counted`` is set once the request counts as submitted (see
+    :meth:`repro.serve.stats.StatsRecorder.record_submit_once`).
     """
 
     request_id: int
@@ -80,6 +83,7 @@ class Ticket:
     trace_parent: int | None = None
     group_key: str = ""
     lookup: object = None
+    counted: bool = False
 
 
 class _Sentinel:

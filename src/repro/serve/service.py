@@ -180,8 +180,8 @@ class PredictionService(ServiceBase):
         of prepared-prefix snapshots, flush batches are sorted so
         same-prompt tickets sit adjacently, and such tickets (differing
         only by seed) share one lockstep batch decode.  Off, every
-        request generates through the scalar cold path — bit-identical
-        results either way (the benchmark's baseline).  An explicitly
+        request decodes alone on the cold path — bit-identical results
+        either way (the benchmark's baseline).  An explicitly
         passed ``surrogate`` keeps its own prefix-cache setting.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` activating deterministic
@@ -289,7 +289,7 @@ class PredictionService(ServiceBase):
         except Exception:
             self._stats.rejected.inc()
             raise
-        self._stats.record_submit()
+        self._stats.record_submit_once(ticket)
         return ticket.future
 
     def _fault_due(self, request_id: int) -> bool:
@@ -312,6 +312,7 @@ class PredictionService(ServiceBase):
         admitted_at: float,
     ) -> Future:
         """Answer a result-cache hit on the submitting thread."""
+        self._stats.record_submit()
         tracer = get_tracer()
         with tracer.span(
             "serve.request",
@@ -336,7 +337,6 @@ class PredictionService(ServiceBase):
             result_cache_hit=True,
             batch_size=1,
         )
-        self._stats.record_submit()
         self._stats.record_done(response.latency_s)
         future: Future = Future()
         future.set_result(response)
@@ -416,8 +416,7 @@ class PredictionService(ServiceBase):
     def _execute_batch(self, batch: list[Ticket]) -> None:
         """Resolve every ticket of one batch (the scheduler's callback)."""
         self._stats.record_batch(len(batch))
-        # Singleton batches skip group planning entirely: there is
-        # nothing to share, and the scalar path has no plan overhead.
+        # Singleton batches skip group planning: there is nothing to share.
         plan = (
             self._group_plan(batch)
             if self.enable_prefix_cache and len(batch) > 1
@@ -426,6 +425,7 @@ class PredictionService(ServiceBase):
         for ticket in batch:
             if not ticket.future.set_running_or_notify_cancel():
                 continue  # caller gave up (timeout) before we started
+            self._stats.record_submit_once(ticket)
             try:
                 response = self._serve_one(
                     ticket,
@@ -634,20 +634,17 @@ class PredictionService(ServiceBase):
                 if not prepare_hit:
                     analysis = surrogate.model.prepare(parts.ids)
                     self.prepare_cache.put(fingerprint, analysis)
+        # A solo miss decodes as a group of one; a group's leader decodes
+        # every member seed in one lockstep batch and stashes the
+        # predictions for its followers.
+        seeds = [seed] if group is None else group.seeds
         with tracer.span("serve.generate") as gen:
-            if group is None:
-                prediction = surrogate.predict_parts(
-                    parts, seed=seed, analysis=analysis
-                )
-                return prediction, prepare_hit, 1
-            # Leader: decode every member seed in one lockstep batch;
-            # followers consume the stash.
             predictions = surrogate.predict_parts_batch(
-                parts, group.seeds, analysis=analysis
+                parts, seeds, analysis=analysis
             )
-            group.stash = {
-                int(s): pred for s, pred in zip(group.seeds, predictions)
-            }
+            if group is None:
+                return predictions[0], prepare_hit, 1
+            group.stash = dict(zip(seeds, predictions))
             gen.set(group_width=group.width)
             self._stats.record_group(group.width)
             return group.stash[seed], prepare_hit, group.width

@@ -90,11 +90,27 @@ __all__ = ["ShardedPredictionService", "make_service", "route_shard"]
 #: Watchdog poll period: how quickly a dead worker is noticed.
 _WATCHDOG_POLL_S = 0.05
 
-#: Per-attempt wait while cooperatively block-putting into a full inbox.
-_BLOCK_PUT_POLL_S = 0.05
+#: Poll period while cooperatively block-putting into a full inbox.
+_BLOCK_PUT_POLL_S = 0.005
+
+#: Bound on each shard's inbox (tickets dispatched but not yet picked up
+#: by the worker).  A full inbox raises
+#: :class:`~repro.errors.ServiceOverloadedError` on non-blocking submits,
+#: mirroring the single-process admission queue.
+SHARD_QUEUE_CAPACITY = 64
+
+#: Rendezvous-hash seed; fixed, so routing — and thus per-shard cache
+#: populations — is reproducible across runs.
+ROUTE_SEED = 0
+
+#: :class:`ShardedPredictionService` options with no in-process meaning,
+#: which :func:`make_service` drops at 0 shards.
+_SHARDED_ONLY = ("max_restarts", "stats_timeout_s")
 
 
-def route_shard(prompt_key: str, n_shards: int, route_seed: int = 0) -> int:
+def route_shard(
+    prompt_key: str, n_shards: int, route_seed: int = ROUTE_SEED
+) -> int:
     """Rendezvous-hash a prompt key onto one of ``n_shards`` shards.
 
     Pure function of ``(route_seed, prompt_key, shard index)``: every
@@ -300,7 +316,7 @@ class _Inflight:
     """Parent-side record of one ticket dispatched to a shard."""
 
     __slots__ = ("future", "shard", "generation", "enqueued_at",
-                 "trace_parent")
+                 "trace_parent", "counted")
 
     def __init__(
         self, shard: int, generation: int, trace_parent: int | None = None
@@ -312,6 +328,9 @@ class _Inflight:
         #: Parent-side ``shard.submit`` span id (None when untraced);
         #: the retroactive ``shard.roundtrip`` span parents to it.
         self.trace_parent = trace_parent
+        #: Set once the ticket counts as submitted
+        #: (:meth:`~repro.serve.stats.StatsRecorder.record_submit_once`).
+        self.counted = False
 
 
 class _ShardSlot:
@@ -340,12 +359,9 @@ class ShardedPredictionService(ServiceBase):
     ----------
     shards:
         Worker-process count (>= 1; use :func:`make_service` for the
-        "0 means in-process" convention).
-    shard_queue_capacity:
-        Bound on each shard's inbox (tickets dispatched but not yet
-        picked up by the worker).  A full inbox raises
-        :class:`~repro.errors.ServiceOverloadedError` on non-blocking
-        submits, mirroring the single-process admission queue.
+        "0 means in-process" convention).  Each shard's inbox holds
+        :data:`SHARD_QUEUE_CAPACITY` tickets, and requests route by
+        :func:`route_shard` under :data:`ROUTE_SEED`.
     max_restarts:
         Per-shard respawn budget after crashes; beyond it the shard is
         failed permanently and submissions routed to it raise
@@ -359,9 +375,6 @@ class ShardedPredictionService(ServiceBase):
         :class:`~repro.faults.FaultInjector` (shard kills and telemetry
         faults, counted in the parent's registry);
         ``fault_counts(service.metrics())`` adds every worker's.
-    route_seed:
-        Rendezvous-hash seed (fixed default keeps routing — and thus
-        per-shard cache populations — reproducible across runs).
     **service_kwargs:
         Forwarded verbatim to each worker's
         :class:`PredictionService` (``max_batch_size``, ``workers``,
@@ -380,10 +393,8 @@ class ShardedPredictionService(ServiceBase):
         self,
         shards: int,
         *,
-        shard_queue_capacity: int = 64,
         max_restarts: int = 2,
         fault_plan: FaultPlan | None = None,
-        route_seed: int = 0,
         stats_timeout_s: float = 2.0,
         **service_kwargs,
     ):
@@ -392,11 +403,6 @@ class ShardedPredictionService(ServiceBase):
         if stats_timeout_s <= 0:
             raise ServiceError(
                 f"stats_timeout_s must be > 0, got {stats_timeout_s}"
-            )
-        if shard_queue_capacity < 1:
-            raise ServiceError(
-                "shard_queue_capacity must be >= 1, "
-                f"got {shard_queue_capacity}"
             )
         if max_restarts < 0:
             raise ServiceError(
@@ -414,9 +420,7 @@ class ShardedPredictionService(ServiceBase):
         #: running sub-second sampler intervals lower this so a shard
         #: dying mid-scrape cannot stall the timeline past its gap bound.
         self.stats_timeout_s = float(stats_timeout_s)
-        self.route_seed = int(route_seed)
         self._service_kwargs = dict(service_kwargs)
-        self._shard_queue_capacity = int(shard_queue_capacity)
         self._max_restarts = int(max_restarts)
         self._stats = StatsRecorder(
             max_batch_size=service_kwargs.get("max_batch_size", 8)
@@ -434,10 +438,6 @@ class ShardedPredictionService(ServiceBase):
             FaultInjector(fault_plan, registry=registry)
             if fault_plan is not None else None
         )
-        #: The caches live inside the worker replicas; the façade keeps
-        #: the attributes for API parity.
-        self.prepare_cache = None
-        self.result_cache = None
         #: Tracer that absorbs worker span shipments; captured at traced
         #: submits so stitching survives a scoped use_tracer exit.
         self._trace_sink: Tracer | None = None
@@ -497,9 +497,7 @@ class ShardedPredictionService(ServiceBase):
         if self._closed.is_set():
             self._stats.closed_rejects.inc()
             raise ServiceClosedError("service is shut down")
-        shard_idx = route_shard(
-            request.prompt_key, self.n_shards, self.route_seed
-        )
+        shard_idx = route_shard(request.prompt_key, self.n_shards)
         dispatch = next(self._dispatches)
         ticket_id = next(self._ids)
         span.set(shard=shard_idx, ticket=ticket_id)
@@ -518,30 +516,33 @@ class ShardedPredictionService(ServiceBase):
         msg = ("req", ticket_id, request, span.span_id)
         if block:
             self._blocking_put(slot, entry, ticket_id, msg)
-        else:
-            if inbox is None:
-                # Shard mid-respawn: its replacement inbox isn't wired
-                # up yet.  For a non-blocking caller that's the same as
-                # a full queue — shed instead of waiting.
-                with self._lock:
-                    self._inflight.pop(ticket_id, None)
-                self._stats.rejected.inc()
-                raise ServiceOverloadedError(
-                    self._shard_queue_capacity,
-                    depth=self._shard_queue_capacity,
-                )
+        elif inbox is None or not self._put(inbox, entry, msg):
+            # A full inbox, or a shard mid-respawn (its replacement inbox
+            # isn't wired up yet): a non-blocking caller is shed.
+            with self._lock:
+                self._inflight.pop(ticket_id, None)
+            self._stats.rejected.inc()
+            raise ServiceOverloadedError(
+                SHARD_QUEUE_CAPACITY,
+                depth=(SHARD_QUEUE_CAPACITY if inbox is None
+                       else _inbox_depth(inbox, SHARD_QUEUE_CAPACITY)),
+            )
+        return entry.future
+
+    def _put(self, inbox, entry: _Inflight, msg: tuple) -> bool:
+        """Enqueue a request and count its submit; False if ``inbox`` is full.
+
+        Both happen under the lock stats requests are enqueued under, so
+        a worker's stats reply never counts a lookup whose submit the
+        parent has not counted.
+        """
+        with self._lock:
             try:
                 inbox.put_nowait(msg)
             except queue.Full:
-                with self._lock:
-                    self._inflight.pop(ticket_id, None)
-                self._stats.rejected.inc()
-                raise ServiceOverloadedError(
-                    self._shard_queue_capacity,
-                    depth=_inbox_depth(inbox, self._shard_queue_capacity),
-                ) from None
-        self._stats.record_submit()
-        return entry.future
+                return False
+            self._stats.record_submit_once(entry)
+            return True
 
     def _blocking_put(self, slot, entry, ticket_id, msg) -> None:
         """Cooperatively wait for inbox space, tracking shard liveness.
@@ -563,14 +564,10 @@ class ShardedPredictionService(ServiceBase):
                 )
             with self._lock:
                 inbox = slot.inbox
-            if inbox is None:  # shard being respawned / failed
-                time.sleep(_BLOCK_PUT_POLL_S)
-                continue
-            try:
-                inbox.put(msg, timeout=_BLOCK_PUT_POLL_S)
+            # No inbox: the shard is being respawned or has failed.
+            if inbox is not None and self._put(inbox, entry, msg):
                 return
-            except queue.Full:
-                continue
+            time.sleep(_BLOCK_PUT_POLL_S)
 
     def cached_response(self, request: Request) -> Response | None:
         """Always ``None``: result caches live inside the shard workers.
@@ -647,12 +644,13 @@ class ShardedPredictionService(ServiceBase):
             self._spawn(slot)
         error = ShardCrashError(slot.index, exitcode)
         for entry in entries:
+            self._stats.record_submit_once(entry)
             self._stats.record_failed()
             if entry.future.set_running_or_notify_cancel():
                 entry.future.set_exception(error)
 
     def _spawn(self, slot: _ShardSlot) -> None:
-        inbox = self._ctx.Queue(maxsize=self._shard_queue_capacity)
+        inbox = self._ctx.Queue(maxsize=SHARD_QUEUE_CAPACITY)
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_shard_worker_main,
@@ -858,23 +856,17 @@ class ShardedPredictionService(ServiceBase):
         Live shards are polled first.
         """
         self._refresh_shard_stats()
-        snap = self._stats.snapshot()
+        workers = MetricsRegistry()
         with self._lock:
-            snap.merge(self._retired)
+            workers.merge(self._retired)
             for slot in self._shards:
                 if slot.metrics is not None:
-                    snap.merge(slot.metrics, WORKER_METRICS)
+                    workers.merge(slot.metrics, WORKER_METRICS)
+        # The parent's submit count is read after the workers' lookups
+        # it bounds (see StatsRecorder.snapshot).
+        snap = self._stats.snapshot()
+        snap.merge(workers)
         return read_outs(snap, self._stats.max_batch_size)
-
-    @property
-    def shard_info(self) -> dict:
-        """Point-in-time shard topology and health."""
-        return {
-            "n_shards": self.n_shards,
-            "respawns": self._respawns.value,
-            "failed": int(self._shards_failed.value),
-            "crashed_tickets": self._crashed_tickets.value,
-        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -946,38 +938,21 @@ def _inbox_depth(inbox, capacity: int) -> int | None:
         return capacity
 
 
-def make_service(
-    *,
-    shards: int = 0,
-    shard_queue_capacity: int = 64,
-    max_restarts: int = 2,
-    route_seed: int = 0,
-    stats_timeout_s: float = 2.0,
-    surrogate=None,
-    **kwargs,
-):
+def make_service(*, shards: int = 0, surrogate=None, **kwargs):
     """Build the serving backend for a shard count (0 = in-process).
 
     The single switch the CLI / sessions / runner layers use:
     ``shards == 0`` returns the default single-process
     :class:`PredictionService` (bit-identical predictions either way —
     the engine's determinism contract is per-request, and routing never
-    changes a request's inputs).
+    changes a request's inputs).  ``kwargs`` go to the backend; the
+    sharded-only ``max_restarts`` and ``stats_timeout_s`` are ignored
+    in-process.
     """
     if shards < 0:
         raise ServiceError(f"shards must be >= 0, got {shards}")
     if shards == 0:
+        for name in _SHARDED_ONLY:
+            kwargs.pop(name, None)
         return PredictionService(surrogate, **kwargs)
-    if surrogate is not None:
-        raise ServiceError(
-            "the sharded backend builds surrogates inside each worker; "
-            "route by Request.size instead of passing a surrogate"
-        )
-    return ShardedPredictionService(
-        shards,
-        shard_queue_capacity=shard_queue_capacity,
-        max_restarts=max_restarts,
-        route_seed=route_seed,
-        stats_timeout_s=stats_timeout_s,
-        **kwargs,
-    )
+    return ShardedPredictionService(shards, surrogate=surrogate, **kwargs)

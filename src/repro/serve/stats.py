@@ -19,6 +19,7 @@ bucket resolution (within a factor of 10^(1/16) ≈ 1.155).
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -248,12 +249,30 @@ class StatsRecorder:
         # stores (atomic under the GIL), read only by snapshot().
         self._first_submit_t: float | None = None
         self._last_done_t: float | None = None
+        #: Guards the ``counted`` flags of :meth:`record_submit_once`.
+        self._submit_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def record_submit(self) -> None:
         self._submitted.inc()
         if self._first_submit_t is None:
             self._first_submit_t = time.monotonic()
+
+    def record_submit_once(self, admission) -> None:
+        """Count an enqueued request as submitted, exactly once.
+
+        The submitter calls this once its enqueue stands, and whatever
+        resolves the request (a batch worker, a shard's collector or
+        watchdog) calls it before counting a lookup or an outcome — so
+        no scrape sees more lookups or outcomes than submits, and a
+        rejected admission never counts.  ``admission`` (a ticket)
+        carries the ``counted`` flag.
+        """
+        with self._submit_lock:
+            if admission.counted:
+                return
+            admission.counted = True
+        self.record_submit()
 
     def record_done(self, latency_s: float) -> None:
         """A successful completion with its end-to-end latency."""
@@ -286,6 +305,11 @@ class StatsRecorder:
         count and the throughput over the busy window."""
         snap = MetricsRegistry()
         snap.merge(self.registry)
+        # Re-read the submit count after everything it bounds: a lookup,
+        # completion or failure is counted after its submit, so the
+        # snapshot never shows more of them than submits.
+        submitted = snap.counter("serve.requests", event="submitted")
+        submitted.inc(self._submitted.value - submitted.value)
         done = snap.histogram("serve.latency_s").n
         snap.counter("serve.requests", event="completed").inc(done)
         first, last = self._first_submit_t, self._last_done_t

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.runner import run_spec
 from repro.core.grid import ExperimentSpec
 from repro.core.surrogate import DiscriminativeSurrogate
-from repro.llm import SurrogateLM
+from repro.llm import GenerationEngine, LMConfig, SurrogateLM
 from repro.llm.prefix_cache import PrefixCache, token_fingerprint
 from repro.prompts.builder import PromptBuilder
 from repro.serve import PredictionService, Request
@@ -424,3 +424,39 @@ class TestPrefixEqualityProperty:
                     engine.generate(ids, seed=seed),
                     engine.generate(ids, seed=seed, prefix=snap),
                 )
+
+
+@pytest.fixture(scope="module")
+def engines(tokenizer, engine):
+    """The default engine and one whose seeds share identical logits."""
+    flat = SurrogateLM(tokenizer.vocab, LMConfig(seed_jitter=0.0))
+    return {"default": engine, "no-jitter": GenerationEngine(flat)}
+
+
+class TestBatchRowProperty:
+    """Hypothesis sweep: each lockstep row equals a solo cold decode."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(pieces=st.lists(_PIECES, min_size=3, max_size=20),
+           seeds=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+           config=st.sampled_from(["default", "no-jitter"]),
+           cut_frac=st.one_of(st.none(), st.floats(0.05, 0.95)))
+    def test_batch_rows_match_single_seed_cold_decodes(
+        self, tokenizer, engines, pieces, seeds, config, cut_frac
+    ):
+        """Repeated seeds, zero jitter, prefix on (a random cut) or off:
+        row k of ``generate_batch`` is ``generate(seed=seeds[k])`` run
+        alone and cold, step by step."""
+        engine = engines[config]
+        ids = np.asarray(
+            tokenizer.encode("".join(pieces) + " Answer:\n"), dtype=np.int64
+        )
+        prefix = None
+        if cut_frac is not None and ids.size >= 2:
+            cut = min(max(1, int(ids.size * cut_frac)), ids.size - 1)
+            prefix = engine.model.prepare_prefix(ids[:cut])
+        batch = engine.generate_batch(ids, seeds, prefix=prefix)
+        assert len(batch) == len(seeds)
+        for trace, seed in zip(batch, seeds):
+            assert trace.seed == seed
+            _assert_traces_identical(engine.generate(ids, seed=seed), trace)

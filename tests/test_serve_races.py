@@ -30,13 +30,13 @@ def examples(sm_dataset):
 
 
 class SlowSurrogate(DiscriminativeSurrogate):
-    """Surrogate with an artificial per-prediction delay (test control)."""
+    """Surrogate with an artificial delay per decode call (test control)."""
 
     delay_s = 0.05
 
-    def predict_parts(self, parts, seed=0, analysis=None):
+    def predict_parts_batch(self, parts, seeds, analysis=None):
         time.sleep(self.delay_s)
-        return super().predict_parts(parts, seed=seed, analysis=analysis)
+        return super().predict_parts_batch(parts, seeds, analysis=analysis)
 
 
 def make_request(sm_dataset, examples, query=42, seed=0, **kw):

@@ -6,6 +6,7 @@ between served predictions and direct surrogate calls, which is what lets
 the experiment runner route paper grids through the service.
 """
 
+import sys
 import threading
 import time
 
@@ -20,7 +21,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.faults import fault_counts
-from repro.serve import PredictionService, Request
+from repro.serve import PredictionService, Request, make_service
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +38,13 @@ def surrogate(sm_task):
 
 
 class SlowSurrogate(DiscriminativeSurrogate):
-    """Surrogate with an artificial per-prediction delay (test control)."""
+    """Surrogate with an artificial delay per decode call (test control)."""
 
     delay_s = 0.05
 
-    def predict_parts(self, parts, seed=0, analysis=None):
+    def predict_parts_batch(self, parts, seeds, analysis=None):
         time.sleep(self.delay_s)
-        return super().predict_parts(parts, seed=seed, analysis=analysis)
+        return super().predict_parts_batch(parts, seeds, analysis=analysis)
 
 
 def make_request(sm_dataset, examples, query=42, seed=0, **kw):
@@ -316,9 +317,9 @@ class CountingSurrogate(SlowSurrogate):
         self.builds.append(1)
         return super().build_parts(examples, query_config)
 
-    def predict_parts(self, parts, seed=0, analysis=None):
-        self.decodes.append(seed)
-        return super().predict_parts(parts, seed=seed, analysis=analysis)
+    def predict_parts_batch(self, parts, seeds, analysis=None):
+        self.decodes.extend(seeds)
+        return super().predict_parts_batch(parts, seeds, analysis=analysis)
 
 
 class TestAdmissionHits:
@@ -410,50 +411,65 @@ class TestAdmissionHits:
         assert again.prediction is first.prediction
         assert (stats.result_hits, stats.result_misses) == (1, 1)
 
-    def test_lookup_counts_add_up_under_contention(
-        self, sm_dataset, examples
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_scrapes_never_count_ahead_of_submits(
+        self, sm_dataset, examples, shards
     ):
-        """Every request makes exactly one counted result lookup, with
-        submitters racing each other and a scraper reading throughout:
-        no scrape sees more lookups than submits issued so far."""
+        """Every request makes exactly one counted result lookup, and its
+        submit is counted before it can be looked up or complete: with
+        submitters racing and a scraper reading throughout, no scrape
+        sees more result lookups or outcomes than submits, nor more
+        submits than were sent."""
         requests = [
             make_request(sm_dataset, examples, query=q % 6, seed=q % 2)
             for q in range(48)
         ]
-        issued = []  # list.append: atomic across submitter threads
+        sent = []  # list.append: atomic across submitter threads
         errors = []
         stop = threading.Event()
 
         def submit(part):
             for request in part:
-                issued.append(1)
+                sent.append(1)
                 svc.submit(request)
 
         def scrape():
             while not stop.is_set():
                 stats = svc.stats()
                 lookups = stats.result_hits + stats.result_misses
-                # issued is read after the scrape, so it bounds what
+                outcomes = stats.n_completed + stats.n_failed
+                # sent is read after the scrape, so it bounds what
                 # the scrape could have seen.
-                if lookups > len(issued):
-                    errors.append((lookups, len(issued)))
+                bound = len(sent)
+                if not max(lookups, outcomes) <= stats.n_submitted <= bound:
+                    errors.append(
+                        (lookups, outcomes, stats.n_submitted, bound)
+                    )
 
-        with PredictionService(max_batch_size=4, workers=2) as svc:
-            scraper = threading.Thread(target=scrape)
-            scraper.start()
-            submitters = [
-                threading.Thread(target=submit, args=(requests[t::4],))
-                for t in range(4)
-            ]
-            for t in submitters:
-                t.start()
-            for t in submitters:
-                t.join(timeout=60)
-            stop.set()
-            scraper.join(timeout=60)
-            stats = svc.stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread interleavings
+        try:
+            with make_service(
+                shards=shards, max_batch_size=4, workers=2
+            ) as svc:
+                scraper = threading.Thread(target=scrape)
+                scraper.start()
+                submitters = [
+                    threading.Thread(target=submit, args=(requests[t::4],))
+                    for t in range(4)
+                ]
+                for t in submitters:
+                    t.start()
+                for t in submitters:
+                    t.join(timeout=60)
+                stop.set()
+                scraper.join(timeout=60)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in [scraper, *submitters])
         assert not errors
+        assert stats.n_submitted == stats.n_completed == len(requests)
         assert stats.result_hits + stats.result_misses == len(requests)
 
     def test_closed_service_rejects_a_hit(self, sm_dataset, examples):

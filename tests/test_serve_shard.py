@@ -215,8 +215,6 @@ class TestMakeService:
         with pytest.raises(ServiceError):
             ShardedPredictionService(0)
         with pytest.raises(ServiceError):
-            ShardedPredictionService(2, shard_queue_capacity=0)
-        with pytest.raises(ServiceError):
             ShardedPredictionService(2, max_restarts=-1)
 
 
@@ -272,16 +270,12 @@ class TestShardedServing:
         ) is None
 
     def test_shard_info(self, sharded):
-        info = sharded.shard_info
-        assert info["n_shards"] == 2
-        assert info["failed"] == 0
-        assert set(info) == {
-            "n_shards", "respawns", "failed", "crashed_tickets",
-        }
-
-    def test_facade_has_no_local_caches(self, sharded):
-        assert sharded.prepare_cache is None
-        assert sharded.result_cache is None
+        """Shard topology and health are registry instruments."""
+        metrics = sharded.metrics()
+        assert metrics.get("serve.shards").value == 2
+        assert metrics.get("serve.shards_failed").value == 0
+        assert metrics.get("serve.shard_respawns").value == 0
+        assert metrics.get("serve.shard_crashed_tickets").value == 0
 
 
 @pytest.mark.parametrize("shards", [0, 1])
@@ -327,7 +321,7 @@ class TestShardDeath:
             # shard serves the same prompt again.
             response = service.submit(request)
             assert response.prediction is not None
-            assert service.shard_info["respawns"] == 1
+            assert service.metrics().get("serve.shard_respawns").value == 1
             # Second death exhausts max_restarts=1 → permanent failure.
             # A fresh seed keeps the request off the result cache (which
             # would answer before the kill lands); routing keys on the
@@ -340,7 +334,7 @@ class TestShardDeath:
                 future.result(timeout=30)
             deadline = time.monotonic() + 10
             while (
-                service.shard_info["failed"] == 0
+                service.metrics().get("serve.shards_failed").value == 0
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.05)
