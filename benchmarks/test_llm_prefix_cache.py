@@ -73,7 +73,10 @@ def test_prefix_reuse_doubles_sweep_throughput(emit):
 
     warm_secs = cold_secs = float("inf")
     warm_preds = cold_preds = None
-    for _ in range(2):  # best-of-2 per configuration
+    # Best of 5 interleaved warm/cold sweeps per configuration: a single
+    # ~0.3 s warm sweep is short enough for host noise to rank it, and
+    # interleaving exposes both configurations to the same load.
+    for _ in range(5):
         preds, secs = _sweep(warm, examples, query_configs, batched=True)
         if secs < warm_secs:
             warm_preds, warm_secs = preds, secs

@@ -14,6 +14,7 @@ produce identical token sets with slightly altered logit probabilities".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,11 +146,8 @@ class SurrogateLM:
         if ctx.size == 0:
             return None
         if prefix is not None and prefix.length <= ctx.size:
-            counts = dict(prefix.size_counts)
-            tail = ctx[prefix.length :]
-            if tail.size:
-                for size, f in self._size_token_counts(tail).items():
-                    counts[size] = counts.get(size, 0) + f
+            counts = Counter(prefix.size_counts)
+            counts.update(self._size_token_counts(ctx[prefix.length :]))
         else:
             counts = self._size_token_counts(ctx)
         if not counts:

@@ -18,6 +18,10 @@ only the suffix delta:
   .DiscriminativeSurrogate` (and shareable across surrogates that wrap
   the same model).
 
+The induction index (:class:`~repro.llm.scorers.InductionIndex`) packs
+each prefix n-gram into one int64 key and keeps, per n-gram length, two
+flat arrays: the stable-sorted keys and the window starts in that order.
+
 Determinism contract (the hard constraint, pinned by
 ``tests/test_llm_prefix_cache.py`` and the hypothesis property test):
 scoring through a snapshot is **bit-identical** to the cold path for
@@ -38,7 +42,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.llm.scorers import FormatPrefixIndex
+from repro.llm.scorers import FormatPrefixIndex, InductionIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (model -> cache)
     from repro.llm.model import SurrogateLM
@@ -69,8 +73,8 @@ class PreparedPrefix:
     fingerprint:
         :func:`token_fingerprint` of ``ids`` (the cache key).
     induction:
-        Suffix-match window index (n-gram length -> window bytes ->
-        sorted start positions).
+        Suffix-match window index: per n-gram length, the packed window
+        keys sorted ascending and the window starts in that order.
     unigram:
         ``(unique_tokens, inverse)`` factorization of the prefix.
     format_index:
@@ -81,7 +85,7 @@ class PreparedPrefix:
 
     ids: np.ndarray
     fingerprint: str
-    induction: Mapping[int, Mapping[bytes, np.ndarray]]
+    induction: InductionIndex
     unigram: tuple[np.ndarray, np.ndarray]
     format_index: FormatPrefixIndex
     size_counts: Mapping[str, int]

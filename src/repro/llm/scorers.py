@@ -28,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.llm.vocab import Vocabulary
 from repro.utils.rng import rng_from
 
 __all__ = [
     "SparseScores",
+    "InductionIndex",
     "InductionScorer",
     "RecencyUnigramScorer",
     "FormatScorer",
@@ -72,6 +74,24 @@ class SparseScores:
         summed = np.zeros(uniq.size)
         np.add.at(summed, inverse, all_scores)
         return SparseScores(uniq, summed)
+
+
+@dataclass(frozen=True)
+class InductionIndex:
+    """Packed n-gram windows of a prefix (see ``InductionScorer.build_index``)."""
+
+    radix: int
+    tables: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def starts(self, window: np.ndarray) -> np.ndarray:
+        """Ascending starts of the indexed windows equal to ``window``."""
+        if window.size > len(self.tables) or window.max() >= self.radix:
+            return np.empty(0, dtype=np.int64)  # no prefix window matches
+        key = 0
+        for tok in window.tolist():
+            key = key * self.radix + tok
+        keys, starts = self.tables[window.size - 1]
+        return starts[keys.searchsorted(key) : keys.searchsorted(key, "right")]
 
 
 class InductionScorer:
@@ -130,10 +150,7 @@ class InductionScorer:
         for length in range(1, max_l + 1):
             suffix = ctx[n - length :]
             # Window starts 0..n-length-1 can be followed by a next token.
-            windows = np.lib.stride_tricks.sliding_window_view(
-                ctx[: n - 1], length
-            )
-            eq = np.all(windows == suffix, axis=1)
+            eq = np.all(sliding_window_view(ctx[: n - 1], length) == suffix, axis=1)
             starts = np.nonzero(eq)[0]
             if starts.size == 0:
                 continue
@@ -156,39 +173,34 @@ class InductionScorer:
     # implementation; ``score_indexed`` must be bit-identical to it (the
     # prefix-cache determinism tests diff full logit arrays both ways).
     # ------------------------------------------------------------------ #
-    def build_index(
-        self, prefix: np.ndarray
-    ) -> dict[int, dict[bytes, np.ndarray]]:
+    def build_index(self, prefix: np.ndarray) -> InductionIndex:
         """Precompute the suffix-match table for a fixed prompt prefix.
 
-        For every n-gram length the index maps window bytes to the sorted
-        window-start positions within the prefix whose *next token* is
-        also inside the prefix (``start <= len(prefix) - 1 - length``) —
-        exactly the starts the reference full scan would find there.
+        For every n-gram length ``L`` the index lists the window starts
+        within the prefix whose *next token* is also inside the prefix
+        (``start <= len(prefix) - 1 - L``) — exactly the starts the
+        reference full scan would find there.  Each window packs into one
+        int64 key, base ``radix`` (one more than the largest prefix id);
+        ``tables[L - 1]`` holds the keys in stable-sorted order beside the
+        window starts in that order, so the starts sharing a key ascend.
         """
         ctx = np.asarray(prefix, dtype=np.int64)
-        p = ctx.size
-        index: dict[int, dict[bytes, np.ndarray]] = {}
-        for length in range(1, self.max_ngram + 1):
-            if p - 1 < length:
-                break
-            windows = np.lib.stride_tricks.sliding_window_view(
-                ctx[: p - 1], length
-            )
-            table: dict[bytes, list[int]] = {}
-            for start in range(windows.shape[0]):
-                key = windows[start].tobytes()
-                table.setdefault(key, []).append(start)
-            index[length] = {
-                key: np.asarray(starts, dtype=np.int64)
-                for key, starts in table.items()
-            }
-        return index
+        radix = int(ctx.max(initial=0)) + 1
+        if radix**self.max_ngram > np.iinfo(np.int64).max:
+            raise ValueError(f"{self.max_ngram}-gram keys of {radix} ids overflow int64")
+        tables = []
+        keys = np.zeros(ctx.size, dtype=np.int64)
+        for length in range(1, min(self.max_ngram, ctx.size - 1) + 1):
+            # key(start, L) = key(start, L - 1) * radix + ctx[start + L - 1]
+            keys = keys[:-1] * radix + ctx[length - 1 : -1]
+            order = np.argsort(keys, kind="stable")
+            tables.append((keys[order], order))
+        return InductionIndex(radix, tuple(tables))
 
     def score_indexed(
         self,
         context: np.ndarray,
-        index: dict[int, dict[bytes, np.ndarray]],
+        index: InductionIndex,
         prefix_len: int,
         offset_shift: float = 0.0,
     ) -> SparseScores:
@@ -209,26 +221,17 @@ class InductionScorer:
         tok_parts: list[np.ndarray] = []
         weight_parts: list[np.ndarray] = []
         for length in range(1, max_l + 1):
-            suffix = np.ascontiguousarray(ctx[n - length :])
-            table = index.get(length)
-            pre = table.get(suffix.tobytes()) if table else None
+            suffix = ctx[n - length :]
+            starts = index.starts(suffix)
             # Starts >= prefix_len - length cross the boundary or live in
             # the suffix; rescan just that region of the full context.
             lo = max(0, prefix_len - length)
             tail = ctx[lo : n - 1]
-            tail_starts = None
             if tail.size >= length:
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    tail, length
-                )
-                eq = np.all(windows == suffix, axis=1)
-                tail_starts = np.nonzero(eq)[0] + lo
-            parts = [
-                s for s in (pre, tail_starts) if s is not None and s.size
-            ]
-            if not parts:
+                eq = np.all(sliding_window_view(tail, length) == suffix, axis=1)
+                starts = np.concatenate([starts, np.nonzero(eq)[0] + lo])
+            if not starts.size:
                 continue
-            starts = parts[0] if len(parts) == 1 else np.concatenate(parts)
             weight_l = self.match_base ** (length - 1)
             tok_parts.append(ctx[starts + length])
             weight_parts.append(
@@ -244,12 +247,10 @@ class InductionScorer:
         uniq, first_idx, inverse = np.unique(
             tokens, return_index=True, return_inverse=True
         )
-        order = np.argsort(first_idx)
-        rank = np.empty(uniq.size, dtype=np.int64)
-        rank[order] = np.arange(uniq.size)
         w = np.zeros(uniq.size)
-        np.add.at(w, rank[inverse], weights)
-        ids = uniq[order]
+        np.add.at(w, inverse, weights)
+        order = np.argsort(first_idx)
+        ids, w = uniq[order], w[order]
         p = w / w.sum()
         return SparseScores(
             ids, self.offset + offset_shift + self.scale * np.log(p + 1e-12)
@@ -285,9 +286,7 @@ class RecencyUnigramScorer:
         self, prefix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Precompute the unique-token factorization of a fixed prefix."""
-        ctx = np.asarray(prefix, dtype=np.int64)
-        uniq, inverse = np.unique(ctx, return_inverse=True)
-        return uniq, inverse
+        return np.unique(np.asarray(prefix, dtype=np.int64), return_inverse=True)
 
     def score_indexed(
         self,
@@ -419,10 +418,14 @@ class FormatScorer:
         self.terminate_boost = terminate_boost
         self.premature_stop_penalty = premature_stop_penalty
         self._digit_ids = np.asarray(vocab.digit_token_ids, dtype=np.int64)
+        digit_strings = vocab.strings_of(self._digit_ids)
         self._digit_lengths = np.asarray(
-            [len(vocab.string_of(int(i))) for i in self._digit_ids],
-            dtype=np.int64,
+            [len(s) for s in digit_strings], dtype=np.int64
         )
+        # Leading one and two characters of each chunk (digit_noise's
+        # prefix affinity compares them against the demonstrations).
+        self._digit_heads1 = np.asarray([s[:1] for s in digit_strings])
+        self._digit_heads2 = np.asarray([s[:2] for s in digit_strings])
         # Fixed per-token jitter: which digit chunks feel "natural" is a
         # frozen property of pretraining, not of the sampling seed.
         self._jitter = rng_from(jitter_seed, "format-jitter").standard_normal(
@@ -690,17 +693,11 @@ class FormatScorer:
             # "noise" alternatives cluster around the prefixes of the
             # demonstrated values (Figure 3) rather than spreading over all
             # thousand chunks uniformly.
-            prefixes = {p[:2] for p in analysis.fraction_prefixes if p}
-            singles = {p[0] for p in analysis.fraction_prefixes if p}
-            if prefixes or singles:
-                strings = [self.vocab.string_of(int(i)) for i in fit_ids]
-                affinity = np.zeros(fit_ids.size)
-                for k, s in enumerate(strings):
-                    if s[:2] in prefixes:
-                        affinity[k] = 8.0
-                    elif s[0] in singles:
-                        affinity[k] = 4.0
-                logits = logits + affinity
+            demo = [p for p in analysis.fraction_prefixes if p]
+            if demo:
+                two = np.isin(self._digit_heads2[fit], [p[:2] for p in demo])
+                one = np.isin(self._digit_heads1[fit], [p[0] for p in demo])
+                logits = logits + np.where(two, 8.0, np.where(one, 4.0, 0.0))
         z = logits - logits.max()
         q = np.exp(z)
         q /= q.sum()

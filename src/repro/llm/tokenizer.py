@@ -37,7 +37,7 @@ _PIECE_RE = re.compile(
 def _is_ascii_digits(s: str) -> bool:
     """ASCII-only digit check (``str.isdigit`` accepts Unicode digits
     like '²' which are not in the vocabulary's digit-chunk set)."""
-    return bool(s) and all("0" <= c <= "9" for c in s)
+    return s.isascii() and s.isdigit()
 
 
 def chunk_digits(digits: str) -> list[str]:
@@ -60,12 +60,19 @@ class Tokenizer:
     def encode(self, text: str) -> list[int]:
         """Encode ``text`` into token ids (never fails; byte fallback)."""
         ids: list[int] = []
+        lookup = self.vocab.get
         pos = 0
         for match in _PIECE_RE.finditer(text):
             if match.start() != pos:
                 # Characters the piece regex skipped (exotic whitespace).
                 self._encode_fallback(text[pos : match.start()], ids)
-            self._encode_piece(match.group(0), ids)
+            piece = match.group(0)
+            # Whole-piece hit first: exact, since no vocabulary entry is a
+            # digit run _encode_piece would chunk differently (> 3 digits).
+            if (tid := lookup(piece)) is not None:
+                ids.append(tid)
+            else:
+                self._encode_piece(piece, ids)
             pos = match.end()
         if pos != len(text):
             self._encode_fallback(text[pos:], ids)
@@ -73,26 +80,20 @@ class Tokenizer:
 
     def _encode_piece(self, piece: str, ids: list[int]) -> None:
         if _is_ascii_digits(piece):
-            for chunk in chunk_digits(piece):
-                ids.append(self.vocab.id_of(chunk))
-            return
-        if piece in self.vocab:
+            ids.extend(self.vocab.id_of(chunk) for chunk in chunk_digits(piece))
+        elif piece in self.vocab:
             ids.append(self.vocab.id_of(piece))
-            return
-        # Space-prefixed word not in lexicon: try emitting the space
-        # separately, then the bare word.
-        if piece.startswith(" ") and len(piece) > 1:
-            bare = piece[1:]
+        elif piece.startswith(" ") and len(piece) > 1:
+            # Space-prefixed word not in lexicon: emit the space
+            # separately, then the bare word.
             ids.append(self.vocab.id_of(" "))
-            if _is_ascii_digits(bare):
-                for chunk in chunk_digits(bare):
-                    ids.append(self.vocab.id_of(chunk))
-            elif bare in self.vocab:
-                ids.append(self.vocab.id_of(bare))
+            bare = piece[1:]
+            if _is_ascii_digits(bare) or bare in self.vocab:
+                self._encode_piece(bare, ids)
             else:
                 self._encode_fallback(bare, ids)
-            return
-        self._encode_fallback(piece, ids)
+        else:
+            self._encode_fallback(piece, ids)
 
     def _encode_fallback(self, text: str, ids: list[int]) -> None:
         """Character-then-byte fallback for out-of-lexicon text."""

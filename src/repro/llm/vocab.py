@@ -108,6 +108,8 @@ class Vocabulary:
             raise VocabularyError(f"duplicate token strings: {dupes[:5]}")
         self._tokens = tuple(tokens)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
+        #: ``get(token)``: its id, or None if absent (the encoder's lookup).
+        self.get = self._ids.get
         try:
             self.specials = SpecialTokens(
                 begin_of_text=self._ids["<|begin_of_text|>"],

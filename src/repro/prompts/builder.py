@@ -154,11 +154,8 @@ class PromptBuilder:
             # Clamp the split to the longest common token prefix: the
             # greedy tokenizer merged across the text boundary.
             m = min(int(pids.size), int(ids.size))
-            if m == 0:
-                prefix_len = 0
-            else:
-                eq = pids[:m] == ids[:m]
-                prefix_len = m if bool(eq.all()) else int(np.argmin(eq))
+            eq = pids[:m] == ids[:m]
+            prefix_len = m if bool(eq.all()) else int(np.argmin(eq))
         return PromptParts(
             text=prefix_text + rest,
             ids=ids,

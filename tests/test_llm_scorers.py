@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.llm.scorers import (
+    FormatAnalysis,
     FormatScorer,
     InductionScorer,
     PriorScorer,
@@ -81,6 +83,44 @@ class TestInductionScorer:
             InductionScorer(max_ngram=0)
         with pytest.raises(ValueError):
             InductionScorer(match_base=0.5)
+
+    def test_index_rejects_keys_that_overflow_int64(self):
+        # 2**16 + 1 ids: a 4-gram key needs more than 64 bits.
+        with pytest.raises(ValueError, match="overflow int64"):
+            InductionScorer(max_ngram=4).build_index(np.array([0, 2**16]))
+        InductionScorer(max_ngram=3).build_index(np.array([0, 2**16]))
+
+
+@st.composite
+def _split_context(draw):
+    """A highly repetitive context and a prefix cut point ``p``.
+
+    Prefix ids come from a tiny alphabet; suffix ids may exceed every
+    prefix id (the index's radix edge).  ``p`` covers ``0..n``, so short
+    prefixes with fewer windows than ``max_ngram`` are drawn too.
+    """
+    alphabet = draw(st.integers(1, 4))
+    prefix = draw(st.lists(st.integers(0, alphabet - 1), max_size=40))
+    suffix = draw(st.lists(st.integers(0, alphabet + 2), max_size=12))
+    return np.asarray(prefix + suffix, dtype=np.int64), len(prefix)
+
+
+class TestInductionIndexProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        split=_split_context(),
+        max_ngram=st.integers(1, 5),
+        shift=st.sampled_from([0.0, -1.5]),
+    )
+    def test_indexed_equals_reference(self, split, max_ngram, shift):
+        ctx, p = split
+        scorer = InductionScorer(max_ngram=max_ngram, recency_halflife=7.0)
+        ref = scorer.score(ctx, offset_shift=shift)
+        got = scorer.score_indexed(
+            ctx, scorer.build_index(ctx[:p]), p, offset_shift=shift
+        )
+        assert np.array_equal(got.ids, ref.ids)
+        assert np.array_equal(got.scores, ref.scores)
 
 
 class TestRecencyUnigram:
@@ -188,10 +228,65 @@ class TestFormatScorer:
         assert affine_mass > 0.7
         assert loose_mass > 0.85
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fraction_prefixes=st.lists(
+            st.text(alphabet="0123456789", max_size=3), max_size=6
+        ),
+        expected=st.integers(1, 8),
+        generated=st.sampled_from([["0", "."], ["2", "."], ["0", ".", "01"]]),
+    )
+    def test_digit_noise_matches_per_string_loop(
+        self, tok, fraction_prefixes, expected, generated
+    ):
+        fs = FormatScorer(tok.vocab)
+        analysis = FormatAnalysis(
+            expected_decimals=expected, fraction_prefixes=fraction_prefixes
+        )
+        got = fs.digit_noise(generated, analysis)
+        ref = _reference_digit_noise(fs, generated, analysis)
+        assert np.array_equal(got.ids, ref.ids)
+        assert np.array_equal(got.scores, ref.scores)
+
     def test_done_state_boosts_eot(self, tok):
         fs = FormatScorer(tok.vocab)
         scores = fs.score(["0", ".", "1", " "], None)
         assert scores.ids.tolist() == [tok.vocab.specials.eot]
+
+
+def _reference_digit_noise(fs, generated_strings, analysis):
+    """``FormatScorer.digit_noise`` with its prefix affinity computed by
+    the original per-string loop (the vectorised form must match it)."""
+    state = fs.value_state(generated_strings)
+    if state.phase != "value" or not state.seen_dot:
+        return SparseScores.empty()
+    remaining = fs.expected_decimals(analysis) - state.digits_after_dot
+    if remaining <= 0:
+        return SparseScores.empty()
+    lengths = fs._digit_lengths
+    preferred = min(3, remaining)
+    fit = lengths <= remaining
+    if not fit.any():
+        return SparseScores.empty()
+    fit_ids = fs._digit_ids[fit]
+    logits = fs.digit_jitter * fs._jitter[fit].copy()
+    logits -= 3.5 * (lengths[fit] != preferred)
+    if state.digits_after_dot == 0 and analysis:
+        prefixes = {p[:2] for p in analysis.fraction_prefixes if p}
+        singles = {p[0] for p in analysis.fraction_prefixes if p}
+        if prefixes or singles:
+            strings = [fs.vocab.string_of(int(i)) for i in fit_ids]
+            affinity = np.zeros(fit_ids.size)
+            for k, s in enumerate(strings):
+                if s[:2] in prefixes:
+                    affinity[k] = 8.0
+                elif s[0] in singles:
+                    affinity[k] = 4.0
+            logits = logits + affinity
+    z = logits - logits.max()
+    q = np.exp(z)
+    q /= q.sum()
+    return SparseScores(fit_ids, q)
 
 
 class TestPriorScorer:

@@ -1,10 +1,12 @@
 """Tests for the tokenizer (digit chunking, round-trip, fallbacks)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TokenizationError
-from repro.llm.tokenizer import Tokenizer, chunk_digits
+from repro.llm.tokenizer import _PIECE_RE, Tokenizer, chunk_digits
 
 
 class TestChunkDigits:
@@ -100,3 +102,38 @@ class TestSegmentation:
         ids = tokenizer.encode("é")
         assert all(tokenizer.vocab.is_byte(i) for i in ids)
         assert tokenizer.decode(ids) == "é"
+
+
+# Digit-heavy text: digit runs of every length, decimals, space-prefixed
+# numbers, Unicode digits the ASCII check must reject, and vocabulary words.
+_DIGIT_HEAVY = st.lists(
+    st.one_of(
+        st.text(alphabet="0123456789 .\n:²٣é-", max_size=12),
+        st.sampled_from(
+            ["Performance: ", " 0.0022155", "1234567", " size", "SM", "  "]
+        ),
+    ),
+    max_size=8,
+).map("".join)
+
+
+class TestDictFirstLookup:
+    """``encode`` looks a whole piece up before chunking it; exact only
+    while no vocabulary entry is a digit run ``_encode_piece`` would split."""
+
+    def test_no_entry_is_a_long_or_space_prefixed_digit_run(self, tokenizer):
+        vocab = tokenizer.vocab
+        tokens = [vocab.string_of(i) for i in range(len(vocab))]
+        bad = [t for t in tokens if re.fullmatch(r"[0-9]{4,}| [0-9]+", t)]
+        assert bad == []
+
+    @given(_DIGIT_HEAVY)
+    @settings(max_examples=200, deadline=None)
+    def test_encode_equals_piecewise_encode_piece(self, text):
+        tok = Tokenizer()
+        pieces = [m.group(0) for m in _PIECE_RE.finditer(text)]
+        assert "".join(pieces) == text  # no gaps for the fallback path
+        expected: list[int] = []
+        for piece in pieces:
+            tok._encode_piece(piece, expected)
+        assert tok.encode(text) == expected
