@@ -810,14 +810,16 @@ def _cmd_sessions(args) -> int:
         f"({args.tenants} tenants, size {args.size})",
         file=sys.stderr,
     )
-    with make_service(
+    service = make_service(
         shards=args.shards,
         max_batch_size=args.batch_size,
         workers=args.workers,
-    ) as service:
-        driver = ResilientService(service) if args.resilient else service
+    )
+    if args.resilient:
+        service = ResilientService(service)
+    with service:
         with SessionManager(
-            driver,
+            service,
             sessions=sessions,
             admission=admission,
             log_path=args.log,

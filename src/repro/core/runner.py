@@ -12,6 +12,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from repro.errors import ExperimentError
 from repro.obs import get_tracer
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> core)
+    from repro.serve.service import ServiceBase
 
 logger = logging.getLogger("repro.runner")
 
@@ -140,15 +144,15 @@ def _probe_result(spec, dataset, query_row, pred) -> ProbeResult:
 
 
 def run_spec(
-    spec: ExperimentSpec, service=None, fault_plan=None,
-    prefix_cache: bool = True,
+    spec: ExperimentSpec, service: ServiceBase | None = None,
+    fault_plan=None, prefix_cache: bool = True,
 ) -> list[ProbeResult]:
     """Execute all probes of one experiment cell.
 
     With ``service=None`` probes run serially against the per-process
-    surrogate cache.  Given a :class:`repro.serve.PredictionService`, the
-    probes are submitted as a bulk request batch instead — the service's
-    microbatcher and caches then handle scheduling and reuse.  Both paths
+    surrogate cache.  Given a service backend, the probes are submitted
+    as a bulk request batch instead — the service's microbatcher and
+    caches then handle scheduling and reuse.  Both paths
     are bit-identical for the default stack (the engine's determinism
     contract), so analyses cannot tell them apart.
 
@@ -208,9 +212,8 @@ def run_spec(
 def run_grid(
     specs: list[ExperimentSpec],
     workers: int | None = None,
-    service=None,
+    service: ServiceBase | None = None,
     checkpoint: str | Path | None = None,
-    checkpoint_every: int = 1,
     resume: bool = False,
     fault_plan=None,
     prefix_cache: bool = True,
@@ -219,13 +222,13 @@ def run_grid(
 
     Results are returned flattened, in spec order (deterministic
     regardless of parallelism).  When ``service`` is given, specs are
-    streamed through that :class:`repro.serve.PredictionService` instead
-    of the process pool (the service owns concurrency, batching, and
-    caching; ``workers`` is then ignored).
+    streamed through that backend instead of the process pool (the
+    service owns concurrency, batching, and caching; ``workers`` is then
+    ignored).
 
-    Crash resumability: with ``checkpoint`` set, completed cells are
-    appended to that JSONL file every ``checkpoint_every`` cells, so a
-    killed run loses at most one chunk.  ``resume=True`` loads an
+    Crash resumability: with ``checkpoint`` set, each completed cell is
+    appended to that JSONL file, so a killed run loses at most the cell
+    in progress.  ``resume=True`` loads an
     existing checkpoint, skips every cell already complete in it (a
     partially written trailing cell is discarded and re-run), and
     produces a probe set identical to an uninterrupted run — same
@@ -257,7 +260,6 @@ def run_grid(
             workers=workers,
             service=service,
             path=Path(checkpoint),
-            every=max(1, int(checkpoint_every)),
             resume=resume,
             fault_plan=fault_plan,
             prefix_cache=prefix_cache,
@@ -284,8 +286,7 @@ def _run_cells(
 
 
 def _run_grid_checkpointed(
-    specs, workers, service, path, every, resume, fault_plan,
-    prefix_cache=True,
+    specs, workers, service, path, resume, fault_plan, prefix_cache=True,
 ) -> list[ProbeResult]:
     from repro.core.storage import (
         append_probes_jsonl,
@@ -321,15 +322,11 @@ def _run_grid_checkpointed(
             ],
             path,
         )
-    remaining = [spec for spec in specs if spec.cell_key not in done]
-    for start in range(0, len(remaining), every):
-        chunk = remaining[start : start + every]
-        nested = _run_cells(chunk, workers=workers, service=service,
-                            fault_plan=fault_plan,
-                            prefix_cache=prefix_cache)
-        append_probes_jsonl(
-            [probe for cell in nested for probe in cell], path
-        )
-        for spec, cell in zip(chunk, nested):
-            done[spec.cell_key] = cell
+    for spec in specs:
+        if spec.cell_key in done:
+            continue
+        [cell] = _run_cells([spec], workers=workers, service=service,
+                            fault_plan=fault_plan, prefix_cache=prefix_cache)
+        append_probes_jsonl(cell, path)
+        done[spec.cell_key] = cell
     return [probe for spec in specs for probe in done[spec.cell_key]]

@@ -51,7 +51,7 @@ def grid_round(path: str, size: str, seed: int, round_seed: int) -> None:
     set_fault_injector(inj)
     try:
         run_grid(drill_specs(size, seed), workers=1, checkpoint=path,
-                 checkpoint_every=1, resume=True)
+                 resume=True)
     except (ExperimentError, InjectedFaultError, OSError):
         # ExperimentError here means a bitflip landed in the (CRC-less)
         # header of the checkpoint: the append path refuses it and defers

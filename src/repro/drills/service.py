@@ -104,7 +104,8 @@ def run_service_chaos(
     telemetry_interval: float = 0.25, cache_probes: bool = False,
 ) -> ChaosRun:
     """Drive ``workload`` through a fresh resilient service under
-    ``plan`` (retry jitter seeded by ``plan.seed``), sampling telemetry."""
+    ``plan`` (retry jitter seeded by ``plan.seed``), sampling its
+    telemetry, breaker state included."""
     unhandled = 0
     values: list[float | None] = []
     # Retries absorb shard kills; give the drill enough respawn budget
@@ -113,14 +114,14 @@ def run_service_chaos(
     # scrape is one shard-stats round-trip) so a mid-respawn shard
     # cannot stall a scrape past the telemetry liveness bound of twice
     # the cadence.
-    with make_service(
+    backend = make_service(
         shards=shards, max_restarts=len(workload), fault_plan=plan,
         stats_timeout_s=min(2.0, max(telemetry_interval / 8, 0.02)),
-    ) as service:
+    )
+    with _resilient(backend, max_attempts, plan.seed, fallback) as service:
         sampler = TelemetrySampler(telemetry_interval, policy=BurnRatePolicy(),
-                                   injector=service.faults)
+                                   injector=backend.faults)
         sampler.add_collector("service", _scrape(service))
-        resilient = _resilient(service, max_attempts, plan.seed, fallback)
         with sampler:
             for request in workload:
                 if cache_probes:
@@ -130,7 +131,7 @@ def run_service_chaos(
                     # shifts under them.
                     service.cached_response(request)
                 try:
-                    response = resilient.submit(request)
+                    response = service.submit(request)
                 except ServiceError:
                     unhandled += 1  # already counted as unavailable
                     values.append(None)
@@ -195,10 +196,10 @@ def run_sessions_chaos(
     sessions = build_sessions(tenants=3, budget=max(2, requests // 6),
                               seed=seed, size=size, shared_trajectory=False)
     total_budget = sum(s.budget.n_evaluations for s in sessions)
-    with PredictionService(fault_plan=DEFAULT_FAULT_PLAN) as service:
+    backend = PredictionService(fault_plan=DEFAULT_FAULT_PLAN)
+    with _resilient(backend, max_attempts, seed, fallback) as service:
         with SessionManager(
-            _resilient(service, max_attempts, seed, fallback),
-            sessions=sessions, log_path=log_path,
+            service, sessions=sessions, log_path=log_path
         ) as manager:
             manager.run()
         stats = service.stats()

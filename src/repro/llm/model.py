@@ -198,48 +198,6 @@ class SurrogateLM:
                 ids, prefix=prefix.format_index if reused else None
             )
 
-    def next_token_logits(
-        self,
-        context: np.ndarray,
-        generated_strings: list[str],
-        sample_seed: int,
-        step: int,
-        analysis: FormatAnalysis | None = None,
-        prefix: PreparedPrefix | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse logits for the next token.
-
-        Parameters
-        ----------
-        context:
-            All token ids so far (prompt + generated).
-        generated_strings:
-            Surface strings of the tokens generated so far this turn (the
-            format scorer's state).
-        sample_seed:
-            The sampling seed (drives only the small jitter).
-        step:
-            0-based generation step index.
-        analysis:
-            Cached :meth:`prepare` result for the prompt (recomputed from
-            the context when omitted).
-        prefix:
-            Optional :meth:`prepare_prefix` snapshot for a leading slice
-            of the context: scorers then process only the suffix delta.
-            Bit-identical to the cold path for every seed (the prefix-
-            cache determinism contract).
-
-        Returns
-        -------
-        (ids, logits):
-            Token ids (sorted ascending) and their logits, restricted to
-            the "nonzero" support after the probability floor.
-        """
-        return self.next_token_logits_batch(
-            context, generated_strings, [sample_seed], step,
-            analysis=analysis, prefix=prefix,
-        )[0]
-
     def next_token_logits_batch(
         self,
         context: np.ndarray,

@@ -19,11 +19,11 @@ Two driving disciplines, selected by :attr:`LoadSpec.mode`:
 Both modes replay the *same* deterministic request stream
 (:func:`~repro.loadgen.workload.build_workload`) and publish the same
 schedule/workload digests, so a report pins what was offered regardless
-of how it was clocked.  The target is anything with the
-``PredictionService`` submit surface — the in-process service, the
-sharded multi-process backend, or a ``ResilientService`` wrapper — and
-the session manager's campaigns can ride along on the same service
-(``repro loadtest --sessions``).
+of how it was clocked.  The target is any
+:class:`~repro.serve.service.ServiceBase` backend — the in-process
+service, the sharded multi-process one, or the ``ResilientService``
+over either — and the session manager's campaigns can ride along on the
+same service (``repro loadtest --sessions``).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.loadgen.workload import (
     workload_digest,
 )
 from repro.obs import Histogram, get_tracer
+from repro.serve.service import ServiceBase
 from repro.utils.rng import derive_seed
 
 __all__ = ["LoadDriver", "LoadSpec"]
@@ -162,7 +163,7 @@ class LoadDriver:
         return self._workload
 
     # ------------------------------------------------------------------ #
-    def run(self, service) -> SLOReport:
+    def run(self, service: ServiceBase) -> SLOReport:
         """Drive ``service`` through the full schedule; emit the report."""
         items = self.workload()
         recorder = _Recorder({item.tenant for item in items})
@@ -212,7 +213,7 @@ class LoadDriver:
                     pass
 
     def _classify(self, response) -> str:
-        return "degraded" if getattr(response, "degraded", False) else "ok"
+        return "degraded" if response.degraded else "ok"
 
     def _run_open(self, service, items: list[LoadItem], recorder: _Recorder):
         schedule = self.schedule()

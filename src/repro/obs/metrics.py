@@ -10,8 +10,8 @@ registry.  Instruments are named and labelled, with one ``snapshot()``
 registries pickle, and :meth:`MetricsRegistry.merge` folds one into
 another (counters add, histograms merge bucket by bucket), which is how
 a sharded parent combines its workers' counts.
-:func:`collect_service_metrics` copies a live service's registry, plus
-its resilience wrapper's breaker state, into an export registry.
+:func:`collect_service_metrics` copies a live service's registry into
+an export registry.
 
 Metric names are dotted, labels identify the sub-stream::
 
@@ -33,10 +33,14 @@ import itertools
 import math
 import operator
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.utils.tables import Table
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> obs)
+    from repro.serve.service import ServiceBase
 
 __all__ = [
     "Counter",
@@ -393,19 +397,20 @@ class MetricsRegistry(_Locked):
 
 
 def collect_service_metrics(
-    service, resilient=None, registry: MetricsRegistry | None = None
+    service: ServiceBase, registry: MetricsRegistry | None = None
 ) -> MetricsRegistry:
     """Copy a live service's registry into ``registry`` for export.
 
     ``service.metrics()`` is the backend's registry snapshot: request
     outcomes, batching, cache lookups, injected faults, resilience and
     (sharded) shard-health counts, with the p50/p95, rate and ratio
-    gauges read off them.  Its counters and gauges land in ``registry``
+    gauges read off them, and on a
+    :class:`~repro.serve.resilience.ResilientService` per-route
+    circuit-breaker state.  Its counters and gauges land in ``registry``
     as absolute values, replacing what an earlier scrape put there, so
     the telemetry sampler can scrape into the same registry every
     interval without compounding; histograms stay behind, exported
-    through their quantile gauges.  With the ``resilient`` wrapper,
-    per-route circuit-breaker state is added.
+    through their quantile gauges.
     """
     registry = registry if registry is not None else MetricsRegistry()
     # The snapshot is this call's own, so its instruments move over
@@ -413,15 +418,6 @@ def collect_service_metrics(
     for inst in service.metrics().instruments():
         if not isinstance(inst, Histogram):
             registry._replace(inst)
-
-    if resilient is not None:
-        for route, breaker in resilient.breakers.items():
-            registry.counter("breaker.trips", route=route).set_absolute(
-                breaker.trips
-            )
-            registry.gauge("breaker.open", route=route).set(
-                1.0 if breaker.state == "open" else 0.0
-            )
 
     collect_storage_metrics(registry)
     return registry

@@ -345,9 +345,6 @@ class Tracer:
         return len(spans)
 
     # -- internals ------------------------------------------------------ #
-    def _next_id(self) -> int:
-        return next(self._ids)
-
     def _resolve_parent(self, parent) -> int | None:
         if parent is _IMPLICIT:
             return self.current_span_id()

@@ -97,13 +97,6 @@ class PromptBuilder:
             f"{user_head}"
         )
 
-    def _chat_wrap(self, system: str, user: str) -> str:
-        """Wrap system/user content in Llama-3 chat markers."""
-        return self._chat_prefix(system, user) + (
-            "<|eot_id|>"
-            "<|start_header_id|>assistant<|end_header_id|>\n\n"
-        )
-
     def _prefix_ids(self, prefix_text: str) -> np.ndarray:
         pids = self._prefix_ids_memo.get(prefix_text)
         if pids is None:

@@ -19,7 +19,9 @@ The :class:`ResilientService` wrapper turns the typed failures that
 
 All of it is recorded in the wrapped service's
 :class:`~repro.serve.stats.ServiceStats`: retries, breaker trips,
-degraded-serve rate, and availability.
+degraded-serve rate, and availability.  The wrapper is itself a
+:class:`~repro.serve.service.ServiceBase` backend, and its
+:meth:`~ResilientService.metrics` carries each route's breaker state.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -37,15 +40,19 @@ from repro.errors import (
     ServiceOverloadedError,
     ShardCrashError,
 )
-from repro.obs import get_tracer
+from repro.obs import MetricsRegistry, get_tracer
 from repro.serve.fallback import FallbackChain
 from repro.serve.request import Request, Response
-from repro.serve.stats import ServiceStats
+from repro.serve.service import ServiceBase
 from repro.utils.rng import derive_seed
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "ResilientService"]
 
 _SCALE = float(1 << 63)
+
+#: Threads running :meth:`ResilientService.submit_async` (retries and
+#: backoff sleep on them, so a few keep a sessions tick's burst moving).
+ASYNC_WORKERS = 4
 
 #: Failure classes worth another attempt: transient by construction
 #: (injected faults), by backpressure semantics (overload), by deadline
@@ -257,13 +264,22 @@ class CircuitBreaker:
             return False
 
 
-class ResilientService:
-    """Retry + circuit-break + degrade wrapper around a prediction service.
+class ResilientService(ServiceBase):
+    """Retry + circuit-break + degrade backend over another backend.
+
+    A :class:`~repro.serve.service.ServiceBase` like the service it
+    wraps, so every driver takes either.  Its :meth:`submit` and
+    :meth:`submit_many` run sequentially (the chaos fault schedule
+    depends on that order); :meth:`submit_async` runs :meth:`submit` on
+    a pool of :data:`ASYNC_WORKERS` threads, created on first use.  It
+    counts in the wrapped service's recorder, so :meth:`stats` is the
+    wrapped service's view; :meth:`metrics` adds per-route breaker
+    state.
 
     Parameters
     ----------
     service:
-        The wrapped :class:`~repro.serve.service.PredictionService`.
+        The wrapped backend (in-process or sharded).
     retry_policy:
         Backoff policy (defaults to :class:`RetryPolicy()`).
     breaker_factory:
@@ -280,7 +296,7 @@ class ResilientService:
 
     def __init__(
         self,
-        service,
+        service: ServiceBase,
         *,
         retry_policy: RetryPolicy | None = None,
         breaker_factory=None,
@@ -299,6 +315,8 @@ class ResilientService:
         self._lock = threading.Lock()
         self._retries_spent = 0
         self._keys = itertools.count()
+        self._pool: ThreadPoolExecutor | None = None
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     def breaker(self, route: str) -> CircuitBreaker:
@@ -309,12 +327,6 @@ class ResilientService:
                 breaker = self._breaker_factory()
                 self._breakers[route] = breaker
             return breaker
-
-    @property
-    def breakers(self) -> dict[str, CircuitBreaker]:
-        """Snapshot of all per-route breakers (for metrics collection)."""
-        with self._lock:
-            return dict(self._breakers)
 
     def _spend_retry(self) -> bool:
         budget = self.retry_policy.retry_budget
@@ -395,21 +407,54 @@ class ResilientService:
         """Serve a workload sequentially (deterministic fault/retry order)."""
         return [self.submit(request) for request in requests]
 
+    def submit_async(self, request: Request, *, block: bool = False) -> Future:
+        """Run :meth:`submit` on the wrapper's thread pool.
+
+        Retries and backoff then run on a pool thread.  The pool's queue
+        is unbounded, so ``block`` has nothing to wait for: the wrapped
+        service's backpressure surfaces inside :meth:`submit`, as
+        retries.
+        """
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("service is shut down")
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=ASYNC_WORKERS,
+                    thread_name_prefix="repro-resilient",
+                )
+            return self._pool.submit(self.submit, request)
+
+    def cached_response(self, request: Request) -> Response | None:
+        """The wrapped service's result-cache answer, if any."""
+        return self.service.cached_response(request)
+
     def hold(self):
         """The wrapped service's
         :meth:`~repro.serve.service.ServiceBase.hold`."""
         return self.service.hold()
 
-    # ------------------------------------------------------------------ #
-    def stats(self) -> ServiceStats:
-        """Snapshot of the wrapped service (includes resilience counters)."""
-        return self.service.stats()
+    def metrics(self) -> MetricsRegistry:
+        """The wrapped service's registry snapshot plus, per route,
+        ``breaker.trips{route}`` and ``breaker.open{route}`` (1 while
+        the breaker is open)."""
+        snap = self.service.metrics()
+        with self._lock:
+            breakers = dict(self._breakers)
+        for route, breaker in breakers.items():
+            snap.counter("breaker.trips", route=route).inc(breaker.trips)
+            snap.gauge("breaker.open", route=route).set(
+                1.0 if breaker.state == "open" else 0.0
+            )
+        return snap
 
     def close(self, drain: bool = True) -> None:
+        """Shut the pool down, then the wrapped service (both draining
+        by default; without ``drain`` queued async submits are
+        cancelled)."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=drain, cancel_futures=not drain)
         self.service.close(drain=drain)
-
-    def __enter__(self) -> "ResilientService":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        self.close(drain=exc_type is None)

@@ -25,6 +25,7 @@ per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
 
 from __future__ import annotations
 
+import abc
 import contextlib
 import itertools
 import threading
@@ -87,15 +88,47 @@ class _Lookup(NamedTuple):
     cached: object
 
 
-class ServiceBase:
-    """What every serving backend shares: the blocking submit with its
-    timeout and late-discard accounting, the bulk submit, the
-    :class:`ServiceStats` view and the context manager.
+class ServiceBase(abc.ABC):
+    """The serving contract: what every backend offers its callers.
 
-    A backend provides ``submit_async``, ``metrics``, ``close`` and its
+    ``submit``, ``submit_async``, ``submit_many``, ``cached_response``,
+    ``hold``, ``stats``, ``metrics`` and ``close``, plus the context
+    manager (``with``-exit closes, draining unless an error unwinds).
+    The in-process :class:`PredictionService`, the sharded
+    :class:`~repro.serve.shard.ShardedPredictionService` and the
+    :class:`~repro.serve.resilience.ResilientService` wrapper are its
+    backends; the drivers (runner, sessions, loadgen, drills) type
+    against it alone.
+
+    Shared here: the blocking submit with its timeout and late-discard
+    accounting, the bulk submit, the :class:`ServiceStats` view and the
+    context manager.  A backend supplies the abstract methods and its
     :class:`StatsRecorder` as ``_stats``; one that batches in-process
     also overrides :meth:`hold`.
     """
+
+    @abc.abstractmethod
+    def submit_async(self, request: Request, *, block: bool = False) -> Future:
+        """Admit a request; the future resolves to a :class:`Response`.
+
+        Raises :class:`ServiceClosedError` after :meth:`close`, and
+        :class:`~repro.errors.ServiceOverloadedError` when admission is
+        full, unless ``block=True`` (then it waits for space).
+        """
+
+    @abc.abstractmethod
+    def cached_response(self, request: Request) -> Response | None:
+        """An already-computed answer, without admission or generation
+        (``None`` when there is none); counts nothing."""
+
+    @abc.abstractmethod
+    def metrics(self) -> MetricsRegistry:
+        """A snapshot of the registry this service counts in, owned by
+        the caller."""
+
+    @abc.abstractmethod
+    def close(self, drain: bool = True) -> None:
+        """Shut down, finishing admitted work when ``drain``; idempotent."""
 
     def submit(self, request: Request) -> Response:
         """Serve one request synchronously.

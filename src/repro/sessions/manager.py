@@ -2,9 +2,8 @@
 
 The :class:`SessionManager` replaces N sequential
 :func:`~repro.tuning.harness.run_tuner` loops with one event loop that
-keeps many campaigns' evaluations in flight against a shared
-:class:`~repro.serve.service.PredictionService` (or its
-:class:`~repro.serve.resilience.ResilientService` wrapper):
+keeps many campaigns' evaluations in flight against one shared
+:class:`~repro.serve.service.ServiceBase` backend:
 
 1. **drain** — harvest finished surrogate responses, measure the ground
    truth, record into each session's history, journal ``eval`` events;
@@ -32,7 +31,7 @@ throughput win over sequential loops comes from.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,6 +43,7 @@ from repro.errors import (
 )
 from repro.obs import get_tracer
 from repro.serve.request import Request
+from repro.serve.service import ServiceBase
 from repro.sessions.admission import AdmissionController
 from repro.sessions.events import (
     SessionEventLog,
@@ -76,6 +76,9 @@ _META_FIELDS = (
     ("context_examples", "context_examples"),
 )
 
+#: Idle-loop sleep while waiting on in-flight work.
+TICK_S = 0.0005
+
 
 class SessionManager:
     """Host and drive many concurrent tuning campaigns.
@@ -83,18 +86,14 @@ class SessionManager:
     Parameters
     ----------
     service:
-        A :class:`~repro.serve.service.PredictionService` (used via
-        ``submit_async``) or any object with a blocking ``submit`` —
-        e.g. :class:`~repro.serve.resilience.ResilientService` — which
-        is then driven through a small thread pool.
+        The backend every evaluation is submitted to, through
+        ``submit_async``.
     sessions:
         Initial campaigns (more can be added with :meth:`add_session`
         before :meth:`run`).
     admission:
         :class:`AdmissionController`; default allows 32 in-flight
         evaluations with unlimited per-tenant quota.
-    scheduler:
-        :class:`DeficitRoundRobin`; default unit quantum.
     log_path:
         JSONL event-log path.  ``None`` disables journaling (no resume).
     resume:
@@ -104,26 +103,21 @@ class SessionManager:
         Consecutive failed evaluation attempts before a session FAILs.
     clock, sleep:
         Injectable time sources (tests drive deadlines without waiting).
-    tick_s:
-        Idle-loop sleep while waiting on in-flight work.
-    executor_workers:
-        Thread-pool width for sync-only services.
+
+    Sessions take turns through a unit-quantum :class:`DeficitRoundRobin`.
     """
 
     def __init__(
         self,
-        service,
+        service: ServiceBase,
         *,
         sessions: Sequence[TuningSession] = (),
         admission: AdmissionController | None = None,
-        scheduler: DeficitRoundRobin | None = None,
         log_path: str | Path | None = None,
         resume: bool = False,
         eval_max_attempts: int = 4,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        tick_s: float = 0.0005,
-        executor_workers: int = 4,
     ):
         if eval_max_attempts < 1:
             raise SessionError(
@@ -132,13 +126,10 @@ class SessionManager:
         self.service = service
         self.registry = SessionRegistry()
         self.admission = admission or AdmissionController()
-        self.scheduler = scheduler or DeficitRoundRobin()
+        self.scheduler = DeficitRoundRobin()
         self.eval_max_attempts = int(eval_max_attempts)
         self._clock = clock
         self._sleep = sleep
-        self.tick_s = float(tick_s)
-        self._executor_workers = int(executor_workers)
-        self._executor: ThreadPoolExecutor | None = None
         self._log = SessionEventLog(log_path) if log_path else None
         self._replayed: dict[str, dict] = {}
         #: :class:`~repro.core.storage.RecoveryReport` of the journal
@@ -202,19 +193,8 @@ class SessionManager:
             )
 
     # ------------------------------------------------------------------ #
-    # Lifecycle controls
+    # Journal
     # ------------------------------------------------------------------ #
-    def pause_session(self, session_id: str, reason: str = "paused") -> None:
-        session = self.registry.get(session_id)
-        session.pause()
-        self._emit(state_event(session_id, PAUSED, reason))
-
-    def resume_session(self, session_id: str) -> None:
-        session = self.registry.get(session_id)
-        session.unpause()
-        self._stopped.discard(session_id)
-        self._emit(state_event(session_id, RUNNING, "unpaused"))
-
     def _emit(self, event: dict) -> None:
         if self._log is not None:
             self._log.emit(event)
@@ -252,20 +232,6 @@ class SessionManager:
             seed=derive_seed(session.seed, "request", session.step),
             size=session.model.task.size,
         )
-
-    def _submit(self, request: Request) -> Future:
-        """Async dispatch: native ``submit_async`` when the service has
-        one, else the blocking ``submit`` wrapped in a thread pool (the
-        ResilientService path — retries/backoff run on the worker)."""
-        submit_async = getattr(self.service, "submit_async", None)
-        if submit_async is not None:
-            return submit_async(request)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._executor_workers,
-                thread_name_prefix="sessions",
-            )
-        return self._executor.submit(self.service.submit, request)
 
     def _fail_session(self, session: TuningSession, reason: str) -> None:
         session.fail(reason)
@@ -310,7 +276,7 @@ class SessionManager:
             return None
         request = self._build_request(session, proposal)
         try:
-            future = self._submit(request)
+            future = self.service.submit_async(request)
         except ServiceOverloadedError:
             # Admitted but the queue filled underneath us: shed.  The
             # proposal stays cached, quota/credit are returned, and the
@@ -402,7 +368,7 @@ class SessionManager:
                 self._flush()
             if not wait or not self._inflight:
                 return recorded
-            self._sleep(self.tick_s)
+            self._sleep(TICK_S)
 
     def _expire_deadlines(self) -> None:
         now = self._clock() - (self._start_time or 0.0)
@@ -419,15 +385,10 @@ class SessionManager:
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        *,
-        max_evaluations: int | None = None,
-        max_wall_s: float | None = None,
-    ) -> dict:
-        """Drive all campaigns to completion (or the given stop limits).
+    def run(self, *, max_evaluations: int | None = None) -> dict:
+        """Drive all campaigns to completion (or ``max_evaluations``).
 
-        Returns the final registry snapshot.  On a stop limit, in-flight
+        Returns the final registry snapshot.  On the stop limit, in-flight
         evaluations are drained (recorded, journaled) and still-RUNNING
         sessions are PAUSED with reason ``"stopped"`` — a subsequent
         ``resume`` run picks every campaign up exactly where it stopped.
@@ -456,9 +417,6 @@ class SessionManager:
                         max_evaluations is not None
                         and self.n_completed - start_completed
                         >= max_evaluations
-                    ) or (
-                        max_wall_s is not None
-                        and self._clock() - self._start_time >= max_wall_s
                     )
                     if stop:
                         self._drain(wait=True)
@@ -501,7 +459,7 @@ class SessionManager:
                     ):
                         break
                     if not progress:
-                        self._sleep(self.tick_s)
+                        self._sleep(TICK_S)
         finally:
             self._flush()
             self._elapsed = self._clock() - self._start_time
@@ -520,9 +478,6 @@ class SessionManager:
 
     def close(self) -> None:
         self._flush()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def __enter__(self) -> "SessionManager":
         return self

@@ -173,7 +173,7 @@ def dying_run_spec(spec, **kw):
     return real_run_spec(spec, **kw)
 
 runner.run_spec = dying_run_spec
-run_grid(specs, workers=1, checkpoint={str(path)!r}, checkpoint_every=1)
+run_grid(specs, workers=1, checkpoint={str(path)!r})
 raise SystemExit("grid finished; the kill never fired")
 """
         env = dict(os.environ)

@@ -16,7 +16,8 @@ from repro.drills import (
     verify_deterministic,
 )
 from repro.drills.harness import MISSING
-from repro.faults import DEFAULT_FAULT_PLAN
+from repro.faults import DEFAULT_FAULT_PLAN, FaultPlan
+from repro.obs import render_dashboard
 from repro.serve.stats import StatsRecorder, service_stats
 
 
@@ -128,6 +129,20 @@ class TestServiceChaosDrill:
         run = report.first
         assert len(run.values) == 12 and run.stats.n_logical == 12
         assert report.results[2].faults == run.faults
+
+    def test_tripped_breaker_reaches_timeline_and_top(self):
+        """The drill scrapes the resilient service itself, so a breaker
+        it trips shows in the telemetry and on the dashboard."""
+        workload = repeated_workload(
+            size="SM", n_icl=5, unique=6, n_requests=30, seed=1
+        )
+        plan = FaultPlan(seed=1, transient_error_rate=0.9)
+        run = service_drills.run_service_chaos(workload, plan, max_attempts=2)
+        assert run.stats.n_breaker_trips >= 1
+        records = run.sampler.records()
+        final = [r for r in records if r["type"] == "sample"][-1]
+        assert final["metrics"]["breaker.trips{route=SM}"] >= 1
+        assert "breaker state" in render_dashboard(records)
 
 
 class TestSessionsChaosDrill:

@@ -55,8 +55,10 @@ class TestPrepare:
         text = "Performance: 0.0022155\nPerformance:"
         ids = np.asarray(tokenizer.encode(text))
         pre = model.prepare(ids)
-        ids_a, logits_a = model.next_token_logits(ids, [], 1, 0, analysis=pre)
-        ids_b, logits_b = model.next_token_logits(ids, [], 1, 0)
+        ids_a, logits_a = model.next_token_logits_batch(
+            ids, [], [1], 0, analysis=pre
+        )[0]
+        ids_b, logits_b = model.next_token_logits_batch(ids, [], [1], 0)[0]
         np.testing.assert_array_equal(ids_a, ids_b)
         np.testing.assert_allclose(logits_a, logits_b)
 
@@ -67,9 +69,9 @@ class TestPrepare:
         ids = np.asarray(tokenizer.encode(text))
         analysis = model.prepare(ids)
         assert analysis.integer_valued
-        cand, logits = model.next_token_logits(
-            ids, ["2"], 1, 1, analysis=analysis
-        )
+        cand, logits = model.next_token_logits_batch(
+            ids, ["2"], [1], 1, analysis=analysis
+        )[0]
         top = int(cand[np.argmax(logits)])
         top_str = tokenizer.vocab.string_of(top)
         assert top_str in ("\n", "<|eot_id|>")
@@ -79,10 +81,12 @@ class TestSupportShape:
     def test_support_never_empty(self, model, tokenizer):
         ids = np.asarray(tokenizer.encode("Performance: 1.5\nPerformance:"))
         for step, gen in enumerate(([], ["1"], ["1", "."])):
-            cand, logits = model.next_token_logits(ids, list(gen), 1, step)
+            cand, logits = model.next_token_logits_batch(
+                ids, list(gen), [1], step
+            )[0]
             assert cand.size >= 1
 
     def test_all_logits_finite(self, model, tokenizer):
         ids = np.asarray(tokenizer.encode("Performance: 1.5\nPerformance:"))
-        _, logits = model.next_token_logits(ids, ["1", "."], 1, 2)
+        _, logits = model.next_token_logits_batch(ids, ["1", "."], [1], 2)[0]
         assert np.isfinite(logits).all()

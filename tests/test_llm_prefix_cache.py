@@ -391,13 +391,13 @@ class TestPrefixEqualityProperty:
         cold_analysis = lm.prepare(ids)
         warm_analysis = lm.prepare(ids, prefix=snap)
         for seed in (0, 1, 2):
-            cold_ids, cold_logits = lm.next_token_logits(
-                ids, [], sample_seed=seed, step=0, analysis=cold_analysis
-            )
-            warm_ids, warm_logits = lm.next_token_logits(
-                ids, [], sample_seed=seed, step=0,
+            cold_ids, cold_logits = lm.next_token_logits_batch(
+                ids, [], [seed], step=0, analysis=cold_analysis
+            )[0]
+            warm_ids, warm_logits = lm.next_token_logits_batch(
+                ids, [], [seed], step=0,
                 analysis=warm_analysis, prefix=snap,
-            )
+            )[0]
             assert np.array_equal(cold_ids, warm_ids)
             assert np.array_equal(cold_logits, warm_logits)
 

@@ -360,7 +360,7 @@ class TestCollectServiceMetrics:
                 )
                 for q in range(8)
             )
-            registry = collect_service_metrics(service, resilient=resilient)
+            registry = collect_service_metrics(resilient)
             stats = service.stats()
             faults = fault_counts(service.metrics())
         snap = registry.snapshot()
