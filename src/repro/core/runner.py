@@ -9,7 +9,7 @@ and results (chunky tasks, small payloads, per the HPC guides).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -109,23 +109,42 @@ def _probes_for(
     return probes
 
 
-def _probe_inputs(spec: ExperimentSpec, dataset: PerformanceDataset):
-    """Materialize per-probe inputs: (examples, query_row, gen_seed)."""
-    inputs = []
-    for probe_id, (icl_rows, query_row) in enumerate(
-        _probes_for(spec, dataset)
-    ):
-        examples = [
-            (dataset.config(int(r)), float(dataset.runtimes[int(r)]))
-            for r in icl_rows
-        ]
-        # cell_key already includes spec.seed, so sampling streams differ
-        # across seeds while everything else about the probe is shared.
-        gen_seed = derive_seed(
-            spec.root_seed, "generation", *spec.cell_key, probe_id
+@lru_cache(maxsize=1)
+def _cell_inputs(cell: ExperimentSpec) -> tuple[tuple[tuple, int], ...]:
+    """A cell's seed-independent probe inputs: ``(examples, query_row)``.
+
+    Keyed on the spec with its sampling seed zeroed and kept for the
+    last cell only: ``paper_grid`` lists a cell's seed siblings next to
+    each other, and they differ in their generation seeds alone.  The
+    siblings share these objects, so they are tuples, read-only.
+    """
+    dataset = _dataset(cell.size, cell.root_seed)
+    return tuple(
+        (
+            tuple(
+                (dataset.config(int(r)), float(dataset.runtimes[int(r)]))
+                for r in icl_rows
+            ),
+            query_row,
         )
-        inputs.append((examples, query_row, gen_seed))
-    return inputs
+        for icl_rows, query_row in _probes_for(cell, dataset)
+    )
+
+
+def _probe_inputs(spec: ExperimentSpec):
+    """Materialize per-probe inputs: (examples, query_row, gen_seed)."""
+    # cell_key already includes spec.seed, so sampling streams differ
+    # across seeds while everything else about the probe is shared.
+    return [
+        (
+            examples,
+            query_row,
+            derive_seed(spec.root_seed, "generation", *spec.cell_key, probe_id),
+        )
+        for probe_id, (examples, query_row) in enumerate(
+            _cell_inputs(replace(spec, seed=0))
+        )
+    ]
 
 
 def _probe_result(spec, dataset, query_row, pred) -> ProbeResult:
@@ -182,7 +201,7 @@ def run_spec(
         prefix_cache=bool(prefix_cache),
     ):
         dataset = _dataset(spec.size, spec.root_seed)
-        inputs = _probe_inputs(spec, dataset)
+        inputs = _probe_inputs(spec)
         if service is not None:
             from repro.serve.request import Request
 

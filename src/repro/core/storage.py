@@ -151,6 +151,29 @@ def _fsync(sink, fh) -> None:
 # ---------------------------------------------------------------------- #
 # Probe record codec (unchanged payload schema)
 # ---------------------------------------------------------------------- #
+def _round6(values: np.ndarray) -> list[float]:
+    """``[round(float(v), 6) for v in values]`` without a call per value.
+
+    ``round`` returns the double nearest ``k / 10**6``, where ``k`` is the
+    integer nearest the exact ``v * 10**6``; ``rint(v * 1e6) / 1e6`` is
+    that double whenever the rounded product lands on the same ``k``.
+    Below ``2**31`` the product is off by at most ``2**-23``, so a
+    fraction at least ``1e-6`` from one half cannot cross a rounding
+    boundary.  Near-ties (exact ones included), huge and non-finite
+    values take ``round`` itself.
+    """
+    x = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        scaled = x * 1e6
+        out = (np.rint(scaled) / 1e6).tolist()
+        safe = (np.abs(scaled) < 2**31) & (
+            np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6
+        )
+    for i in np.flatnonzero(~safe).tolist():
+        out[i] = round(float(x[i]), 6)
+    return out
+
+
 def _encode_probe(probe: ProbeResult) -> dict:
     spec = probe.spec
     return {
@@ -174,7 +197,7 @@ def _encode_probe(probe: ProbeResult) -> dict:
         "value_steps": [
             {
                 "tokens": list(s.tokens),
-                "logits": [round(float(x), 6) for x in s.logits],
+                "logits": _round6(s.logits),
                 "chosen": s.chosen,
             }
             for s in probe.value_steps

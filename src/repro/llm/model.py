@@ -171,7 +171,6 @@ class SurrogateLM:
                 ids=ids,
                 fingerprint=token_fingerprint(ids),
                 induction=self.induction.build_index(ids),
-                unigram=self.unigram.build_index(ids),
                 format_index=self.format.build_prefix(ids),
                 size_counts=self._size_token_counts(ids),
             )
@@ -265,12 +264,7 @@ class SurrogateLM:
                 w *= cfg.preamble_induction_damping
             parts.append(SparseScores(ind.ids, w * ind.scores))
         if cfg.use_unigram:
-            if prefix is not None:
-                uni = self.unigram.score_indexed(
-                    ctx, prefix.unigram, prefix.length
-                )
-            else:
-                uni = self.unigram.score(ctx)
+            uni = self.unigram.score(ctx)
             parts.append(SparseScores(uni.ids, cfg.unigram_weight * uni.scores))
         if cfg.use_format:
             fmt = self.format.score(generated_strings, analysis)
@@ -341,10 +335,11 @@ class SurrogateLM:
             keep[np.argmax(probs)] = True
         ids, logits = ids[keep], logits[keep]
         if ids.size > cfg.max_support:
-            top = np.argsort(logits)[-cfg.max_support :]
+            # ids arrive ascending (the accumulated support); taking the
+            # kept positions in index order keeps them so.
+            top = np.sort(np.argsort(logits)[-cfg.max_support :])
             ids, logits = ids[top], logits[top]
-        order = np.argsort(ids)
-        return ids[order], logits[order]
+        return ids, logits
 
     def _noise_eps(
         self, generated_strings: list[str], analysis

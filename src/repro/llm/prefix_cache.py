@@ -2,17 +2,19 @@
 
 Every prompt a grid sweep (or the serving layer) scores shares one long
 ICL few-shot prefix and differs only in a short query suffix, yet the
-surrogate LM's hot path — suffix-match window scans, recency-unigram
-statistics, format-cue analysis, size detection — rebuilds its prepared
-state from the full prompt on every call.  This module snapshots that
-state once per *tokenized prefix* and lets every extending prompt process
-only the suffix delta:
+surrogate LM's hot path — suffix-match window scans, format-cue
+analysis, size detection — would rebuild its prepared state from the
+full prompt on every call.  This module snapshots that state once per
+*tokenized prefix* and lets every extending prompt process only the
+suffix delta:
 
-* :class:`PreparedPrefix` — a frozen bundle of the per-scorer indexes
-  (:meth:`InductionScorer.build_index`,
-  :meth:`RecencyUnigramScorer.build_index`,
-  :meth:`FormatScorer.build_prefix`) plus the prefix's size-token counts,
-  keyed by the prefix's token fingerprint.
+* :class:`PreparedPrefix` — a frozen bundle of the prefix ids, their
+  fingerprint (the cache key), the induction index
+  (:meth:`InductionScorer.build_index`), the format-cue records
+  (:meth:`FormatScorer.build_prefix`) and the prefix's size-token
+  counts.  The recency-unigram scorer has no entry: one ``bincount``
+  over the whole context per step costs less than merging a prefix
+  factorization would.
 * :class:`PrefixCache` — a small thread-safe LRU from fingerprint to
   snapshot, owned by each :class:`~repro.core.surrogate
   .DiscriminativeSurrogate` (and shareable across surrogates that wrap
@@ -25,10 +27,10 @@ flat arrays: the stable-sorted keys and the window starts in that order.
 Determinism contract (the hard constraint, pinned by
 ``tests/test_llm_prefix_cache.py`` and the hypothesis property test):
 scoring through a snapshot is **bit-identical** to the cold path for
-every sampling seed.  The indexed scorer paths achieve this by combining
-index-listed prefix matches with a boundary delta scan into exactly the
-arrays the cold scan produces, and by replaying accumulations in the cold
-path's element order; nothing downstream of the scorers can tell the two
+every sampling seed.  The indexed induction path visits the cold scan's
+matches in the cold scan's order — index-listed prefix matches, then a
+scan of the tail past the prefix — and adds the votes through the cold
+path's own dict loop; nothing downstream of the scorers can tell the two
 paths apart.
 """
 
@@ -75,8 +77,6 @@ class PreparedPrefix:
     induction:
         Suffix-match window index: per n-gram length, the packed window
         keys sorted ascending and the window starts in that order.
-    unigram:
-        ``(unique_tokens, inverse)`` factorization of the prefix.
     format_index:
         Parsed format-cue records (the FSM's prepared state).
     size_counts:
@@ -86,7 +86,6 @@ class PreparedPrefix:
     ids: np.ndarray
     fingerprint: str
     induction: InductionIndex
-    unigram: tuple[np.ndarray, np.ndarray]
     format_index: FormatPrefixIndex
     size_counts: Mapping[str, int]
 

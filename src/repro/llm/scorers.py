@@ -70,10 +70,20 @@ class SparseScores:
             return SparseScores.empty()
         all_ids = np.concatenate([p.ids for p in parts])
         all_scores = np.concatenate([p.scores for p in parts])
-        uniq, inverse = np.unique(all_ids, return_inverse=True)
-        summed = np.zeros(uniq.size)
-        np.add.at(summed, inverse, all_scores)
-        return SparseScores(uniq, summed)
+        return SparseScores(*_sum_by_id(all_ids, all_scores))
+
+
+def _sum_by_id(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, per-id sums)`` of non-negative ``ids``, support ascending.
+
+    ``bincount`` adds each bucket's values sequentially in element order,
+    exactly as ``np.add.at`` over a ``np.unique`` inverse (and a dict
+    loop) does, so the sums are bit-identical to those formulations.  The
+    support comes from the unweighted counts, so ids whose values cancel
+    to zero stay in it.
+    """
+    support = np.flatnonzero(np.bincount(ids))
+    return support, np.bincount(ids, values)[support]
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,12 @@ class InductionScorer:
             recency = np.exp(-decay * (n - (starts + length)))
             for tok, rec in zip(next_tokens, recency):
                 votes[int(tok)] = votes.get(int(tok), 0.0) + weight_l * float(rec)
+        return self._vote_scores(votes, offset_shift)
+
+    def _vote_scores(
+        self, votes: dict[int, float], offset_shift: float
+    ) -> SparseScores:
+        """Normalized votes -> ``offset + scale * log(p)`` in insertion order."""
         if not votes:
             return SparseScores.empty()
         ids = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
@@ -204,57 +220,52 @@ class InductionScorer:
         prefix_len: int,
         offset_shift: float = 0.0,
     ) -> SparseScores:
-        """Suffix-match voting using a prefix index plus a tail delta scan.
+        """Suffix-match voting using a prefix index plus a tail scan.
 
-        Combines index-listed starts (inside the prefix) with a scan of
-        the boundary/suffix region; the concatenation reproduces the
-        reference scan's start array element-for-element, and the vote
-        accumulation replays the reference dict loop's insertion and
-        addition order, so the returned scores are bit-identical.
+        Think of a length-``L`` match by the position ``t`` of its last
+        token (``t <= n - 2``, so a next token follows).  Matches ending
+        before ``prefix_len - 1`` come from the index.  The rest end in
+        the tail ``[prefix_len - 1, n - 2]``: the length-1 matches there
+        are one equality check, and the length-``L`` matches are the
+        length-``L - 1`` ones that also agree ``L - 1`` tokens back, one
+        shifted check per length.  Matches are visited in the reference
+        scan's order (length ascending, starts ascending) and the votes
+        go through the reference's own dict loop, so the scores are
+        bit-identical to :meth:`score`.
         """
         ctx = np.asarray(context, dtype=np.int64)
         n = ctx.size
         if n < 2:
             return SparseScores.empty()
-        decay = np.log(2.0) / self.recency_halflife
-        max_l = min(self.max_ngram, n - 1)
-        tok_parts: list[np.ndarray] = []
-        weight_parts: list[np.ndarray] = []
-        for length in range(1, max_l + 1):
-            suffix = ctx[n - length :]
-            starts = index.starts(suffix)
-            # Starts >= prefix_len - length cross the boundary or live in
-            # the suffix; rescan just that region of the full context.
-            lo = max(0, prefix_len - length)
-            tail = ctx[lo : n - 1]
-            if tail.size >= length:
-                eq = np.all(sliding_window_view(tail, length) == suffix, axis=1)
-                starts = np.concatenate([starts, np.nonzero(eq)[0] + lo])
-            if not starts.size:
-                continue
-            weight_l = self.match_base ** (length - 1)
-            tok_parts.append(ctx[starts + length])
-            weight_parts.append(
-                weight_l * np.exp(-decay * (n - (starts + length)))
+        t0 = max(prefix_len - 1, 0)
+        match = ctx[t0 : n - 1] == ctx[-1]  # tail ends, length 1
+        nexts: list[np.ndarray] = []  # next-token positions, in scan order
+        weights: list[float] = []
+        counts: list[int] = []
+        for length in range(1, min(self.max_ngram, n - 1) + 1):
+            back = length - 1
+            if back:
+                if t0 < back:
+                    match[: back - t0] = False  # no window that long ends here
+                lo = max(t0, back)
+                match[lo - t0 :] &= ctx[lo - back : n - 1 - back] == ctx[n - length]
+            found = np.concatenate(
+                [index.starts(ctx[n - length :]) + length, np.flatnonzero(match) + t0 + 1]
             )
-        if not tok_parts:
+            if not found.size:
+                break  # a length-L+1 match would contain a length-L one
+            nexts.append(found)
+            weights.append(self.match_base**back)
+            counts.append(found.size)
+        if not nexts:
             return SparseScores.empty()
-        tokens = np.concatenate(tok_parts)
-        weights = np.concatenate(weight_parts)
-        # First-occurrence-order accumulation: rank tokens by where they
-        # first appear in the traversal (== dict insertion order) and let
-        # np.add.at replay the per-key additions in traversal order.
-        uniq, first_idx, inverse = np.unique(
-            tokens, return_index=True, return_inverse=True
-        )
-        w = np.zeros(uniq.size)
-        np.add.at(w, inverse, weights)
-        order = np.argsort(first_idx)
-        ids, w = uniq[order], w[order]
-        p = w / w.sum()
-        return SparseScores(
-            ids, self.offset + offset_shift + self.scale * np.log(p + 1e-12)
-        )
+        nxt = np.concatenate(nexts)
+        decay = np.log(2.0) / self.recency_halflife
+        vote = np.repeat(weights, counts) * np.exp(-decay * (n - nxt))
+        votes: dict[int, float] = {}
+        for tok, w in zip(ctx[nxt].tolist(), vote.tolist()):
+            votes[tok] = votes.get(tok, 0.0) + w
+        return self._vote_scores(votes, offset_shift)
 
 
 class RecencyUnigramScorer:
@@ -267,40 +278,11 @@ class RecencyUnigramScorer:
         self.scale = scale
 
     def score(self, context: np.ndarray) -> SparseScores:
-        ctx = np.asarray(context, dtype=np.int64)
-        n = ctx.size
-        if n == 0:
-            return SparseScores.empty()
-        decay = np.log(2.0) / self.halflife
-        weights = np.exp(-decay * (n - 1 - np.arange(n)))
-        uniq, inverse = np.unique(ctx, return_inverse=True)
-        mass = np.zeros(uniq.size)
-        np.add.at(mass, inverse, weights)
-        p = mass / mass.sum()
-        return SparseScores(uniq, self.scale * np.log(p + 1e-12))
+        """Recency-weighted token frequency over the whole context.
 
-    # ------------------------------------------------------------------ #
-    # Prefix-indexed fast path (bit-identical to ``score`` above).
-    # ------------------------------------------------------------------ #
-    def build_index(
-        self, prefix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Precompute the unique-token factorization of a fixed prefix."""
-        return np.unique(np.asarray(prefix, dtype=np.int64), return_inverse=True)
-
-    def score_indexed(
-        self,
-        context: np.ndarray,
-        index: tuple[np.ndarray, np.ndarray],
-        prefix_len: int,
-    ) -> SparseScores:
-        """Recency-unigram score reusing the prefix factorization.
-
-        Only the suffix delta is sorted; the prefix's unique/inverse
-        decomposition is remapped into the merged support.  The merged
-        support equals ``np.unique`` of the full context and the mass
-        accumulation runs in the same element order, so the result is
-        bit-identical to the reference path.
+        One ``bincount`` pass; the sums match a ``np.add.at`` over the
+        ``np.unique`` factorization bit for bit (see :func:`_sum_by_id`),
+        so no prefix factorization is needed to make this cheap.
         """
         ctx = np.asarray(context, dtype=np.int64)
         n = ctx.size
@@ -308,15 +290,7 @@ class RecencyUnigramScorer:
             return SparseScores.empty()
         decay = np.log(2.0) / self.halflife
         weights = np.exp(-decay * (n - 1 - np.arange(n)))
-        uniq_p, inv_p = index
-        suffix = ctx[prefix_len:]
-        uniq_s, inv_s = np.unique(suffix, return_inverse=True)
-        uniq = np.union1d(uniq_p, uniq_s)
-        remap_p = np.searchsorted(uniq, uniq_p)
-        remap_s = np.searchsorted(uniq, uniq_s)
-        inverse = np.concatenate([remap_p[inv_p], remap_s[inv_s]])
-        mass = np.zeros(uniq.size)
-        np.add.at(mass, inverse, weights)
+        uniq, mass = _sum_by_id(ctx, weights)
         p = mass / mass.sum()
         return SparseScores(uniq, self.scale * np.log(p + 1e-12))
 
@@ -422,10 +396,17 @@ class FormatScorer:
         self._digit_lengths = np.asarray(
             [len(s) for s in digit_strings], dtype=np.int64
         )
-        # Leading one and two characters of each chunk (digit_noise's
-        # prefix affinity compares them against the demonstrations).
-        self._digit_heads1 = np.asarray([s[:1] for s in digit_strings])
-        self._digit_heads2 = np.asarray([s[:2] for s in digit_strings])
+        # Leading one and two characters of each chunk as integer codes
+        # (digit_noise's prefix affinity compares them against the
+        # demonstrations' heads through a code-indexed table).
+        heads = sorted({s[:k] for s in digit_strings for k in (1, 2)})
+        self._head_code = {h: code for code, h in enumerate(heads)}
+        self._digit_heads1 = np.asarray(
+            [self._head_code[s[:1]] for s in digit_strings], dtype=np.int64
+        )
+        self._digit_heads2 = np.asarray(
+            [self._head_code[s[:2]] for s in digit_strings], dtype=np.int64
+        )
         # Fixed per-token jitter: which digit chunks feel "natural" is a
         # frozen property of pretraining, not of the sampling seed.
         self._jitter = rng_from(jitter_seed, "format-jitter").standard_normal(
@@ -695,9 +676,16 @@ class FormatScorer:
             # thousand chunks uniformly.
             demo = [p for p in analysis.fraction_prefixes if p]
             if demo:
-                two = np.isin(self._digit_heads2[fit], [p[:2] for p in demo])
-                one = np.isin(self._digit_heads1[fit], [p[0] for p in demo])
-                logits = logits + np.where(two, 8.0, np.where(one, 4.0, 0.0))
+                # A chunk sharing two leading digits with a demonstrated
+                # prefix gets +8, else one leading digit +4, else 0.
+                two = np.zeros(len(self._head_code))
+                one = np.zeros(len(self._head_code))
+                code = self._head_code
+                two[[code[p[:2]] for p in demo if p[:2] in code]] = 8.0
+                one[[code[p[0]] for p in demo if p[0] in code]] = 4.0
+                logits = logits + np.maximum(
+                    two[self._digit_heads2[fit]], one[self._digit_heads1[fit]]
+                )
         z = logits - logits.max()
         q = np.exp(z)
         q /= q.sum()

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analysis.decoding import StepCandidates
 from repro.errors import GenerationError
-from repro.llm.vocab import Vocabulary
+from repro.llm.vocab import TokenStrings, Vocabulary
 
 __all__ = ["GenerationStep", "GenerationTrace"]
 
@@ -79,7 +79,7 @@ class GenerationTrace:
         """All steps in analysis form (token strings + logits)."""
         return [
             StepCandidates(
-                tokens=vocab.strings_of(s.candidate_ids),
+                tokens=TokenStrings(vocab, s.candidate_ids),
                 logits=s.logits,
                 chosen=s.chosen_position,
             )
@@ -96,7 +96,7 @@ class GenerationTrace:
             if vocab.string_of(s.chosen_id).isdigit():
                 return [
                     StepCandidates(
-                        tokens=vocab.strings_of(st.candidate_ids),
+                        tokens=TokenStrings(vocab, st.candidate_ids),
                         logits=st.logits,
                         chosen=st.chosen_position,
                     )

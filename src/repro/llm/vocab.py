@@ -14,13 +14,20 @@ across runs and machines:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import VocabularyError
 
-__all__ = ["SpecialTokens", "Vocabulary", "build_default_vocabulary", "WORD_LEXICON"]
+__all__ = [
+    "SpecialTokens",
+    "TokenStrings",
+    "Vocabulary",
+    "build_default_vocabulary",
+    "WORD_LEXICON",
+]
 
 
 @dataclass(frozen=True)
@@ -160,13 +167,17 @@ class Vocabulary:
         post-processing layer converts every recorded candidate set and is
         by far the heaviest ``string_of`` caller.
         """
+        ids = self._checked(token_ids)
+        tokens = self._tokens
+        return tuple(tokens[i] for i in ids.tolist())
+
+    def _checked(self, token_ids) -> np.ndarray:
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size and not (0 <= int(ids.min()) and int(ids.max()) < len(self._tokens)):
             raise VocabularyError(
                 f"token id out of range ({len(self._tokens)})"
             )
-        tokens = self._tokens
-        return tuple(tokens[i] for i in ids.tolist())
+        return ids
 
     def byte_id(self, byte: int) -> int:
         """Id of the byte-fallback token for ``byte``."""
@@ -242,3 +253,50 @@ def build_default_vocabulary() -> Vocabulary:
             tokens.append(tok)
             seen.add(tok)
     return Vocabulary(tokens)
+
+
+class TokenStrings(Sequence):
+    """The token strings of an id array, looked up when read.
+
+    Reads like the tuple :meth:`Vocabulary.strings_of` returns (``len``,
+    indexing, iteration, hashing, equality with tuples) but keeps the ids
+    in the narrowest unsigned dtype, 2 bytes each for the default
+    vocabulary, instead of an 8-byte pointer per string.  A recorded
+    candidate set runs to ~1,200 tokens, and those pointers were a third
+    of what a cached prediction held.  It pickles as the plain tuple, so
+    the shard wire format is unchanged.
+    """
+
+    __slots__ = ("_vocab", "_ids")
+
+    def __init__(self, vocab: Vocabulary, token_ids):
+        self._vocab = vocab
+        self._ids = vocab._checked(token_ids).astype(
+            np.min_scalar_type(len(vocab) - 1)
+        )
+
+    def __len__(self) -> int:
+        return self._ids.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return self._vocab._tokens[self._ids[index]]
+
+    def __iter__(self):
+        # The ids were range-checked once, on construction.
+        return map(self._vocab._tokens.__getitem__, self._ids.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, TokenStrings)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return (tuple, (tuple(self),))

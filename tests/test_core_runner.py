@@ -61,6 +61,38 @@ class TestRunSpec:
                 assert p.relative_error == float("inf")
 
 
+class TestSeedSiblingInputs:
+    """Seed siblings reuse the last cell's seed-independent inputs."""
+
+    def test_one_neighborhood_per_query_per_sibling_pair(self, monkeypatch):
+        from repro.core import runner
+        from repro.core.storage import _encode_probe
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return curated(*args, **kwargs)
+
+        curated = runner.curated_neighborhood
+        siblings = [
+            ExperimentSpec("SM", "curated", 4, 0, seed, n_queries=3)
+            for seed in (1, 2)
+        ]
+        runner._cell_inputs.cache_clear()
+        monkeypatch.setattr(runner, "curated_neighborhood", spy)
+        memoised = [run_spec(spec) for spec in siblings]
+        assert len(calls) == 3 and len(set(calls)) == 3
+        # Each sibling alone, with nothing memoised, gives the same probes.
+        for spec, probes in zip(siblings, memoised):
+            runner._cell_inputs.cache_clear()
+            alone = run_spec(spec)
+            assert [_encode_probe(p) for p in alone] == [
+                _encode_probe(p) for p in probes
+            ]
+        assert len(calls) == 9
+
+
 class TestRunGrid:
     def test_flattened_order(self):
         specs = [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import quick_grid, run_grid
 from repro.core.storage import load_probes_jsonl, save_probes_jsonl
@@ -450,3 +451,36 @@ class TestEventLog:
         loaded = load_events_jsonl(path, kind="k", tolerate_partial=True)
         assert loaded == self.events(1)
         assert loaded.report.records_quarantined == 1
+
+
+class TestRound6:
+    """Checkpoint logits round without a Python call per float, exactly."""
+
+    @staticmethod
+    def _check(values):
+        from repro.core.storage import _round6
+
+        got = _round6(np.asarray(values, dtype=float))
+        assert [repr(g) for g in got] == [repr(round(float(v), 6)) for v in values]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.floats(-1000, 1000)
+            | st.integers(-(10**9), 10**9).map(lambda k: (k + 0.5) / 10**6)
+            | st.integers(-(2**40), 2**40).map(lambda k: k / 2**7),
+            max_size=50,
+        )
+    )
+    def test_equals_builtin_round(self, values):
+        self._check(values)
+
+    def test_edge_values(self):
+        self._check([
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
+            4e-7, -4e-7, 5e-7, -5e-7, 1 / 128, -1 / 128, 0.0078125,
+            2.5e-6, 3.5e-6, 2**31 / 1e6, -(2**31) / 1e6, 2**52 / 1e6,
+            1e300, -1e300, float("inf"), float("-inf"), float("nan"),
+            -690.7755278982137, 123456.7890125,
+        ])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.llm.model import LMConfig, SurrogateLM
 from repro.llm.scorers import FormatAnalysis
@@ -90,3 +91,38 @@ class TestSupportShape:
         ids = np.asarray(tokenizer.encode("Performance: 1.5\nPerformance:"))
         _, logits = model.next_token_logits_batch(ids, ["1", "."], [1], 2)[0]
         assert np.isfinite(logits).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        support=st.lists(st.integers(0, 2081), min_size=1, max_size=60, unique=True),
+        data=st.data(),
+        cap=st.integers(1, 70),
+    )
+    def test_select_support_equals_sorted_reselection(
+        self, tokenizer, support, data, cap
+    ):
+        """Ascending ids skip the final ``argsort(ids)``; the result equals
+        the former select-then-sort form, with and without the cap."""
+        model = SurrogateLM(tokenizer.vocab, LMConfig(max_support=cap))
+        ids = np.asarray(sorted(support), dtype=np.int64)
+        logits = np.asarray(
+            data.draw(
+                st.lists(
+                    st.sampled_from([-3.0, -1.0, 0.0, -2.5]) | st.floats(-20, 0),
+                    min_size=ids.size, max_size=ids.size,
+                )
+            )
+        )
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        got = model._select_support(ids, logits, probs)
+        keep = probs >= model.config.support_floor
+        if not keep.any():
+            keep[np.argmax(probs)] = True
+        ref_ids, ref_logits = ids[keep], logits[keep]
+        if ref_ids.size > cap:
+            top = np.argsort(ref_logits)[-cap:]
+            ref_ids, ref_logits = ref_ids[top], ref_logits[top]
+        order = np.argsort(ref_ids)
+        assert np.array_equal(got[0], ref_ids[order])
+        assert np.array_equal(got[1], ref_logits[order])

@@ -20,6 +20,22 @@ def tok():
     return Tokenizer()
 
 
+def _reference_sum_by_id(ids, values):
+    """The ``np.unique`` + ``np.add.at`` accumulation the kernels replaced."""
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    summed = np.zeros(uniq.size)
+    np.add.at(summed, inverse, values)
+    return uniq, summed
+
+
+#: Score values that repeat, cancel to exactly zero and carry -0.0, so a
+#: kernel that changes summation order or drops zero sums shows.
+_scores = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.1, 0.2, 0.3, -0.0, 1e-17, -7.25]),
+    st.floats(-50, 50, allow_nan=False),
+)
+
+
 class TestSparseScores:
     def test_accumulate_sums_overlap(self):
         a = SparseScores(np.array([1, 2]), np.array([1.0, 2.0]))
@@ -31,6 +47,33 @@ class TestSparseScores:
     def test_accumulate_empty(self):
         assert SparseScores.accumulate([]).ids.size == 0
         assert SparseScores.accumulate([SparseScores.empty()]).ids.size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(
+            st.lists(st.tuples(st.integers(0, 12), _scores), max_size=15),
+            max_size=4,
+        )
+    )
+    def test_accumulate_equals_unique_add_at(self, parts):
+        sparse = [
+            SparseScores(
+                np.array([i for i, _ in p], dtype=np.int64),
+                np.array([v for _, v in p], dtype=float),
+            )
+            for p in parts
+        ]
+        got = SparseScores.accumulate(sparse)
+        nonempty = [p for p in sparse if p.ids.size]
+        if not nonempty:
+            assert got.ids.size == 0
+            return
+        ids, summed = _reference_sum_by_id(
+            np.concatenate([p.ids for p in nonempty]),
+            np.concatenate([p.scores for p in nonempty]),
+        )
+        assert np.array_equal(got.ids, ids)
+        assert got.scores.tobytes() == summed.tobytes()  # -0.0 included
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -95,13 +138,27 @@ class TestInductionScorer:
 def _split_context(draw):
     """A highly repetitive context and a prefix cut point ``p``.
 
-    Prefix ids come from a tiny alphabet; suffix ids may exceed every
-    prefix id (the index's radix edge).  ``p`` covers ``0..n``, so short
-    prefixes with fewer windows than ``max_ngram`` are drawn too.
+    Prefix ids come from a tiny alphabet.  Suffix ids may exceed every
+    prefix id, by a little or far past the index's radix.  Prefixes and
+    suffixes are often shorter than ``max_ngram``: a match then
+    straddles the cut, needs more tokens than the tail holds, or would
+    start before the context does.  ``p`` covers ``0..n``.
     """
     alphabet = draw(st.integers(1, 4))
-    prefix = draw(st.lists(st.integers(0, alphabet - 1), max_size=40))
-    suffix = draw(st.lists(st.integers(0, alphabet + 2), max_size=12))
+    prefix_id = st.integers(0, alphabet - 1)
+    prefix = draw(
+        st.one_of(
+            st.lists(prefix_id, max_size=4), st.lists(prefix_id, max_size=40)
+        )
+    )
+    suffix_id = st.one_of(
+        st.integers(0, alphabet + 2), st.integers(alphabet, 5000)
+    )
+    suffix = draw(
+        st.one_of(
+            st.lists(suffix_id, max_size=3), st.lists(suffix_id, max_size=12)
+        )
+    )
     return np.asarray(prefix + suffix, dtype=np.int64), len(prefix)
 
 
@@ -144,6 +201,29 @@ class TestRecencyUnigram:
     def test_invalid_halflife(self):
         with pytest.raises(ValueError):
             RecencyUnigramScorer(halflife=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ctx=st.lists(
+            st.one_of(st.integers(0, 5), st.integers(0, 3000)), max_size=300
+        ),
+        halflife=st.sampled_from([1.0, 7.0, 1500.0]),
+    )
+    def test_bincount_equals_unique_add_at(self, ctx, halflife):
+        """The ``bincount`` kernel against the ``np.unique`` + ``add.at``
+        formulation it replaced, bit for bit."""
+        ctx = np.asarray(ctx, dtype=np.int64)
+        scorer = RecencyUnigramScorer(halflife=halflife)
+        got = scorer.score(ctx)
+        if ctx.size == 0:
+            assert got.ids.size == 0
+            return
+        n = ctx.size
+        weights = np.exp(-(np.log(2.0) / halflife) * (n - 1 - np.arange(n)))
+        uniq, mass = _reference_sum_by_id(ctx, weights)
+        p = mass / mass.sum()
+        assert np.array_equal(got.ids, uniq)
+        assert np.array_equal(got.scores, scorer.scale * np.log(p + 1e-12))
 
 
 class TestFormatScorer:
@@ -230,8 +310,9 @@ class TestFormatScorer:
 
     @settings(max_examples=150, deadline=None)
     @given(
+        # "٣" is a digit to ``str.isdigit`` but heads no vocabulary chunk.
         fraction_prefixes=st.lists(
-            st.text(alphabet="0123456789", max_size=3), max_size=6
+            st.text(alphabet="0123456789٣", max_size=3), max_size=6
         ),
         expected=st.integers(1, 8),
         generated=st.sampled_from([["0", "."], ["2", "."], ["0", ".", "01"]]),

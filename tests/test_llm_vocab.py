@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import VocabularyError
-from repro.llm.vocab import Vocabulary, build_default_vocabulary
+from repro.llm.vocab import TokenStrings, Vocabulary, build_default_vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +80,35 @@ class TestLookup:
                   "interchange", "tiling", "packed", "SM", "XL"):
             assert w in vocab
             assert " " + w in vocab
+
+
+class TestTokenStrings:
+    """The compact candidate-string view reads like ``strings_of``'s tuple."""
+
+    def test_reads_like_the_tuple(self, vocab):
+        import pickle
+
+        import numpy as np
+
+        ids = np.array([5, 0, len(vocab) - 1, 5, 1500])
+        ref = vocab.strings_of(ids)
+        view = TokenStrings(vocab, ids)
+        assert len(view) == len(ref)
+        assert list(view) == list(ref)
+        assert [view[i] for i in range(-len(ref), len(ref))] == [
+            ref[i] for i in range(-len(ref), len(ref))
+        ]
+        assert view[1:4] == ref[1:4]
+        assert view == ref and ref == view and view == TokenStrings(vocab, ids)
+        assert view != ref[:-1] and view != list(ref)
+        assert hash(view) == hash(ref) and repr(view) == repr(ref)
+        assert ref[0] in view and view.index(ref[2]) == 2
+        assert pickle.loads(pickle.dumps(view)) == ref
+        assert type(pickle.loads(pickle.dumps(view))) is tuple
+        assert view._ids.itemsize == 2  # the default vocabulary fits uint16
+
+    def test_out_of_range_rejected(self, vocab):
+        with pytest.raises(VocabularyError):
+            TokenStrings(vocab, [0, len(vocab)])
+        with pytest.raises(VocabularyError):
+            TokenStrings(vocab, [-1])
