@@ -11,6 +11,10 @@ degradation counts across two runs.
 Run explicitly (deselected from tier-1 by the ``chaos`` marker):
 
     PYTHONPATH=src python -m pytest benchmarks/test_serve_chaos.py -m chaos -s
+
+The report it writes to ``benchmarks/results/serve_chaos.txt`` holds only
+counts fixed by the plan's seed — no wall-clock rows — so a run leaves
+the tracked file unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from repro.serve import (
     RetryPolicy,
 )
 from repro.utils.tables import Table
-from repro.utils.timing import Timer
 
 pytestmark = pytest.mark.chaos
 
@@ -73,20 +76,19 @@ def _drill(workload: list[Request]):
     )
     responses, unhandled = [], []
     with base:
-        with Timer() as timer:
-            for request in workload:
-                try:
-                    responses.append(svc.submit(request))
-                except ServiceError as exc:
-                    unhandled.append(exc)
+        for request in workload:
+            try:
+                responses.append(svc.submit(request))
+            except ServiceError as exc:
+                unhandled.append(exc)
         stats = svc.stats()
     faults = fault_counts(base.metrics())
-    return stats, faults, responses, unhandled, timer.elapsed
+    return stats, faults, responses, unhandled
 
 
 def test_availability_under_default_fault_plan(emit):
     workload = _workload()
-    stats, faults, responses, unhandled, elapsed = _drill(workload)
+    stats, faults, responses, unhandled = _drill(workload)
 
     # -- acceptance: >= 99% availability, zero unhandled exceptions ----- #
     assert not unhandled, f"unhandled service errors: {unhandled[:3]}"
@@ -110,7 +112,7 @@ def test_availability_under_default_fault_plan(emit):
     assert sum(faults.values()) > 0, "default fault plan injected nothing"
 
     # -- determinism: identical counters across two runs ---------------- #
-    stats2, faults2, responses2, unhandled2, _ = _drill(workload)
+    stats2, faults2, responses2, unhandled2 = _drill(workload)
     counters = (
         "n_retries", "n_breaker_trips", "n_degraded",
         "n_unavailable", "n_logical",
@@ -135,13 +137,10 @@ def test_availability_under_default_fault_plan(emit):
     t.add_row(["degraded-serve rate", f"{stats.degraded_rate:.1%}"])
     t.add_row(["retries", stats.n_retries])
     t.add_row(["breaker trips", stats.n_breaker_trips])
-    t.add_row(["p95 latency under faults (ms)",
-               round(stats.p95_latency_s * 1e3, 1)])
     t.add_row(["injected faults (total)", sum(faults.values())])
     for kind, count in faults.items():
         t.add_row([f"  {kind.replace('_', ' ')}", count])
     t.add_row(["unhandled exceptions", len(unhandled)])
-    t.add_row(["wall time (s)", round(elapsed, 2)])
     t.add_row(["deterministic across two runs",
                "yes" if first == second and faults == faults2 else "NO"])
     emit("serve_chaos", t.render())

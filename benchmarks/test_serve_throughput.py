@@ -59,7 +59,6 @@ def _run(
     with PredictionService(
         max_batch_size=8,
         max_wait_s=0.002,
-        enable_prepare_cache=caches,
         enable_result_cache=caches,
     ) as service:
         if sampler is not None:

@@ -893,7 +893,6 @@ def _cmd_serve_bench(args) -> int:
             max_batch_size=args.batch_size,
             max_wait_s=args.max_wait,
             workers=args.workers,
-            enable_prepare_cache=caches_enabled,
             enable_result_cache=caches_enabled,
             enable_prefix_cache=args.prefix_cache,
         ) as service:

@@ -74,13 +74,11 @@ class DiscriminativeSurrogate:
         Optional pre-built components; defaults construct the calibrated
         stack.
     prefix_cache:
-        ``True`` (default) owns a fresh
+        ``True`` (default) owns a
         :class:`~repro.llm.prefix_cache.PrefixCache` of prepared-prefix
         snapshots — prompts sharing their ICL prefix then only process
         the query delta, bit-identically to the cold path.  ``False``
-        disables prefix reuse entirely (the benchmark baseline); passing
-        a :class:`PrefixCache` instance shares one across surrogates
-        wrapping the same model.
+        disables prefix reuse entirely (the benchmark baseline).
     """
 
     def __init__(
@@ -91,7 +89,7 @@ class DiscriminativeSurrogate:
         engine: GenerationEngine | None = None,
         sampling: SamplingParams | None = None,
         value_style: str = "decimal",
-        prefix_cache: bool | PrefixCache = True,
+        prefix_cache: bool = True,
     ):
         self.task = task
         self.tokenizer = tokenizer or Tokenizer()
@@ -100,16 +98,7 @@ class DiscriminativeSurrogate:
         self.builder = PromptBuilder(
             task, self.tokenizer, value_style=value_style
         )
-        if prefix_cache is True:
-            self.prefix_cache: PrefixCache | None = PrefixCache(self.model)
-        elif prefix_cache is False:
-            self.prefix_cache = None
-        else:
-            if prefix_cache.model is not self.model:
-                raise ValueError(
-                    "shared prefix_cache must wrap this surrogate's model"
-                )
-            self.prefix_cache = prefix_cache
+        self.prefix_cache = PrefixCache(self.model) if prefix_cache else None
 
     def build_parts(
         self,
@@ -119,8 +108,8 @@ class DiscriminativeSurrogate:
         """Build the discriminative prompt without generating.
 
         Exposed separately from :meth:`predict` so the serving layer
-        (:mod:`repro.serve`) can fingerprint the prompt for its caches
-        before deciding whether to run generation at all.
+        (:mod:`repro.serve`) can fingerprint the prompt for its result
+        cache before deciding whether to run generation at all.
         """
         return self.builder.discriminative(examples, query_config)
 

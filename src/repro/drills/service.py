@@ -50,8 +50,8 @@ def repeated_workload(
                 for r in sets[0]]
     # Whole-list repetition interleaves revisits (cache-friendly but not
     # cache-adjacent, like real grid traffic).  Odd repeat waves switch
-    # the sampling seed: those requests miss the result cache but still
-    # hit the prepare cache, exercising both levels.
+    # the sampling seed: those requests miss the result cache but reuse
+    # the prompt's prefix snapshot, exercising both caches.
     n = len(queries)
     return [
         Request(examples=examples,

@@ -71,8 +71,8 @@ class GenerationEngine:
         analysis:
             Optional precomputed :meth:`SurrogateLM.prepare` result for
             this exact prompt.  Passing it skips the per-call prompt
-            analysis (the serving layer's prepare cache); it must have
-            been computed from ``prompt_ids`` or generations may differ.
+            analysis; it must have been computed from ``prompt_ids`` or
+            generations may differ.
         prefix:
             Optional :class:`~repro.llm.prefix_cache.PreparedPrefix`
             snapshot for a leading slice of the prompt: per-step scoring

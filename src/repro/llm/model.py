@@ -242,11 +242,7 @@ class SurrogateLM:
         cfg = self.config
         if analysis is None and cfg.use_format:
             n_gen = len(generated_strings)
-            prompt = ctx[: ctx.size - n_gen] if n_gen else ctx
-            fmt_prefix = None
-            if prefix is not None and prefix.length <= prompt.size:
-                fmt_prefix = prefix.format_index
-            analysis = self.format.analyze_prompt(prompt, prefix=fmt_prefix)
+            analysis = self.prepare(ctx[: ctx.size - n_gen], prefix=prefix)
 
         value_started = any(s.isdigit() for s in generated_strings)
         parts: list[SparseScores] = []

@@ -189,7 +189,7 @@ class LoadDriver:
 
         One request per ``prompt_key`` touches every shard the measured
         traffic will route to (same routing hash) and populates the
-        prepare/prefix caches.  The warmup seed is derived away from the
+        prefix caches.  The warmup seed is derived away from the
         measured lanes, so the *result* cache stays cold for every
         measured (prompt, seed) pair — warmup removes deployment costs,
         not the run's own first decodes.  Failures are ignored: a shard

@@ -12,14 +12,14 @@ prompts dominate, which is exactly what the serving stack's prefix-reuse
 layer and result cache are built for.  Prompt popularity here follows a
 Zipf law with exponent ``skew``, so hot prompts recur both *within* a
 flush batch (same ``Request.prompt_key`` → one lockstep prefix-group
-decode) and *across* batches (result/prepare-cache hits) — the load test
+decode) and *across* batches (result- and prefix-cache hits) — the load test
 exercises the same cache and grouping machinery production traffic
 would, rather than a worst-case all-unique stream no cache could serve.
 
 Seed lanes bound the distinct ``(prompt, seed)`` pairs: lane 0 of a hot
 prompt is a result-cache hit after its first serve, while a different
 lane of the same prompt misses the result cache but shares the prepared
-prefix — the two cache levels are stressed independently.
+prefix — the result and prefix caches are stressed independently.
 """
 
 from __future__ import annotations

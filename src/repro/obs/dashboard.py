@@ -96,7 +96,7 @@ def render_dashboard(
         f"{format_duration(_num(m, 'serve.queue_wait_s{quantile=p50}'))} / "
         f"{format_duration(_num(m, 'serve.queue_wait_s{quantile=p95}'))}",
     ])
-    for level in ("prepare", "result", "prefix"):
+    for level in ("result", "prefix"):
         rate = _hit_rate(m, level)
         if rate is not None:
             t.add_row([f"{level}-cache hit rate", f"{rate:.0%}"])

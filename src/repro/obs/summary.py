@@ -10,8 +10,9 @@ reads as the span taxonomy itself::
     stage                  | count | total | mean | p50 | p95 | share
     serve.request          |    48 | ...
       serve.queue_wait     |    48 | ...
-      serve.prepare        |    10 | ...
+      serve.cache_lookup   |    48 | ...
       serve.generate       |    10 | ...
+        llm.generate       |    10 | ...
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def render_span_tree(spans: list[Span], max_roots: int = 1) -> str:
     """Render the first ``max_roots`` reconstructed trees, one span per line.
 
     A concrete sample to read alongside the aggregate table — e.g. one
-    request's ``serve.request → queue_wait/prepare/generate`` breakdown.
+    request's ``serve.request → queue_wait/cache_lookup/generate`` breakdown.
     An orphaned subtree — spans whose parent id never arrived, e.g. when
     a SIGKILLed shard lost its buffered spans — still renders, rooted at
     the orphan and marked ``!orphan(parent=N lost)`` instead of being

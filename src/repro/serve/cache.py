@@ -1,15 +1,10 @@
 """Thread-safe LRU caching for the inference service.
 
-Two cache levels share this implementation (see DESIGN.md §Serving layer):
-
-* the **prepare cache** memoizes :meth:`SurrogateLM.prepare` — the one-time
-  prompt analysis — keyed on the prompt fingerprint alone, so repeated
-  prompts skip the analysis pass even when the seed differs;
-* the **result cache** memoizes the full
-  :class:`~repro.core.surrogate.SurrogatePrediction`, keyed on
-  ``(prompt fingerprint, seed, sampling params, max_new_tokens)`` — valid
-  because generation is bit-reproducible on exactly that key (the engine's
-  determinism contract).
+The service's **result cache** (see DESIGN.md §Serving layer) memoizes
+the full :class:`~repro.core.surrogate.SurrogatePrediction`, keyed on
+``(prompt fingerprint, seed, sampling params, max_new_tokens)`` — valid
+because generation is bit-reproducible on exactly that key (the engine's
+determinism contract).
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ class LRUCache:
     """A bounded least-recently-used map.
 
     All operations are O(1) and thread-safe; the service's batch workers
-    share one instance per cache level.  Lookups are counted by the
+    share one instance.  Lookups are counted by the
     service, in its metrics registry, not here.
     """
 

@@ -6,7 +6,8 @@ the query configuration, and the sampling seed — exactly the inputs of
 service-level knobs (task size routing, per-request timeout).  A
 :class:`Response` wraps the resulting
 :class:`~repro.core.surrogate.SurrogatePrediction` with serving metadata:
-end-to-end latency, which caches hit, and the batch the request rode in.
+end-to-end latency, whether the result cache hit, and the batch the
+request rode in.
 """
 
 from __future__ import annotations
@@ -67,23 +68,19 @@ class Request:
         size, ICL examples, and query), so they share a prepared prefix
         and can ride one lockstep batch decode differing only by seed.
         The scheduler sorts flush batches by this key to make such
-        requests adjacent.  Computed once and memoized on the instance.
+        requests adjacent.  Config items are keyed in dict order, the
+        order the prompt renders them in: the same items in another
+        order build another prompt.  Computed once and memoized on the
+        instance.
         """
         key = self.__dict__.get("_prompt_key")
         if key is None:
             canon = (
                 self.size,
-                tuple(
-                    sorted(
-                        (str(k), repr(v))
-                        for k, v in self.query_config.items()
-                    )
-                ),
+                tuple((str(k), repr(v)) for k, v in self.query_config.items()),
                 tuple(
                     (
-                        tuple(
-                            sorted((str(k), repr(v)) for k, v in cfg.items())
-                        ),
+                        tuple((str(k), repr(v)) for k, v in cfg.items()),
                         repr(float(rt)),
                     )
                     for cfg, rt in self.examples
@@ -114,7 +111,6 @@ class Response:
     prediction: SurrogatePrediction
     latency_s: float
     result_cache_hit: bool = False
-    prepare_cache_hit: bool = False
     batch_size: int = 1
     #: Number of same-prompt requests decoded together in one lockstep
     #: batch (1 when the request was generated — or cached — alone).

@@ -8,15 +8,13 @@ microbatch deadline and is never shed by a full queue.  Only misses enter
 the bounded microbatching scheduler (so ``max_wait_s`` and the
 queue-wait statistics describe misses alone), carrying their built
 prompt; each batch executes against per-size
-:class:`~repro.core.surrogate.DiscriminativeSurrogate` stacks with two
-cache levels in front of generation:
-
-1. the **prepare cache** (prompt fingerprint → ``FormatAnalysis``) skips
-   the one-time prompt analysis when the same prompt recurs under a new
-   seed;
-2. the **result cache** (prompt fingerprint, seed, sampling params,
-   token cap → ``SurrogatePrediction``) skips generation entirely for
-   identical requests, relying on the engine's determinism contract.
+:class:`~repro.core.surrogate.DiscriminativeSurrogate` stacks.  The
+**result cache** (prompt fingerprint, seed, sampling params, token cap →
+``SurrogatePrediction``) skips generation entirely for identical
+requests, relying on the engine's determinism contract.  A miss decodes
+through the surrogate, whose prefix cache already reduces the one-time
+prompt analysis to the query past the shared ICL prefix — so a recurring
+prompt under a new seed needs no cache of its own.
 
 Robustness: bounded-queue backpressure (:class:`ServiceOverloadedError`),
 per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
@@ -53,8 +51,7 @@ from repro.serve.stats import (
 
 __all__ = ["PredictionService", "ServiceBase"]
 
-#: LRU capacities of the two cache levels.
-PREPARE_CACHE_SIZE = 256
+#: LRU capacity of the result cache.
 RESULT_CACHE_SIZE = 4096
 
 
@@ -75,7 +72,7 @@ class _PrefixGroup:
 
 
 class _Lookup(NamedTuple):
-    """A request's prompt, its cache keys, and its result-cache entry.
+    """A request's prompt, its result-cache key, and its entry there.
 
     ``cached`` is the entry as :meth:`LRUCache.peek` saw it (uncounted,
     recency untouched), or :data:`MISS`.
@@ -83,7 +80,6 @@ class _Lookup(NamedTuple):
 
     surrogate: DiscriminativeSurrogate
     parts: PromptParts
-    fingerprint: str
     result_key: tuple
     cached: object
 
@@ -203,10 +199,10 @@ class PredictionService(ServiceBase):
     max_batch_size, max_wait_s, queue_capacity, workers:
         Microbatching scheduler knobs (see
         :class:`~repro.serve.scheduler.MicroBatcher`).
-    enable_prepare_cache, enable_result_cache:
-        Cache kill-switches (the throughput benchmark measures both
-        settings; disabled caches record no counters).  The capacities
-        are :data:`PREPARE_CACHE_SIZE` and :data:`RESULT_CACHE_SIZE`.
+    enable_result_cache:
+        Result-cache kill-switch (the throughput benchmark measures both
+        settings; a disabled cache records no counters).  The capacity
+        is :data:`RESULT_CACHE_SIZE`.
     enable_prefix_cache:
         Prefix-reuse kill-switch.  On (default), lazily built per-size
         surrogates carry a :class:`~repro.llm.prefix_cache.PrefixCache`
@@ -233,7 +229,6 @@ class PredictionService(ServiceBase):
         queue_capacity: int = 1024,
         workers: int | None = None,
         max_inflight_batches: int | None = None,
-        enable_prepare_cache: bool = True,
         enable_result_cache: bool = True,
         enable_prefix_cache: bool = True,
         fault_plan: FaultPlan | None = None,
@@ -242,16 +237,13 @@ class PredictionService(ServiceBase):
         self.enable_prefix_cache = bool(enable_prefix_cache)
         self._surrogates: dict[str, DiscriminativeSurrogate] = {}
         self._surrogate_lock = threading.Lock()
-        self.prepare_cache = (
-            LRUCache(PREPARE_CACHE_SIZE) if enable_prepare_cache else None
-        )
         self.result_cache = (
             LRUCache(RESULT_CACHE_SIZE) if enable_result_cache else None
         )
-        self._stats = StatsRecorder(max_batch_size, cache_levels=[
-            level for level, on in (("prepare", enable_prepare_cache),
-                                    ("result", enable_result_cache)) if on
-        ])
+        self._stats = StatsRecorder(
+            max_batch_size,
+            cache_levels=("result",) if enable_result_cache else (),
+        )
         # Result key -> event set when the worker holding it is done.
         self._claims: dict[tuple, threading.Event] = {}
         self._claims_lock = threading.Lock()
@@ -354,7 +346,6 @@ class PredictionService(ServiceBase):
             size=request.size,
             batch_size=1,
             result_cache_hit=True,
-            prepare_cache_hit=False,
             group_width=1,
         ):
             with tracer.span("serve.cache_lookup", level="result"):
@@ -408,13 +399,10 @@ class PredictionService(ServiceBase):
         """A frozen snapshot of this service's registry, with the prefix
         lookups and the cache fill gauges (see :mod:`repro.serve.stats`)."""
         snap = self._stats.snapshot()
-        for level, cache in (
-            ("prepare", self.prepare_cache),
-            ("result", self.result_cache),
-        ):
-            if cache is not None:
-                snap.gauge("cache.entries", level=level).set(len(cache))
-                snap.gauge("cache.capacity", level=level).set(cache.capacity)
+        cache = self.result_cache
+        if cache is not None:
+            snap.gauge("cache.entries", level="result").set(len(cache))
+            snap.gauge("cache.capacity", level="result").set(cache.capacity)
         if self._fixed_surrogate is not None:
             surrogates = [self._fixed_surrogate]
         else:
@@ -508,9 +496,8 @@ class PredictionService(ServiceBase):
         """
         surrogate = self._surrogate_for(request.size)
         parts = surrogate.build_parts(request.examples, request.query_config)
-        fingerprint = token_fingerprint(parts.ids)
         result_key = (
-            fingerprint,
+            token_fingerprint(parts.ids),
             int(request.seed),
             surrogate.engine.sampling,
             surrogate.engine.max_new_tokens,
@@ -519,7 +506,7 @@ class PredictionService(ServiceBase):
             MISS if self.result_cache is None
             else self.result_cache.peek(result_key)
         )
-        return _Lookup(surrogate, parts, fingerprint, result_key, cached)
+        return _Lookup(surrogate, parts, result_key, cached)
 
     def cached_response(self, request: Request) -> Response | None:
         """Serve purely from the result cache — no admission, no generation.
@@ -573,20 +560,16 @@ class PredictionService(ServiceBase):
                 # spike / transient error (the error propagates as a
                 # failed future).
                 self.faults.before_request(
-                    ticket.request_id,
-                    caches=(self.prepare_cache, self.result_cache),
+                    ticket.request_id, caches=(self.result_cache,)
                 )
             lookup = ticket.lookup
             if lookup is None:  # a fault was due: admission built nothing
                 lookup = self._lookup(request)
             seed = int(request.seed)
 
-            result_hit = prepare_hit = False
-            group_width = 1
+            result_hit, group_width = False, 1
             if self.result_cache is None:
-                prediction, prepare_hit, group_width = self._generate(
-                    lookup, seed, group
-                )
+                prediction, group_width = self._generate(lookup, seed, group)
             else:
                 with self._claimed(lookup.result_key):
                     # Counted even though admission peeked a miss: a
@@ -596,22 +579,17 @@ class PredictionService(ServiceBase):
                     result_hit = prediction is not MISS
                     self._stats.record_lookup("result", result_hit)
                     if not result_hit:
-                        prediction, prepare_hit, group_width = (
-                            self._generate(lookup, seed, group)
+                        prediction, group_width = self._generate(
+                            lookup, seed, group
                         )
                         self.result_cache.put(lookup.result_key, prediction)
-            root.set(
-                result_cache_hit=result_hit,
-                prepare_cache_hit=prepare_hit,
-                group_width=group_width,
-            )
+            root.set(result_cache_hit=result_hit, group_width=group_width)
 
             return Response(
                 request_id=ticket.request_id,
                 prediction=prediction,
                 latency_s=time.monotonic() - ticket.admitted_at,
                 result_cache_hit=result_hit,
-                prepare_cache_hit=prepare_hit,
                 batch_size=batch_size,
                 group_width=group_width,
             )
@@ -643,41 +621,25 @@ class PredictionService(ServiceBase):
 
     def _generate(
         self, lookup: _Lookup, seed: int, group: "_PrefixGroup | None"
-    ) -> tuple[object, bool, int]:
-        """Generate a result-cache miss: ``(prediction, prepare hit,
-        group width)``."""
-        tracer = get_tracer()
+    ) -> tuple[object, int]:
+        """Generate a result-cache miss: ``(prediction, group width)``."""
         if group is not None and group.stash is not None:
             # Follower: the group's leader already decoded this seed in
             # its lockstep batch.
             prediction = group.stash.get(seed, MISS)
             if prediction is not MISS:
-                return prediction, False, group.width
-        surrogate, parts, fingerprint = (
-            lookup.surrogate, lookup.parts, lookup.fingerprint
-        )
-        analysis = None
-        prepare_hit = False
-        if self.prepare_cache is not None:
-            with tracer.span("serve.prepare") as prep:
-                analysis = self.prepare_cache.get(fingerprint)
-                prepare_hit = analysis is not MISS
-                self._stats.record_lookup("prepare", prepare_hit)
-                prep.set(cache_hit=prepare_hit)
-                if not prepare_hit:
-                    analysis = surrogate.model.prepare(parts.ids)
-                    self.prepare_cache.put(fingerprint, analysis)
+                return prediction, group.width
         # A solo miss decodes as a group of one; a group's leader decodes
         # every member seed in one lockstep batch and stashes the
         # predictions for its followers.
         seeds = [seed] if group is None else group.seeds
-        with tracer.span("serve.generate") as gen:
-            predictions = surrogate.predict_parts_batch(
-                parts, seeds, analysis=analysis
+        with get_tracer().span("serve.generate") as gen:
+            predictions = lookup.surrogate.predict_parts_batch(
+                lookup.parts, seeds
             )
             if group is None:
-                return predictions[0], prepare_hit, 1
+                return predictions[0], 1
             group.stash = dict(zip(seeds, predictions))
             gen.set(group_width=group.width)
             self._stats.record_group(group.width)
-            return group.stash[seed], prepare_hit, group.width
+            return group.stash[seed], group.width

@@ -5,7 +5,7 @@ the CPU-bound surrogate decode is GIL-serialized no matter how many
 cores the host has.  :class:`ShardedPredictionService` scales it out:
 ``N`` worker processes, each hosting a **full replica** of the stack —
 a :class:`~repro.serve.service.PredictionService` with its own
-microbatcher, prepare/result caches, and per-surrogate prefix caches —
+microbatcher, result cache, and per-surrogate prefix caches —
 behind the same submit/submit_many/stats/close API.
 
 Design points (DESIGN.md §12):

@@ -3,8 +3,8 @@
 A :class:`StatsRecorder` binds a service's counters and histograms in a
 :class:`~repro.obs.metrics.MetricsRegistry` once, at construction, and
 the serving code records straight into them — the registry is the only
-place the serving stack counts, result and prepare cache lookups and
-injected faults included.  :meth:`StatsRecorder.snapshot` freezes a
+place the serving stack counts, result-cache lookups and injected
+faults included.  :meth:`StatsRecorder.snapshot` freezes a
 copy; a backend adds its prefix-cache lookups and cache fill gauges to
 it (a sharded parent merges its workers' copies, :data:`WORKER_METRICS`),
 :func:`read_outs` sets the percentile, rate and ratio gauges an export
@@ -78,8 +78,6 @@ class ServiceStats:
     p50_latency_s: float
     p95_latency_s: float
     throughput_rps: float
-    prepare_hits: int
-    prepare_misses: int
     result_hits: int
     result_misses: int
     #: Submissions refused because the service was closed/draining.
@@ -106,6 +104,11 @@ class ServiceStats:
     n_degraded: int = 0
     n_logical: int = 0
     n_unavailable: int = 0
+    #: Always 0: the service has no prepare cache (a miss's prompt
+    #: analysis runs past the prefix snapshot, in the decode).  Kept
+    #: because perfbench's traced serve runs read both fields.
+    prepare_hits: int = 0
+    prepare_misses: int = 0
     #: The bucket counts behind ``p50/p95_queue_wait_s`` (for a sharded
     #: service, the merge of every worker's histogram).
     queue_wait_hist: Histogram = field(
@@ -118,11 +121,6 @@ class ServiceStats:
         if self.max_batch_size <= 0:
             return 0.0
         return self.mean_batch_size / self.max_batch_size
-
-    @property
-    def prepare_hit_rate(self) -> float:
-        total = self.prepare_hits + self.prepare_misses
-        return self.prepare_hits / total if total else 0.0
 
     @property
     def result_hit_rate(self) -> float:
@@ -175,7 +173,6 @@ class ServiceStats:
         t.add_row(["batches dispatched", self.n_batches])
         t.add_row(["mean batch size", round(self.mean_batch_size, 2)])
         t.add_row(["batch occupancy", f"{self.batch_occupancy:.0%}"])
-        t.add_row(["prepare-cache hit rate", f"{self.prepare_hit_rate:.0%}"])
         t.add_row(["result-cache hit rate", f"{self.result_hit_rate:.0%}"])
         if self.prefix_hits or self.prefix_misses:
             t.add_row(["prefix-cache hit rate", f"{self.prefix_hit_rate:.0%}"])
@@ -291,7 +288,7 @@ class StatsRecorder:
         self._batch_sizes.observe(batch_size)
 
     def record_lookup(self, level: str, hit: bool) -> None:
-        """One lookup in the ``level`` cache (``"prepare"``/``"result"``)."""
+        """One lookup in the ``level`` cache (``"result"``)."""
         self._lookups[level, hit].inc()
 
     def record_group(self, width: int) -> None:
@@ -383,8 +380,6 @@ def service_stats(registry: MetricsRegistry, max_batch_size: int) -> ServiceStat
         p95_queue_wait_s=waits.quantile(0.95),
         queue_wait_hist=waits,
         throughput_rps=throughput.value if throughput is not None else 0.0,
-        prepare_hits=lookups(level="prepare", outcome="hit"),
-        prepare_misses=lookups(level="prepare", outcome="miss"),
         result_hits=lookups(level="result", outcome="hit"),
         result_misses=lookups(level="result", outcome="miss"),
         prefix_hits=lookups(level="prefix", outcome="hit"),

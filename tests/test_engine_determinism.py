@@ -52,7 +52,7 @@ class TestDeterminismContract:
         assert_traces_identical(a, b)
 
     def test_precomputed_analysis_identical(self, engine, lm, prompt):
-        """The serve prepare-cache path cannot change the generation."""
+        """A precomputed prompt analysis cannot change the generation."""
         analysis = lm.prepare(prompt)
         assert_traces_identical(
             engine.generate(prompt, seed=3),

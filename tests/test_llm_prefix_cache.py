@@ -136,7 +136,7 @@ class TestBitIdentity:
 
 
 class TestPrefixCache:
-    """LRU semantics, counters, and sharing rules of :class:`PrefixCache`."""
+    """LRU semantics and counters of :class:`PrefixCache`."""
 
     def _ids(self, tokenizer, text):
         return np.asarray(tokenizer.encode(text), dtype=np.int64)
@@ -205,32 +205,6 @@ class TestPrefixCache:
         other = ids.copy()
         other[0] = other[0] + 1
         assert not snap.extends(other)
-
-    def test_shared_cache_across_surrogates(
-        self, sm_task, tokenizer, lm, engine, sm_dataset
-    ):
-        shared = PrefixCache(lm)
-        s1 = DiscriminativeSurrogate(
-            sm_task, tokenizer=tokenizer, model=lm, engine=engine,
-            prefix_cache=shared,
-        )
-        s2 = DiscriminativeSurrogate(
-            sm_task, tokenizer=tokenizer, model=lm, engine=engine,
-            prefix_cache=shared,
-        )
-        examples = _examples(sm_dataset, range(4))
-        parts = s1.build_parts(examples, sm_dataset.config(130))
-        s1.prepared_prefix(parts)
-        assert (shared.hits, shared.misses) == (0, 1)
-        s2.prepared_prefix(s2.build_parts(examples, sm_dataset.config(131)))
-        assert (shared.hits, shared.misses) == (1, 1)
-
-    def test_shared_cache_must_wrap_same_model(self, sm_task, tokenizer):
-        foreign = PrefixCache(SurrogateLM(tokenizer.vocab))
-        with pytest.raises(ValueError):
-            DiscriminativeSurrogate(
-                sm_task, tokenizer=tokenizer, prefix_cache=foreign
-            )
 
     def test_disabled_prefix_cache_prepares_nothing(
         self, warm_cold, sm_dataset

@@ -380,7 +380,7 @@ class TestCollectServiceMetrics:
 
     @pytest.mark.parametrize("shards", [0, 1])
     def test_cache_lookups_equal_stats(self, shards, sm_dataset):
-        """Both backends export the prepare and result cache lookups
+        """Both backends export the result cache lookups
         their ServiceStats view reports (the sharded parent has no
         caches of its own; the lookups come from its workers)."""
         from repro.serve import Request, make_service
@@ -406,18 +406,16 @@ class TestCollectServiceMetrics:
             (level, outcome): snap[
                 f"cache.lookups{{level={level},outcome={outcome}}}"
             ]
-            for level in ("prepare", "result")
+            for level in ("result",)
             for outcome in ("hit", "miss")
         }
         assert lookups == {
-            ("prepare", "hit"): stats.prepare_hits,
-            ("prepare", "miss"): stats.prepare_misses,
             ("result", "hit"): stats.result_hits,
             ("result", "miss"): stats.result_misses,
         }
         # Two prompts, three copies each: the first of each misses.
         assert (stats.result_hits, stats.result_misses) == (4, 2)
-        assert (stats.prepare_hits, stats.prepare_misses) == (0, 2)
+        assert not any("level=prepare" in key for key in snap)
 
     def test_scraping_twice_equals_scraping_once(self, sm_dataset):
         from repro.serve import PredictionService, Request
@@ -439,8 +437,6 @@ class TestCollectServiceMetrics:
     def test_disabled_caches_record_nothing(self, sm_dataset):
         from repro.serve import PredictionService
 
-        with PredictionService(
-            enable_prepare_cache=False, enable_result_cache=False
-        ) as service:
+        with PredictionService(enable_result_cache=False) as service:
             snap = collect_service_metrics(service).snapshot()
         assert not any(key.startswith("cache.") for key in snap)

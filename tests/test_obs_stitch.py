@@ -10,7 +10,7 @@ pipe; the parent absorbs them into ONE tree.  Pinned here:
   render as marked-lost roots instead of crashing the tooling;
 * parent-id integrity holds across shard counts {0, 1, 4}: every span
   in a live trace resolves to a recorded parent, and the sharded tree
-  nests submit → roundtrip/worker → request → prepare/generate.
+  nests submit → roundtrip/worker → request → generate.
 """
 
 import pytest

@@ -98,32 +98,68 @@ class TestSamplingProperties:
         assert pos == 1
 
 
+def _numpy_scalar(value):
+    return np.bool_(value) if isinstance(value, bool) else np.int64(value)
+
+
+#: Ways a configuration value reaches a request: as the space holds it
+#: (``int``/``bool``), as a numpy scalar, or as the text a caller parsed.
+_VALUE_FORMS = (lambda value: value, _numpy_scalar, str)
+
+_DOMAINS = {p.name: p.values for p in _SPACE.parameters}
+
+_runtimes = st.floats(
+    min_value=1e-6, max_value=1e3, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _configs(draw):
+    """A syr2k configuration with its parameters in a drawn order."""
+    names = draw(st.permutations(list(_DOMAINS)))
+    return {
+        name: draw(st.sampled_from(_VALUE_FORMS))(
+            draw(st.sampled_from(_DOMAINS[name]))
+        )
+        for name in names
+    }
+
+
+@st.composite
+def _variants(draw, config):
+    """``config``'s items in a drawn order, each value maybe re-typed."""
+    variant = {}
+    for name, value in draw(st.permutations(list(config.items()))):
+        if draw(st.booleans()):
+            (value,) = [v for v in _DOMAINS[name] if str(v) == str(value)]
+            value = draw(st.sampled_from(_VALUE_FORMS))(value)
+        variant[name] = value
+    return variant
+
+
 class TestPromptKeyFingerprint:
     """``Request.prompt_key`` is at least as fine as the prompt itself.
 
     Equal keys must build token-identical prompts, which is what would
     let the result cache be keyed by ``prompt_key`` without building the
-    prompt first.
+    prompt first, and what lets same-key requests share one lockstep
+    decode.
     """
 
     _surrogates: dict = {}
 
     @given(
-        seeds=st.lists(
-            st.integers(min_value=0, max_value=10**6), min_size=1,
-            max_size=2,
-        ),
+        data=st.data(),
         size=st.sampled_from(["SM", "XL"]),
-        n_icl=st.integers(min_value=1, max_value=12),
-        n_unique=st.integers(min_value=1, max_value=8),
+        n_icl=st.integers(min_value=1, max_value=6),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_equal_prompt_key_implies_equal_fingerprint(
-        self, seeds, size, n_icl, n_unique
+        self, data, size, n_icl
     ):
         from repro.core.surrogate import DiscriminativeSurrogate
         from repro.dataset.syr2k import Syr2kTask
-        from repro.loadgen import WorkloadMix, build_workload
+        from repro.serve import Request
         from repro.serve.cache import prompt_fingerprint
 
         surrogate = self._surrogates.get(size)
@@ -131,19 +167,37 @@ class TestPromptKeyFingerprint:
             surrogate = self._surrogates[size] = DiscriminativeSurrogate(
                 Syr2kTask(size)
             )
-        mix = WorkloadMix(
-            size=size, n_icl=n_icl, n_unique=n_unique, seed_lanes=2
-        )
+        examples = [
+            (data.draw(_configs()), data.draw(_runtimes))
+            for _ in range(n_icl)
+        ]
+        query = data.draw(_configs())
+        requests = [
+            Request(examples=examples, query_config=query, size=size),
+            # The same items, each config rebuilt: the key must not
+            # depend on object identity.
+            Request(
+                examples=[(dict(cfg), float(rt)) for cfg, rt in examples],
+                query_config=dict(query), seed=1, size=size,
+            ),
+            # Reordered and re-typed items: a new key unless the
+            # prompt renders the same.
+            Request(
+                examples=[
+                    (data.draw(_variants(cfg)), rt) for cfg, rt in examples
+                ],
+                query_config=data.draw(_variants(query)), seed=2, size=size,
+            ),
+        ]
+        assert requests[0].prompt_key == requests[1].prompt_key
         fingerprints: dict[str, set[str]] = {}
-        for seed in seeds:
-            for item in build_workload(mix, 3 * n_unique, seed):
-                request = item.request
-                parts = surrogate.build_parts(
-                    request.examples, request.query_config
-                )
-                fingerprints.setdefault(request.prompt_key, set()).add(
-                    prompt_fingerprint(parts.ids)
-                )
+        for request in requests:
+            parts = surrogate.build_parts(
+                request.examples, request.query_config
+            )
+            fingerprints.setdefault(request.prompt_key, set()).add(
+                prompt_fingerprint(parts.ids)
+            )
         assert all(len(fps) == 1 for fps in fingerprints.values())
 
 

@@ -1,7 +1,7 @@
 """End-to-end tests for the :mod:`repro.serve` prediction service.
 
-Covers the façade (submit/submit_many), both cache levels, batching,
-backpressure, timeouts, drain/shutdown, and — critically — bit-parity
+Covers the façade (submit/submit_many), the result and prefix caches,
+batching, backpressure, timeouts, drain/shutdown, and — critically — bit-parity
 between served predictions and direct surrogate calls, which is what lets
 the experiment runner route paper grids through the service.
 """
@@ -21,6 +21,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.faults import fault_counts
+from repro.obs import Tracer, use_tracer
 from repro.serve import PredictionService, Request, make_service
 
 
@@ -101,26 +102,38 @@ class TestServing:
         assert stats.result_hits == 1 and stats.result_misses == 1
         assert stats.n_submitted == stats.n_completed == 2
 
-    def test_prepare_cache_spans_seeds(self, sm_dataset, examples):
-        """Same prompt, new seed: result misses but prepare hits."""
+    def test_new_seed_reuses_prefix(self, sm_dataset, sm_task, examples):
+        """Same prompt, new seed: the result cache misses, the prompt
+        analysis runs past the warm prefix snapshot, and the prediction
+        equals a surrogate's without prefix reuse."""
+        tracer = Tracer()
         with PredictionService() as svc:
             svc.submit(make_request(sm_dataset, examples, seed=1))
-            resp = svc.submit(make_request(sm_dataset, examples, seed=2))
-            assert not resp.result_cache_hit
-            assert resp.prepare_cache_hit
+            with use_tracer(tracer):
+                resp = svc.submit(make_request(sm_dataset, examples, seed=2))
             stats = svc.stats()
-        assert stats.prepare_hits == 1
+        assert not resp.result_cache_hit
+        assert (stats.prefix_hits, stats.prefix_misses) == (1, 1)
+        (prepare,) = [s for s in tracer.spans() if s.name == "llm.prepare"]
+        assert prepare.attributes["prefix_reused"] is True
+        cold = DiscriminativeSurrogate(sm_task, prefix_cache=False)
+        want = cold.predict(examples, sm_dataset.config(42), seed=2)
+        got = resp.prediction
+        assert (got.value, got.value_text, got.generated_text) == (
+            want.value, want.value_text, want.generated_text
+        )
+        assert len(got.value_steps) == len(want.value_steps)
+        for a, b in zip(got.value_steps, want.value_steps):
+            assert a.tokens == b.tokens and a.chosen == b.chosen
+            assert a.logits.tobytes() == b.logits.tobytes()
 
     def test_caches_disabled(self, sm_dataset, examples):
-        with PredictionService(
-            enable_prepare_cache=False, enable_result_cache=False
-        ) as svc:
+        with PredictionService(enable_result_cache=False) as svc:
             svc.submit(make_request(sm_dataset, examples, seed=3))
             resp = svc.submit(make_request(sm_dataset, examples, seed=3))
             assert not resp.result_cache_hit
-            assert not resp.prepare_cache_hit
             stats = svc.stats()
-        assert stats.result_hits == 0 and stats.prepare_hits == 0
+        assert stats.result_hits == 0 and stats.result_misses == 0
 
     def test_explicit_surrogate_is_used(self, sm_dataset, examples, surrogate):
         with PredictionService(surrogate) as svc:

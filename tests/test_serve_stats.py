@@ -17,7 +17,7 @@ def make_stats(**overrides) -> ServiceStats:
         n_submitted=10, n_completed=10, n_failed=0, n_rejected=0,
         n_timeouts=0, n_batches=2, max_batch_size=8, mean_batch_size=5.0,
         p50_latency_s=0.010, p95_latency_s=0.050, throughput_rps=100.0,
-        prepare_hits=3, prepare_misses=1, result_hits=6, result_misses=4,
+        result_hits=6, result_misses=4,
     )
     base.update(overrides)
     return ServiceStats(**base)
@@ -31,15 +31,13 @@ class TestServiceStats:
         assert make_stats(max_batch_size=0).batch_occupancy == 0.0
 
     def test_hit_rates(self):
-        s = make_stats()
-        assert s.prepare_hit_rate == pytest.approx(0.75)
+        s = make_stats(prefix_hits=1, prefix_misses=3)
         assert s.result_hit_rate == pytest.approx(0.6)
+        assert s.prefix_hit_rate == pytest.approx(0.25)
 
     def test_hit_rates_no_traffic(self):
-        s = make_stats(
-            prepare_hits=0, prepare_misses=0, result_hits=0, result_misses=0
-        )
-        assert s.prepare_hit_rate == 0.0 and s.result_hit_rate == 0.0
+        s = make_stats(result_hits=0, result_misses=0)
+        assert s.result_hit_rate == 0.0 and s.prefix_hit_rate == 0.0
 
     def test_render_contains_key_metrics(self):
         out = make_stats().render(title="svc")
@@ -48,6 +46,7 @@ class TestServiceStats:
         assert "result-cache hit rate" in out
         assert "60%" in out
         assert "batch occupancy" in out
+        assert "prepare-cache" not in out
 
     def test_availability_no_traffic_is_perfect(self):
         s = make_stats()
@@ -105,8 +104,6 @@ class TestStatsRecorder:
         # Cache lookups reach the view through the snapshot's registry.
         snap = r.snapshot()
         lookups = functools.partial(snap.counter, "cache.lookups")
-        lookups(level="prepare", outcome="hit").inc(1)
-        lookups(level="prepare", outcome="miss").inc(2)
         lookups(level="result", outcome="hit").inc(3)
         lookups(level="result", outcome="miss").inc(4)
         s = service_stats(snap, r.max_batch_size)
@@ -116,7 +113,9 @@ class TestStatsRecorder:
         assert s.n_completed == 1
         assert s.n_failed == 1
         assert s.n_batches == 1 and s.mean_batch_size == 2.0
-        assert (s.prepare_hits, s.result_misses) == (1, 4)
+        assert (s.result_hits, s.result_misses) == (3, 4)
+        # No prepare cache: the fields perfbench reads stay at zero.
+        assert (s.prepare_hits, s.prepare_misses) == (0, 0)
 
     def test_closed_rejects_split_from_overload(self):
         r = StatsRecorder(max_batch_size=8)
