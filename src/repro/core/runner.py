@@ -9,6 +9,7 @@ and results (chunky tasks, small payloads, per the HPC guides).
 from __future__ import annotations
 
 import logging
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -240,112 +241,92 @@ def run_grid(
     """Execute a grid of experiments, optionally across processes.
 
     Results are returned flattened, in spec order (deterministic
-    regardless of parallelism).  When ``service`` is given, specs are
-    streamed through that backend instead of the process pool (the
-    service owns concurrency, batching, and caching; ``workers`` is then
-    ignored).
+    regardless of parallelism).  Cells run through the process pool of
+    :func:`~repro.utils.parallel.parallel_map` (``workers``), or one by
+    one through ``service`` when given (the service owns concurrency,
+    batching, and caching; ``workers`` is then ignored).
 
-    Crash resumability: with ``checkpoint`` set, each completed cell is
-    appended to that JSONL file, so a killed run loses at most the cell
-    in progress.  ``resume=True`` loads an
-    existing checkpoint, skips every cell already complete in it (a
-    partially written trailing cell is discarded and re-run), and
-    produces a probe set identical to an uninterrupted run — same
-    probes, same order, no duplicates.  Without ``resume``, an existing
-    checkpoint file is an error rather than silently overwritten.
+    Crash resumability: with ``checkpoint`` set, each finished cell is
+    appended to that JSONL file in spec order as soon as it and every
+    earlier cell are done, so a killed run loses only the cells not yet
+    appended, and a failing cell raises after the cells before it are on
+    disk.  ``resume=True`` loads an existing checkpoint, skips every
+    cell already complete in it (a partially written trailing cell is
+    discarded and re-run), and produces a probe set identical to an
+    uninterrupted run — same probes, same order, no duplicates.  Without
+    ``resume``, an existing checkpoint file is an error rather than
+    silently overwritten.
 
     ``fault_plan`` and ``prefix_cache`` forward to :func:`run_spec`
     (deterministic grid-level fault injection; prepared-prefix reuse on
-    the serial path).
+    the surrogate path).
     """
+    from repro.core.storage import append_probes_jsonl  # import cycle
+
     if not specs:
         raise ExperimentError("no experiments to run")
+    path = None if checkpoint is None else Path(checkpoint)
     # Spans only cover the in-process paths: the process-pool fan-out runs
     # run_spec in workers whose global tracer is the disabled default.
     with get_tracer().span(
         "runner.run_grid",
         n_cells=len(specs),
         via_service=service is not None,
-        checkpointed=checkpoint is not None,
+        checkpointed=path is not None,
         prefix_cache=bool(prefix_cache),
     ):
-        if checkpoint is None:
-            nested = _run_cells(specs, workers=workers, service=service,
-                                fault_plan=fault_plan,
-                                prefix_cache=prefix_cache)
-            return [probe for cell in nested for probe in cell]
-        return _run_grid_checkpointed(
-            specs,
-            workers=workers,
-            service=service,
-            path=Path(checkpoint),
-            resume=resume,
-            fault_plan=fault_plan,
+        done = {} if path is None else _resume_checkpoint(specs, path, resume)
+        pending = [spec for spec in specs if spec.cell_key not in done]
+        run = partial(
+            run_spec, service=service, fault_plan=fault_plan,
             prefix_cache=prefix_cache,
         )
+        if service is not None:
+            cells = (run(spec) for spec in pending)
+        else:
+            cells = parallel_map(run, pending, workers=workers)
+        probes: list[ProbeResult] = []
+        with closing(cells):
+            for spec in specs:
+                cell = done.get(spec.cell_key)
+                if cell is None:
+                    cell = next(cells)
+                    if path is not None:
+                        append_probes_jsonl(cell, path)
+                probes.extend(cell)
+        return probes
 
 
-def _run_cells(
-    specs: list[ExperimentSpec], workers, service, fault_plan,
-    prefix_cache: bool = True,
-) -> list[list[ProbeResult]]:
-    """Run cells through the service or the process pool (spec order)."""
-    if service is not None:
-        return [
-            run_spec(spec, service=service, fault_plan=fault_plan)
-            for spec in specs
-        ]
-    if fault_plan is None and prefix_cache:
-        fn = run_spec
-    else:
-        fn = partial(
-            run_spec, fault_plan=fault_plan, prefix_cache=prefix_cache
-        )
-    return parallel_map(fn, specs, workers=workers)
-
-
-def _run_grid_checkpointed(
-    specs, workers, service, path, resume, fault_plan, prefix_cache=True,
-) -> list[ProbeResult]:
-    from repro.core.storage import (
-        append_probes_jsonl,
-        load_checkpoint,
-        save_probes_jsonl,
-    )
+def _resume_checkpoint(specs, path: Path, resume: bool) -> dict:
+    """The complete cells of an existing checkpoint, compacted on disk."""
+    from repro.core.storage import load_checkpoint, save_probes_jsonl
 
     if len({spec.cell_key for spec in specs}) != len(specs):
         raise ExperimentError(
             "grid has duplicate cells; checkpointing needs unique cell keys"
         )
-    done: dict[tuple, list[ProbeResult]] = {}
-    if path.exists():
-        if not resume:
-            raise ExperimentError(
-                f"checkpoint {path} already exists; pass resume=True "
-                "(CLI: --resume) to continue it"
-            )
-        done = load_checkpoint(path, specs)
-        if not done.report.clean:
-            logger.warning(
-                "resume from damaged checkpoint: %s", done.report.summary()
-            )
-        # Compact the file down to the complete cells: this drops any
-        # partially written tail (and any damage the recovery scan
-        # quarantined) so the append below cannot duplicate it.
-        save_probes_jsonl(
-            [
-                probe
-                for spec in specs
-                if spec.cell_key in done
-                for probe in done[spec.cell_key]
-            ],
-            path,
+    if not path.exists():
+        return {}
+    if not resume:
+        raise ExperimentError(
+            f"checkpoint {path} already exists; pass resume=True "
+            "(CLI: --resume) to continue it"
         )
-    for spec in specs:
-        if spec.cell_key in done:
-            continue
-        [cell] = _run_cells([spec], workers=workers, service=service,
-                            fault_plan=fault_plan, prefix_cache=prefix_cache)
-        append_probes_jsonl(cell, path)
-        done[spec.cell_key] = cell
-    return [probe for spec in specs for probe in done[spec.cell_key]]
+    done = load_checkpoint(path, specs)
+    if not done.report.clean:
+        logger.warning(
+            "resume from damaged checkpoint: %s", done.report.summary()
+        )
+    # Compact the file down to the complete cells: this drops any
+    # partially written tail (and any damage the recovery scan
+    # quarantined) so the appends that follow cannot duplicate it.
+    save_probes_jsonl(
+        [
+            probe
+            for spec in specs
+            if spec.cell_key in done
+            for probe in done[spec.cell_key]
+        ],
+        path,
+    )
+    return done

@@ -83,9 +83,6 @@ _EVENTS_FORMAT = "repro-events"
 _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
-# Legacy aliases kept for callers/tests that introspect the module.
-_EVENTS_VERSION = _FORMAT_VERSION
-
 
 # ---------------------------------------------------------------------- #
 # Integrity counters (surfaced by repro.obs.collect_storage_metrics)
@@ -939,6 +936,12 @@ def save_events_jsonl(
     _atomic_write_text(path, "".join(lines), site="storage.save_events")
 
 
+def _decode_event(rec):
+    if not isinstance(rec, dict):
+        raise ExperimentError("not an object")
+    return rec
+
+
 def load_events_jsonl(
     path: str | Path,
     *,
@@ -962,12 +965,6 @@ def load_events_jsonl(
     ExperimentError
         On a missing/incompatible header or corrupt records (strict mode).
     """
-
-    def decode(rec):
-        if not isinstance(rec, dict):
-            raise ExperimentError("not an object")
-        return rec
-
     records, report = _scan_jsonl(
         path,
         fmt=_EVENTS_FORMAT,
@@ -976,7 +973,7 @@ def load_events_jsonl(
         tolerate=tolerate_partial,
         salvage_past_gaps=False,
         quarantine=quarantine,
-        decode=decode,
+        decode=_decode_event,
     )
     out = RecoveredList(records)
     out.report = report
@@ -1092,12 +1089,6 @@ def repair_artifact(
         report.kind = "probes"
     elif kind == "events":
         expect = event_kind or detected_event_kind or "unknown"
-
-        def decode(rec):
-            if not isinstance(rec, dict):
-                raise ExperimentError("not an object")
-            return rec
-
         events, report = _scan_jsonl(
             path,
             fmt=_EVENTS_FORMAT,
@@ -1107,15 +1098,9 @@ def repair_artifact(
             tolerate=True,
             salvage_past_gaps=False,
             salvage_headerless=True,
-            decode=decode,
+            decode=_decode_event,
         )
-        lines = [_header_line(_EVENTS_FORMAT, expect)]
-        lines.extend(
-            _frame_line(rec, seq) for seq, rec in enumerate(events)
-        )
-        _atomic_write_text(
-            path, "".join(lines), site="storage.repair"
-        )
+        save_events_jsonl(events, path, kind=expect)
         report.kind = f"events:{expect}"
     else:
         raise ExperimentError(

@@ -68,19 +68,22 @@ class Request:
         size, ICL examples, and query), so they share a prepared prefix
         and can ride one lockstep batch decode differing only by seed.
         The scheduler sorts flush batches by this key to make such
-        requests adjacent.  Config items are keyed in dict order, the
-        order the prompt renders them in: the same items in another
-        order build another prompt.  Computed once and memoized on the
-        instance.
+        requests adjacent.  Config items are keyed in dict order and by
+        the text the prompt renders for each value (``f"{v}"``, as
+        :func:`~repro.prompts.serialize_config` does), so ``4``,
+        ``np.int64(4)`` and ``"4"`` share a key while the same items in
+        another order do not.  Runtimes are keyed at full precision: the
+        value style that renders them is the surrogate's, not the
+        request's.  Computed once and memoized on the instance.
         """
         key = self.__dict__.get("_prompt_key")
         if key is None:
             canon = (
                 self.size,
-                tuple((str(k), repr(v)) for k, v in self.query_config.items()),
+                tuple((str(k), f"{v}") for k, v in self.query_config.items()),
                 tuple(
                     (
-                        tuple((str(k), repr(v)) for k, v in cfg.items()),
+                        tuple((str(k), f"{v}") for k, v in cfg.items()),
                         repr(float(rt)),
                     )
                     for cfg, rt in self.examples

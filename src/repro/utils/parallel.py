@@ -1,16 +1,15 @@
 """Worker-pool helpers for embarrassingly parallel experiment grids.
 
-The experiment runner fans hundreds of independent (prompt, seed) cells out
+The experiment runner fans hundreds of independent experiment cells out
 across processes.  Following the HPC guides, we keep the per-task payload
 picklable and chunky (one full experiment cell, not one token) so IPC cost
 is amortized, and we fall back to serial execution for tiny workloads where
-pool startup would dominate.
+pool startup would dominate.  :func:`parallel_map` yields results in input
+order as they complete, so a caller can checkpoint each one as it arrives.
 
-The serving layer (:mod:`repro.serve`) reuses the same worker-count policy
-for its thread pool; threads share the in-process model/cache state, so
-``parallel_map`` also supports a thread executor and
-:func:`effective_workers` lets IO-free batch schedulers opt out of the
-core-count clamp (oversubscription).
+The serving layer's batch scheduler (:mod:`repro.serve.scheduler`) sizes
+its thread pool with the same :func:`effective_workers` policy, opting out
+of the core-count clamp for its IO-free batch work (oversubscription).
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "effective_workers",
@@ -44,23 +43,19 @@ DEFAULT_WORKER_CAP = 16
 def effective_workers(
     requested: int | None = None,
     *,
-    cap: int | None = DEFAULT_WORKER_CAP,
     allow_oversubscription: bool = False,
 ) -> int:
-    """Resolve a worker count against ``min(cpu_count, cap)``.
+    """Resolve a worker count against ``min(cpu_count, DEFAULT_WORKER_CAP)``.
 
     The same clamp applies whether the count was requested explicitly or
     defaulted (``None`` means "all cores"): both are limited to the machine
-    core count and then to ``cap``.  A request that gets clamped is logged,
-    so a silently-shrunk pool is visible in debug output.
+    core count and then to :data:`DEFAULT_WORKER_CAP`.  A request that gets
+    clamped is logged, so a silently-shrunk pool is visible in debug output.
 
     Parameters
     ----------
     requested:
         Desired worker count, or ``None`` for "all cores (clamped)".
-    cap:
-        Upper bound on the resolved count (``None`` disables the cap and
-        leaves only the core-count clamp).
     allow_oversubscription:
         When true, an explicit ``requested`` is returned as-is, bypassing
         both clamps.  This is for schedulers of IO-free or lock-free batch
@@ -69,7 +64,7 @@ def effective_workers(
         clamped default.
     """
     cores = os.cpu_count() or 1
-    limit = cores if cap is None else max(1, min(cores, cap))
+    limit = min(cores, DEFAULT_WORKER_CAP)
     if requested is None:
         return limit
     if requested < 1:
@@ -77,8 +72,8 @@ def effective_workers(
     if allow_oversubscription or requested <= limit:
         return requested
     logger.debug(
-        "clamping requested workers %d to %d (cores=%d, cap=%s)",
-        requested, limit, cores, cap,
+        "clamping requested workers %d to %d (cores=%d, cap=%d)",
+        requested, limit, cores, DEFAULT_WORKER_CAP,
     )
     return limit
 
@@ -101,50 +96,29 @@ def mp_context() -> multiprocessing.context.BaseContext:
 
 
 def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    workers: int | None = None,
-    chunksize: int | None = None,
-    executor: str = "process",
-    oversubscribe: bool = False,
-) -> list[R]:
-    """Map ``fn`` over ``items``, preserving order.
+    fn: Callable[[T], R], items: Iterable[T], *, workers: int | None = None
+) -> Iterator[R]:
+    """Map ``fn`` over ``items``, yielding results in input order.
 
     Runs serially when the workload is small or only one worker is
-    available; otherwise uses a worker pool.
-
-    Parameters
-    ----------
-    executor:
-        ``"process"`` (default) uses a :class:`ProcessPoolExecutor`; ``fn``
-        and every item must then be picklable.  ``"thread"`` uses a
-        :class:`ThreadPoolExecutor` sharing in-process state — the right
-        choice for work that hits shared caches or releases the GIL.
-    oversubscribe:
-        Forwarded to :func:`effective_workers`: lets an explicit
-        ``workers`` exceed the core-count/cap clamp (thread pools only;
-        oversubscribing processes is never useful here).
+    available; otherwise a process pool runs the items (``fn`` and every
+    item must then be picklable) and each result is yielded as soon as it
+    and every earlier one are done.  An exception raised by ``fn``
+    surfaces at its item's position.  The pool shuts down when the
+    iterator is exhausted or closed: close it (e.g. with
+    :func:`contextlib.closing`) when stopping early.
     """
-    if executor not in ("process", "thread"):
-        raise ValueError(f"unknown executor {executor!r}")
-    if oversubscribe and executor == "process":
-        raise ValueError("oversubscription is only supported for threads")
     items = list(items)
-    n = len(items)
-    nworkers = effective_workers(
-        workers, allow_oversubscription=oversubscribe
-    )
-    if n == 0:
-        return []
-    if nworkers == 1 or n < _SERIAL_THRESHOLD:
-        return [fn(item) for item in items]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(fn, items))
-    if chunksize is None:
-        chunksize = max(1, n // (nworkers * 4))
+    nworkers = effective_workers(workers)
+    if nworkers == 1 or len(items) < _SERIAL_THRESHOLD:
+        return (fn(item) for item in items)
+    return _pooled(fn, items, nworkers)
+
+
+def _pooled(fn, items, nworkers):
     with ProcessPoolExecutor(
         max_workers=nworkers, mp_context=mp_context()
     ) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        yield from pool.map(
+            fn, items, chunksize=max(1, len(items) // (nworkers * 4))
+        )

@@ -193,3 +193,74 @@ raise SystemExit("grid finished; the kill never fired")
         ]
         keys = [probe_key(p) for p in load_probes_jsonl(path)]
         assert len(keys) == len(set(keys)) == len(baseline)
+
+
+def pool_grid():
+    """Six cells: enough for parallel_map to engage its pool."""
+    return quick_grid(
+        sizes=("SM",), icl_counts=(1, 2, 3), n_sets=1, seeds=(1, 2),
+        selections=("random",), n_queries=1,
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_checkpoint(tmp_path_factory):
+    """A ``workers=1`` checkpoint of :func:`pool_grid` and its probes."""
+    path = tmp_path_factory.mktemp("serial") / "grid.jsonl"
+    probes = run_grid(pool_grid(), workers=1, checkpoint=path)
+    return path, probes
+
+
+@pytest.fixture()
+def counted_pools(monkeypatch):
+    """Four cores whatever the host, and a log of every pool built."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.utils.parallel as parallel_mod
+
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+class TestPooledCheckpoint:
+    def test_pooled_checkpoint_is_byte_identical(
+        self, tmp_path, serial_checkpoint, counted_pools
+    ):
+        """A checkpointed grid fans out across ``workers`` and still
+        appends its cells in spec order."""
+        serial_path, serial_probes = serial_checkpoint
+        path = tmp_path / "grid.jsonl"
+        probes = run_grid(pool_grid(), workers=2, checkpoint=path)
+        assert counted_pools == [2]
+        assert path.read_bytes() == serial_path.read_bytes()
+        assert [probe_key(p) for p in probes] == [
+            probe_key(p) for p in serial_probes
+        ]
+
+    def test_pooled_crash_then_resume_equals_uninterrupted(
+        self, tmp_path, serial_checkpoint, counted_pools
+    ):
+        """A cell fault in a pool worker surfaces at its position, after
+        the cells before it are on disk; the pooled resume completes the
+        checkpoint to the uninterrupted bytes."""
+        serial_path, serial_probes = serial_checkpoint
+        specs = pool_grid()
+        plan = crashing_plan(specs, crash_index=1)
+        path = tmp_path / "grid.jsonl"
+        with pytest.raises(InjectedFaultError):
+            run_grid(specs, workers=2, checkpoint=path, fault_plan=plan)
+        assert list(load_checkpoint(path, specs)) == [specs[0].cell_key]
+        resumed = run_grid(specs, workers=2, checkpoint=path, resume=True)
+        assert counted_pools == [2, 2]
+        assert [probe_key(p) for p in resumed] == [
+            probe_key(p) for p in serial_probes
+        ]
+        assert path.read_bytes() == serial_path.read_bytes()

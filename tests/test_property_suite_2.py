@@ -126,10 +126,12 @@ def _configs(draw):
 
 
 @st.composite
-def _variants(draw, config):
-    """``config``'s items in a drawn order, each value maybe re-typed."""
+def _variants(draw, config, reorder=True):
+    """``config``'s items, each value maybe re-typed, in a drawn order
+    (or in place with ``reorder=False``)."""
+    items = list(config.items())
     variant = {}
-    for name, value in draw(st.permutations(list(config.items()))):
+    for name, value in draw(st.permutations(items)) if reorder else items:
         if draw(st.booleans()):
             (value,) = [v for v in _DOMAINS[name] if str(v) == str(value)]
             value = draw(st.sampled_from(_VALUE_FORMS))(value)
@@ -138,12 +140,14 @@ def _variants(draw, config):
 
 
 class TestPromptKeyFingerprint:
-    """``Request.prompt_key`` is at least as fine as the prompt itself.
+    """``Request.prompt_key`` partitions requests exactly as the prompt does.
 
     Equal keys must build token-identical prompts, which is what would
     let the result cache be keyed by ``prompt_key`` without building the
     prompt first, and what lets same-key requests share one lockstep
-    decode.
+    decode.  Conversely, token-identical prompts must get equal keys
+    however each config value is typed, or such a cache would miss
+    where the fingerprint hits.
     """
 
     _surrogates: dict = {}
@@ -188,17 +192,32 @@ class TestPromptKeyFingerprint:
                 ],
                 query_config=data.draw(_variants(query)), seed=2, size=size,
             ),
+            # Re-typed in place (Python, numpy or ``str`` scalars): the
+            # same prompt, so the same key.
+            Request(
+                examples=[
+                    (data.draw(_variants(cfg, reorder=False)), rt)
+                    for cfg, rt in examples
+                ],
+                query_config=data.draw(_variants(query, reorder=False)),
+                seed=3, size=size,
+            ),
         ]
         assert requests[0].prompt_key == requests[1].prompt_key
+        assert requests[0].prompt_key == requests[3].prompt_key
         fingerprints: dict[str, set[str]] = {}
+        keys: dict[str, set[str]] = {}
         for request in requests:
             parts = surrogate.build_parts(
                 request.examples, request.query_config
             )
+            fingerprint = prompt_fingerprint(parts.ids)
             fingerprints.setdefault(request.prompt_key, set()).add(
-                prompt_fingerprint(parts.ids)
+                fingerprint
             )
+            keys.setdefault(fingerprint, set()).add(request.prompt_key)
         assert all(len(fps) == 1 for fps in fingerprints.values())
+        assert all(len(ks) == 1 for ks in keys.values())
 
 
 class TestHistogramMerge:

@@ -18,6 +18,12 @@ def _square(x):
     return x * x
 
 
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError("three")
+    return x * x
+
+
 class TestEffectiveWorkers:
     def test_default_capped(self):
         w = effective_workers(None)
@@ -39,15 +45,12 @@ class TestEffectiveWorkers:
         limit = effective_workers(None)
         assert effective_workers(10_000) == limit
 
-    def test_custom_cap(self):
-        cores = os.cpu_count() or 1
-        assert effective_workers(None, cap=2) <= 2
-        assert effective_workers(8, cap=2) == min(2, cores)
-
-    def test_cap_none_leaves_core_clamp(self):
-        cores = os.cpu_count() or 1
-        assert effective_workers(None, cap=None) == cores
-        assert effective_workers(10_000, cap=None) == cores
+    def test_custom_cap(self, monkeypatch):
+        """DEFAULT_WORKER_CAP clamps below the core count."""
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(parallel_mod, "DEFAULT_WORKER_CAP", 2)
+        assert effective_workers(None) == 2
+        assert effective_workers(8) == 2
 
     def test_oversubscription_opt_out(self):
         """Explicit counts bypass both clamps when oversubscribing."""
@@ -68,42 +71,34 @@ class TestEffectiveWorkers:
 
 class TestParallelMap:
     def test_empty(self):
-        assert parallel_map(_square, []) == []
+        assert list(parallel_map(_square, [])) == []
 
     def test_serial_small(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
+        assert list(parallel_map(_square, [1, 2, 3], workers=1)) == [1, 4, 9]
 
     def test_parallel_preserves_order(self):
         items = list(range(40))
-        out = parallel_map(_square, items, workers=2)
+        out = list(parallel_map(_square, items, workers=2))
         assert out == [x * x for x in items]
 
     def test_results_match_serial(self):
         items = list(range(25))
-        assert parallel_map(_square, items, workers=2) == parallel_map(
-            _square, items, workers=1
+        assert list(parallel_map(_square, items, workers=2)) == list(
+            parallel_map(_square, items, workers=1)
         )
 
-    def test_thread_executor_parity(self):
-        items = list(range(25))
-        assert parallel_map(
-            _square, items, workers=2, executor="thread"
-        ) == [x * x for x in items]
+    def test_pooled_results_arrive_in_order(self, monkeypatch):
+        """The pool yields each result in input order, and an error
+        surfaces at its item's position, after every earlier result."""
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        out = parallel_map(_fail_on_three, range(6), workers=2)
+        assert [next(out) for _ in range(3)] == [0, 1, 4]
+        with pytest.raises(ValueError, match="three"):
+            next(out)
 
-    def test_unknown_executor(self):
+    def test_invalid_workers_raise_at_call(self):
         with pytest.raises(ValueError):
-            parallel_map(_square, [1], executor="fiber")
-
-    def test_oversubscribed_processes_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], oversubscribe=True)
-
-    def test_oversubscribed_threads(self):
-        items = list(range(10))
-        out = parallel_map(
-            _square, items, workers=8, executor="thread", oversubscribe=True
-        )
-        assert out == [x * x for x in items]
+            parallel_map(_square, [1], workers=0)
 
 
 class TestMpContext:
@@ -130,9 +125,7 @@ class TestMpContext:
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         with PredictionService(max_batch_size=2):
             items = list(range(8))
-            out = parallel_map(
-                _square, items, workers=2, executor="process"
-            )
+            out = list(parallel_map(_square, items, workers=2))
         assert out == [x * x for x in items]
 
 
@@ -145,43 +138,54 @@ class TestSerialFastPaths:
             raise AssertionError("worker pool constructed on a serial path")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _boom)
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", _boom)
 
     def test_workers_one_never_pools(self, forbid_pools):
         items = list(range(_SERIAL_THRESHOLD * 3))
-        assert parallel_map(_square, items, workers=1) == [
+        assert list(parallel_map(_square, items, workers=1)) == [
             x * x for x in items
         ]
 
     def test_below_threshold_never_pools(self, forbid_pools):
         items = list(range(_SERIAL_THRESHOLD - 1))
-        assert parallel_map(_square, items, workers=4) == [
+        assert list(parallel_map(_square, items, workers=4)) == [
             x * x for x in items
         ]
 
-    def test_at_threshold_uses_pool(self, monkeypatch):
-        """Exactly _SERIAL_THRESHOLD items with >1 workers goes parallel."""
+    @pytest.fixture()
+    def recorded_pool(self, monkeypatch):
+        """A process-pool stand-in that records its size and shutdown;
+        cpu_count is patched so the pool engages even on 1 core."""
         used = {}
 
         class Recorder:
             def __init__(self, max_workers=None, **kw):
                 used["max_workers"] = max_workers
-                self._n = max_workers
 
             def __enter__(self):
                 return self
 
             def __exit__(self, *exc):
+                used["closed"] = True
                 return False
 
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        return used
+
+    def test_at_threshold_uses_pool(self, recorded_pool):
+        """Exactly _SERIAL_THRESHOLD items with >1 workers goes parallel,
+        and the pool shuts down once the results are consumed."""
         items = list(range(_SERIAL_THRESHOLD))
-        # Oversubscribed threads so the pool engages even on 1 core.
-        out = parallel_map(
-            _square, items, workers=2, executor="thread", oversubscribe=True
-        )
+        out = list(parallel_map(_square, items, workers=2))
         assert out == [x * x for x in items]
-        assert used["max_workers"] == 2
+        assert recorded_pool == {"max_workers": 2, "closed": True}
+
+    def test_closing_early_shuts_pool(self, recorded_pool):
+        out = parallel_map(_square, range(8), workers=2)
+        assert next(out) == 0
+        assert "closed" not in recorded_pool
+        out.close()
+        assert recorded_pool["closed"]
