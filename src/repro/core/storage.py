@@ -270,6 +270,33 @@ def _verify_frame(obj) -> tuple[int, dict] | None:
     return obj["seq"], obj["rec"]
 
 
+_CRC_HEAD = b'{"crc":'
+_SEQ_KEY = b',"seq":'
+
+
+def _raw_frame_seq(raw: bytes) -> int | None:
+    """``seq`` of a frame line written byte-canonically whose CRC
+    verifies, without parsing it; ``None`` otherwise.
+
+    :func:`_frame_line` splices ``{"crc":C,`` before the payload's own
+    keys, so the payload is ``{`` plus the rest of the line, and its last
+    key (keys sort) is ``seq``.
+    """
+    if not raw.startswith(_CRC_HEAD):
+        return None
+    comma = raw.find(b",", len(_CRC_HEAD))
+    crc = raw[len(_CRC_HEAD):comma]
+    if comma < 0 or not crc.isdigit():
+        return None
+    payload = b"{" + raw[comma + 1:]
+    if zlib.crc32(payload) != int(crc):
+        return None
+    _, key, seq = payload.rpartition(_SEQ_KEY)
+    if not key or seq[-1:] != b"}" or not seq[:-1].isdigit():
+        return None
+    return int(seq[:-1])
+
+
 def _header_line(fmt: str, kind: str | None = None, version: int = _FORMAT_VERSION) -> str:
     header: dict = {"format": fmt}
     if kind is not None:
@@ -735,9 +762,10 @@ def _tail_next_seq(path: Path) -> int:
     """Next sequence number for a v2 file: last verified frame + 1.
 
     Reads a bounded tail (doubling backwards on demand) rather than the
-    whole file, so appending to a large checkpoint stays O(tail).  A
-    torn or corrupt trailing line simply falls through to the previous
-    verifiable frame — exactly the record recovery would keep.
+    whole file, so appending to a large checkpoint stays O(tail), and
+    checks a frame's CRC on its raw bytes, so it never re-encodes the
+    frame.  A torn or corrupt trailing line simply falls through to the
+    previous verifiable frame — exactly the record recovery would keep.
     """
     size = path.stat().st_size
     block = 1 << 16
@@ -751,6 +779,11 @@ def _tail_next_seq(path: Path) -> int:
             for raw in reversed(data.split(b"\n")[1:]):
                 if not raw.strip():
                     continue
+                seq = _raw_frame_seq(raw)
+                if seq is not None:
+                    return seq + 1
+                # A frame that parses but is not byte-canonical (say,
+                # re-spaced) still verifies through its parsed form.
                 try:
                     obj = json.loads(raw.decode("utf-8", errors="strict"))
                 except (json.JSONDecodeError, UnicodeDecodeError):

@@ -108,8 +108,8 @@ class DiscriminativeSurrogate:
         """Build the discriminative prompt without generating.
 
         Exposed separately from :meth:`predict` so the serving layer
-        (:mod:`repro.serve`) can fingerprint the prompt for its result
-        cache before deciding whether to run generation at all.
+        (:mod:`repro.serve`) builds a prompt only for a result-cache miss
+        and hands it to the batch worker that decodes it.
         """
         return self.builder.discriminative(examples, query_config)
 

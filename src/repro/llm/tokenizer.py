@@ -21,7 +21,7 @@ import re
 from repro.errors import TokenizationError
 from repro.llm.vocab import Vocabulary, build_default_vocabulary
 
-__all__ = ["chunk_digits", "Tokenizer"]
+__all__ = ["chunk_digits", "splice_is_exact", "Tokenizer"]
 
 # Pieces: special markers | space?+letters | digits | space?+single other char.
 _PIECE_RE = re.compile(
@@ -32,6 +32,40 @@ _PIECE_RE = re.compile(
     r"| ?[^\sA-Za-z0-9]"
     r"| +"
 )
+
+
+_ASCII_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+#: Characters that may sit inside a ``<|special|>`` marker's name.
+_MARKER = frozenset("abcdefghijklmnopqrstuvwxyz_")
+
+
+def splice_is_exact(left: str, right: str) -> bool:
+    """Whether ``encode(left) + encode(right) == encode(left + right)``.
+
+    The piece regex has no lookbehind, so per-piece encoding is
+    position-local: the pieces of either side change only if one piece
+    of the joined text straddles the join, and such a piece holds the
+    last character of ``left`` immediately followed by the first of
+    ``right``.  The pairs a piece can hold are a run continuing
+    (letters, digits, spaces, ``\\n\\n``), a space prefixing a word or
+    punctuation, and the inside of a ``<|special|>`` marker; any other
+    pair splits.  ``False`` means only that the rule cannot prove it.
+    """
+    if not left or not right:
+        return True
+    x, y = left[-1], right[0]
+    if x == "\n":
+        return y != "\n"
+    if x == " ":
+        return y in _DIGITS or (y != " " and y.isspace())
+    if x in _ASCII_LETTERS and y in _ASCII_LETTERS:
+        return False
+    if x in _DIGITS and y in _DIGITS:
+        return False
+    return not (
+        (x in _MARKER or x in "<|") and (y in _MARKER or y in "|>")
+    )
 
 
 def _is_ascii_digits(s: str) -> bool:
@@ -55,6 +89,8 @@ class Tokenizer:
 
     def __init__(self, vocab: Vocabulary | None = None):
         self.vocab = vocab or build_default_vocabulary()
+        # The non-digit pieces of a plain number (see encode_number).
+        self._number_marks = {m: self.encode(m) for m in (".", "e+", "e-")}
 
     # ------------------------------------------------------------------ #
     def encode(self, text: str) -> list[int]:
@@ -78,9 +114,43 @@ class Tokenizer:
             self._encode_fallback(text[pos:], ids)
         return ids
 
+    def _digit_ids(self, digits: str) -> list[int]:
+        """Ids of an ASCII digit run: a whole-run hit, else its chunks."""
+        if (tid := self.vocab.get(digits)) is not None:
+            return [tid]
+        id_of = self.vocab.id_of
+        return [id_of(digits[i : i + 3]) for i in range(0, len(digits), 3)]
+
+    def encode_number(self, text: str) -> list[int] | None:
+        """Encode a plain number without the piece regex.
+
+        ``text`` is digits, optionally with a fraction and a signed
+        exponent (``"12"``, ``"0.0022155"``, ``"2.2155e-03"``): the digit
+        runs chunk directly, and ``.``, ``e+`` and ``e-`` are pieces of
+        their own.  Returns ``encode(text)``, or ``None`` for any other
+        text.
+        """
+        mantissa, e, exponent = text.partition("e")
+        whole, dot, fraction = mantissa.partition(".")
+        if not (whole.isdigit() and whole.isascii()):
+            return None
+        ids = self._digit_ids(whole)
+        if dot:
+            if not (fraction.isdigit() and fraction.isascii()):
+                return None
+            ids += self._number_marks["."]
+            ids += self._digit_ids(fraction)
+        if e:
+            mark, digits = "e" + exponent[:1], exponent[1:]
+            if mark not in self._number_marks or not _is_ascii_digits(digits):
+                return None
+            ids += self._number_marks[mark]
+            ids += self._digit_ids(digits)
+        return ids
+
     def _encode_piece(self, piece: str, ids: list[int]) -> None:
         if _is_ascii_digits(piece):
-            ids.extend(self.vocab.id_of(chunk) for chunk in chunk_digits(piece))
+            ids.extend(self._digit_ids(piece))
         elif piece in self.vocab:
             ids.append(self.vocab.id_of(piece))
         elif piece.startswith(" ") and len(piece) > 1:

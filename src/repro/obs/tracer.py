@@ -232,21 +232,29 @@ class Tracer:
         return _ActiveSpan(self, name, parent, start_s, attributes)
 
     def record_span(self, name: str, start_s: float, end_s: float, *,
-                    parent=_IMPLICIT, **attributes) -> None:
+                    parent=_IMPLICIT, **attributes) -> int | None:
         """Record an already-timed span retroactively (e.g. queue wait).
 
         Buffers the raw tuple only; the :class:`Span` appears when
-        :meth:`spans` materializes the buffer.
+        :meth:`spans` materializes the buffer.  Returns the span's id,
+        which a child can take as its ``parent`` (``None`` when
+        disabled).
         """
         if not self.enabled:
-            return
+            return None
         start = float(start_s)
         duration = float(end_s) - start
-        _, buffer = self._thread_state()
+        stack, buffer = self._thread_state()
+        if parent is _IMPLICIT:
+            parent_id = stack[-1] if stack else None
+        else:
+            parent_id = self._resolve_parent(parent)
+        span_id = next(self._ids)
         buffer.append(
-            (name, next(self._ids), self._resolve_parent(parent), start,
+            (name, span_id, parent_id, start,
              duration if duration > 0.0 else 0.0, attributes)
         )
+        return span_id
 
     def current_span_id(self) -> int | None:
         """Id of the calling thread's innermost open span (None outside)."""

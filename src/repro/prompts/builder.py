@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -9,13 +10,8 @@ import numpy as np
 
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import PromptError
-from repro.llm.tokenizer import Tokenizer
-from repro.prompts.serialize import (
-    example_block,
-    format_runtime,
-    query_block,
-    serialize_config,
-)
+from repro.llm.tokenizer import Tokenizer, splice_is_exact
+from repro.prompts.serialize import config_clauses, format_runtime
 from repro.prompts.templates import (
     SYSTEM_INSTRUCTIONS,
     SYSTEM_INSTRUCTIONS_CANDIDATE,
@@ -46,10 +42,9 @@ class PromptParts:
         up to (but excluding) the query-specific tail.  Prompts built
         from the same task and ICL examples share this prefix exactly,
         which is what the :mod:`repro.llm.prefix_cache` layer keys on.
-        Computed against the actual tokenization (the boundary is walked
-        back if the tokenizer merged across the text split), so
-        ``ids[:prefix_len]`` is always a verbatim prefix of the full
-        encoding.  0 when no meaningful split exists.
+        The split is a proven piece boundary, so ``ids[:prefix_len]`` is
+        the encoding of the text before the query.  0 when no
+        meaningful split exists.
     """
 
     text: str
@@ -59,8 +54,42 @@ class PromptParts:
     prefix_len: int = 0
 
 
+#: Chat markers around the system turn, the user turn and the open
+#: assistant turn a prompt ends with.
+_SYSTEM_OPEN = "<|begin_of_text|><|start_header_id|>system<|end_header_id|>\n\n"
+_USER_OPEN = "<|eot_id|><|start_header_id|>user<|end_header_id|>\n\n"
+_ASSISTANT_OPEN = "<|eot_id|><|start_header_id|>assistant<|end_header_id|>\n\n"
+_EXAMPLES = "\n\nHere are the examples:\n"
+_COMPLETE = "\n\nPlease complete the following:\n"
+_PROPOSE = (
+    "\n\nPlease propose one hyperparameter configuration that "
+    "achieves the following performance:\n"
+)
+#: What separates two example lines (one ``\n\n`` piece).
+_LINE_JOIN = "\n\n"
+#: Memoised segments and clauses per builder; past this many the memo
+#: starts over, so arbitrary request values cannot grow it for ever.
+_MEMO_LIMIT = 4096
+#: Typecode of the id arrays assembled: a C ``long long``, so the result
+#: is an int64 ndarray over the same buffer.  Concatenating these is a
+#: copy of bytes, where converting a list costs ~40 ns per token.
+_IDS = "q"
+
+
 class PromptBuilder:
     """Builds LLAMBO-style prompts for one syr2k task.
+
+    A prompt's token ids are compiled from its template rather than
+    tokenized from its text.  The fixed segments (chat markers, system
+    turn, problem description, labels) are encoded once per builder, the
+    ids of each ``", name is value"`` clause once per distinct clause
+    text, and runtimes by chunking their digits directly.  An example
+    line's ids are then a concatenation, and lines join with the
+    ``\\n\\n`` id.  Every join is one :func:`~repro.llm.tokenizer.splice_is_exact`
+    proves exact: a clause whose end it cannot prove apart from the
+    ``,`` or newline that follows (a string value ending in a space, say),
+    or a value that is not a plain number, sends its line through
+    :meth:`Tokenizer.encode` instead.  So ``ids == encode(text)`` always.
 
     Parameters
     ----------
@@ -68,6 +97,8 @@ class PromptBuilder:
         The tuning task (fixes the problem description and size clause).
     tokenizer:
         Tokenizer used to encode the final prompt.
+    value_style:
+        How runtimes render (:data:`~repro.prompts.serialize.VALUE_STYLES`).
     """
 
     def __init__(
@@ -81,79 +112,110 @@ class PromptBuilder:
         # Validate eagerly so a typo fails at construction, not mid-grid.
         format_runtime(1.0, value_style)
         self.value_style = value_style
-        # Shared-prefix encodings recur for every query of a sweep; memoize
-        # a handful (keyed by prefix text) so prefix_len costs one encode
-        # per distinct (system, examples) combination, not per prompt.
-        self._prefix_ids_memo: dict[str, np.ndarray] = {}
+        self._segments: dict[str, array] = {}
+        self._clauses: dict[str, array | None] = {}
+        self._line_head = f"Hyperparameter configuration: size is {task.size}"
 
     # ------------------------------------------------------------------ #
-    def _chat_prefix(self, system: str, user_head: str) -> str:
-        """Chat markers + system turn + the head of the user turn."""
-        return (
-            "<|begin_of_text|>"
-            "<|start_header_id|>system<|end_header_id|>\n\n"
-            f"{system}<|eot_id|>"
-            "<|start_header_id|>user<|end_header_id|>\n\n"
-            f"{user_head}"
+    def _segment(self, text: str) -> array:
+        """Ids of a fixed template segment, encoded once."""
+        ids = self._segments.get(text)
+        if ids is None:
+            if len(self._segments) >= _MEMO_LIMIT:
+                self._segments.clear()
+            ids = self._segments[text] = array(_IDS, self.tokenizer.encode(text))
+        return ids
+
+    def _clause(self, clause: str) -> array | None:
+        """Ids of a piece of a line's config part, encoded on first sight;
+        ``None`` when its end may merge with the ``,`` or newline that
+        follows it."""
+        try:
+            return self._clauses[clause]
+        except KeyError:
+            pass
+        if len(self._clauses) >= _MEMO_LIMIT:
+            self._clauses.clear()
+        exact = splice_is_exact(clause, ",") and splice_is_exact(clause, "\n")
+        ids = self._clauses[clause] = (
+            array(_IDS, self.tokenizer.encode(clause)) if exact else None
         )
+        return ids
 
-    def _prefix_ids(self, prefix_text: str) -> np.ndarray:
-        pids = self._prefix_ids_memo.get(prefix_text)
-        if pids is None:
-            pids = np.asarray(self.tokenizer.encode(prefix_text), dtype=np.int64)
-            if len(self._prefix_ids_memo) >= 8:
-                self._prefix_ids_memo.pop(next(iter(self._prefix_ids_memo)))
-            self._prefix_ids_memo[prefix_text] = pids
-        return pids
+    def _line(
+        self, config: Mapping[str, object], label: str, value: str = ""
+    ) -> tuple[str, array]:
+        """``Hyperparameter configuration: {config}`` + label + value.
 
-    @staticmethod
-    def _splice_is_exact(prefix_text: str, rest: str) -> bool:
-        """Whether ``encode(prefix) + encode(rest) == encode(prefix+rest)``.
-
-        The piece regex has no lookbehind, so per-piece encoding is
-        position-local; the only way a piece can straddle the boundary is
-        a run continuing across it.  A prefix ending in a single newline
-        followed by anything but another newline cannot extend any
-        alternative (``\\n\\n`` is the sole pattern consuming past a
-        newline), so the spliced encoding is exact.
+        Returns the line's text and ids.  ``label`` starts with a newline
+        and ends in ``": "`` before a value, so it splits from the last
+        clause (checked per clause) and from a value's leading digit; a
+        line with a join the rule cannot prove is encoded whole.
         """
-        return prefix_text.endswith("\n") and not rest.startswith("\n")
+        clauses = [self._line_head, *config_clauses(config)]
+        text = "".join([*clauses, label, value])
+        ids = array(_IDS)
+        memo = self._clauses
+        for clause in clauses:
+            clause_ids = memo.get(clause) or self._clause(clause)
+            if clause_ids is None:
+                return text, array(_IDS, self.tokenizer.encode(text))
+            ids += clause_ids
+        number = self.tokenizer.encode_number(value) if value else []
+        if number is None:
+            return text, array(_IDS, self.tokenizer.encode(text))
+        ids += self._segment(label)
+        ids.extend(number)
+        return text, ids
+
+    def _target_line(self, value: str) -> tuple[str, array]:
+        """The candidate-sampling query: a runtime, then the open config."""
+        head, tail = "Performance: ", "\nHyperparameter configuration:"
+        text = head + value + tail
+        number = self.tokenizer.encode_number(value)
+        if number is None:
+            return text, array(_IDS, self.tokenizer.encode(text))
+        ids = self._segment(head) + array(_IDS, number)
+        ids += self._segment(tail)
+        return text, ids
 
     def _finish(
         self,
         system: str,
-        user_head: str,
-        user_tail: str,
+        head: str,
+        lines: list[tuple[str, array]],
+        close: str,
+        query: tuple[str, array],
         icl_values: list[str],
-        n_examples: int,
     ) -> PromptParts:
-        prefix_text = self._chat_prefix(system, user_head)
-        rest = user_tail + (
-            "<|eot_id|>"
-            "<|start_header_id|>assistant<|end_header_id|>\n\n"
-        )
-        pids = self._prefix_ids(prefix_text)
-        if self._splice_is_exact(prefix_text, rest):
-            # Fast path: reuse the memoized prefix encoding and tokenize
-            # only the query tail (grids re-encode the same multi-KB
-            # prefix thousands of times otherwise).
-            tail_ids = np.asarray(self.tokenizer.encode(rest), dtype=np.int64)
-            ids = np.concatenate([pids, tail_ids])
-            prefix_len = int(pids.size)
-        else:
-            ids = np.asarray(
-                self.tokenizer.encode(prefix_text + rest), dtype=np.int64
-            )
-            # Clamp the split to the longest common token prefix: the
-            # greedy tokenizer merged across the text boundary.
-            m = min(int(pids.size), int(ids.size))
-            eq = pids[:m] == ids[:m]
-            prefix_len = m if bool(eq.all()) else int(np.argmin(eq))
+        """Join the chat turns, the example lines and the query.
+
+        Every join splits exactly: the opening ends in a newline before
+        a line's ``Hyperparameter``; a line ends in its value, never a
+        newline, before the ``\\n\\n`` that follows it; ``close`` ends in
+        a newline before the query; the query ends in ``:`` before the
+        assistant marker.
+        """
+        opening = _SYSTEM_OPEN + system + _USER_OPEN + head
+        texts = [opening]
+        ids = self._segment(opening)[:]
+        join = self._segment(_LINE_JOIN)
+        for i, (text, line_ids) in enumerate(lines):
+            if i:
+                texts.append(_LINE_JOIN)
+                ids += join
+            texts.append(text)
+            ids += line_ids
+        texts += [close, query[0], _ASSISTANT_OPEN]
+        ids += self._segment(close)
+        prefix_len = len(ids)
+        ids += query[1]
+        ids += self._segment(_ASSISTANT_OPEN)
         return PromptParts(
-            text=prefix_text + rest,
-            ids=ids,
+            text="".join(texts),
+            ids=np.frombuffer(ids, dtype=np.int64),
             icl_value_strings=icl_values,
-            n_examples=n_examples,
+            n_examples=len(lines),
             prefix_len=prefix_len,
         )
 
@@ -174,19 +236,14 @@ class PromptBuilder:
         """
         if not examples:
             raise PromptError("discriminative prompts need >= 1 ICL example")
-        size = self.task.size
-        style = self.value_style
-        blocks = [example_block(cfg, size, rt, style) for cfg, rt in examples]
-        icl_values = [format_runtime(rt, style) for _, rt in examples]
-        head = (
-            problem_description(self.task)
-            + "\n\nHere are the examples:\n"
-            + "\n".join(blocks)
-            + "\nPlease complete the following:\n"
-        )
-        tail = query_block(query_config, size)
+        icl_values, lines = self._runtime_lines(examples)
         return self._finish(
-            SYSTEM_INSTRUCTIONS, head, tail, icl_values, len(examples)
+            SYSTEM_INSTRUCTIONS,
+            problem_description(self.task) + _EXAMPLES,
+            lines,
+            _COMPLETE,
+            self._line(query_config, "\nPerformance:"),
+            icl_values,
         )
 
     def generative(
@@ -200,34 +257,29 @@ class PromptBuilder:
             raise PromptError("generative prompts need >= 1 ICL example")
         if n_buckets < 2:
             raise PromptError(f"need >= 2 buckets, got {n_buckets}")
-        size = self.task.size
-        blocks = []
+        lines = []
         labels = []
         for cfg, bucket in examples:
             if not 0 <= bucket < n_buckets:
                 raise PromptError(
                     f"bucket {bucket} out of range [0, {n_buckets})"
                 )
-            blocks.append(
-                f"Hyperparameter configuration: {serialize_config(cfg, size)}\n"
-                f"Performance bucket: {bucket}\n"
-            )
+            lines.append(self._line(cfg, "\nPerformance bucket: ", f"{bucket}"))
             labels.append(str(bucket))
         head = (
             problem_description(self.task)
             + f"\n\nPerformance is discretized into {n_buckets} buckets "
             "numbered 0 (fastest) through "
-            f"{n_buckets - 1} (slowest).\n\nHere are the examples:\n"
-            + "\n".join(blocks)
-            + "\nPlease complete the following:\n"
-        )
-        tail = (
-            f"Hyperparameter configuration: "
-            f"{serialize_config(query_config, size)}\n"
-            "Performance bucket:"
+            f"{n_buckets - 1} (slowest)."
+            + _EXAMPLES
         )
         return self._finish(
-            SYSTEM_INSTRUCTIONS_GENERATIVE, head, tail, labels, len(examples)
+            SYSTEM_INSTRUCTIONS_GENERATIVE,
+            head,
+            lines,
+            _COMPLETE,
+            self._line(query_config, "\nPerformance bucket:"),
+            labels,
         )
 
     def candidate_sampling(
@@ -238,21 +290,24 @@ class PromptBuilder:
         """Candidate-sampling mode: propose a configuration for a target."""
         if not examples:
             raise PromptError("candidate prompts need >= 1 ICL example")
-        size = self.task.size
-        style = self.value_style
-        blocks = [example_block(cfg, size, rt, style) for cfg, rt in examples]
-        icl_values = [format_runtime(rt, style) for _, rt in examples]
-        head = (
-            problem_description(self.task)
-            + "\n\nHere are the examples:\n"
-            + "\n".join(blocks)
-            + "\nPlease propose one hyperparameter configuration that "
-            "achieves the following performance:\n"
-        )
-        tail = (
-            f"Performance: {format_runtime(target_runtime, style)}\n"
-            "Hyperparameter configuration:"
-        )
+        icl_values, lines = self._runtime_lines(examples)
         return self._finish(
-            SYSTEM_INSTRUCTIONS_CANDIDATE, head, tail, icl_values, len(examples)
+            SYSTEM_INSTRUCTIONS_CANDIDATE,
+            problem_description(self.task) + _EXAMPLES,
+            lines,
+            _PROPOSE,
+            self._target_line(format_runtime(target_runtime, self.value_style)),
+            icl_values,
         )
+
+    def _runtime_lines(
+        self, examples: Sequence[tuple[Mapping[str, object], float]]
+    ) -> tuple[list[str], list[tuple[str, array]]]:
+        """The rendered runtimes and the example lines showing them."""
+        style = self.value_style
+        values = [format_runtime(rt, style) for _, rt in examples]
+        lines = [
+            self._line(cfg, "\nPerformance: ", value)
+            for (cfg, _), value in zip(examples, values)
+        ]
+        return values, lines

@@ -17,6 +17,7 @@ from repro.errors import ParseError
 __all__ = [
     "format_runtime",
     "serialize_config",
+    "config_clauses",
     "deserialize_config",
     "example_block",
     "query_block",
@@ -49,9 +50,12 @@ def format_runtime(value: float, style: str = "decimal") -> str:
 
 def serialize_config(config: Mapping[str, object], size: str) -> str:
     """One-line natural-language rendering of a configuration."""
-    clauses = [f"size is {size}"]
-    clauses.extend(f"{name} is {value}" for name, value in config.items())
-    return ", ".join(clauses)
+    return f"size is {size}" + "".join(config_clauses(config))
+
+
+def config_clauses(config: Mapping[str, object]) -> list[str]:
+    """The ``", name is value"`` clauses that follow the size clause."""
+    return [f", {name} is {value}" for name, value in config.items()]
 
 
 _CLAUSE_RE = re.compile(r"([A-Za-z0-9_]+)\s+is\s+([^,\n]+?)\s*(?=,|\n|$)")

@@ -33,7 +33,7 @@ class Request:
     query_config:
         The configuration whose runtime the surrogate must predict.
     seed:
-        Sampling seed.  Together with the built prompt and the engine's
+        Sampling seed.  Together with :attr:`prompt_key` and the engine's
         sampling parameters it forms the full-result cache key, so
         identical requests are served from cache.
     size:
@@ -65,10 +65,11 @@ class Request:
         """Seed-independent digest of the prompt inputs.
 
         Two requests with equal keys build the same prompt (same task
-        size, ICL examples, and query), so they share a prepared prefix
-        and can ride one lockstep batch decode differing only by seed.
-        The scheduler sorts flush batches by this key to make such
-        requests adjacent.  Config items are keyed in dict order and by
+        size, ICL examples, and query), so the service's result cache
+        keys on it without building the prompt, and such requests share
+        a prepared prefix and can ride one lockstep batch decode
+        differing only by seed.  The scheduler sorts flush batches by
+        this key to make such requests adjacent.  Config items are keyed in dict order and by
         the text the prompt renders for each value (``f"{v}"``, as
         :func:`~repro.prompts.serialize_config` does), so ``4``,
         ``np.int64(4)`` and ``"4"`` share a key while the same items in

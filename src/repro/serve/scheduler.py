@@ -62,12 +62,12 @@ class Ticket:
     and can share one lockstep decode.
 
     ``admitted_at`` is when the service started admitting the request
-    (before its admission-time prompt build), the origin of the
+    (before its admission-time lookup), the origin of the
     request's end-to-end latency; ``enqueued_at`` is when it entered the
     queue, the origin of queue wait and of the ``max_wait_s`` deadline.
 
-    ``lookup`` is the service's admission-time prompt lookup (surrogate,
-    prompt parts, fingerprint, result key), so the batch worker never
+    ``lookup`` is the service's admission-time lookup of a result miss
+    (surrogate, result key, built prompt), so the batch worker never
     rebuilds the prompt; ``None`` when admission left the lookup to the
     worker.
 

@@ -1,17 +1,19 @@
 """The :class:`PredictionService` façade: admit → (hit | batch → generate).
 
 The service accepts :class:`~repro.serve.request.Request` envelopes.
-Admission builds each request's prompt once, on the submitting thread,
-and looks it up in the result cache: a hit is answered right there with
-an already-resolved future — it never queues, so it never waits out the
-microbatch deadline and is never shed by a full queue.  Only misses enter
-the bounded microbatching scheduler (so ``max_wait_s`` and the
-queue-wait statistics describe misses alone), carrying their built
-prompt; each batch executes against per-size
+Admission looks each request up in the result cache on the submitting
+thread, by its ``prompt_key``, before building anything: a hit is
+answered right there with an already-resolved future — it never builds
+or tokenizes a prompt, never queues, so it never waits out the
+microbatch deadline and is never shed by a full queue.  A miss builds
+its prompt once and enters the bounded microbatching scheduler (so
+``max_wait_s`` and the queue-wait statistics describe misses alone),
+carrying the built prompt; each batch executes against per-size
 :class:`~repro.core.surrogate.DiscriminativeSurrogate` stacks.  The
-**result cache** (prompt fingerprint, seed, sampling params, token cap →
+**result cache** (``prompt_key``, seed, sampling params, token cap →
 ``SurrogatePrediction``) skips generation entirely for identical
-requests, relying on the engine's determinism contract.  A miss decodes
+requests, relying on the engine's determinism contract and on equal
+``prompt_key`` meaning an equal prompt.  A miss decodes
 through the surrogate, whose prefix cache already reduces the one-time
 prompt analysis to the query past the shared ICL prefix — so a recurring
 prompt under a new seed needs no cache of its own.
@@ -36,7 +38,6 @@ from repro.core.surrogate import DiscriminativeSurrogate
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import RequestTimeoutError, ServiceClosedError
 from repro.faults import FaultInjector, FaultPlan
-from repro.llm.prefix_cache import token_fingerprint
 from repro.obs import MetricsRegistry, get_tracer
 from repro.prompts.builder import PromptParts
 from repro.serve.cache import MISS, LRUCache
@@ -72,16 +73,18 @@ class _PrefixGroup:
 
 
 class _Lookup(NamedTuple):
-    """A request's prompt, its result-cache key, and its entry there.
+    """A request's result-cache key, its entry there, and its prompt.
 
     ``cached`` is the entry as :meth:`LRUCache.peek` saw it (uncounted,
-    recency untouched), or :data:`MISS`.
+    recency untouched), or :data:`MISS`.  ``parts`` is the built prompt,
+    or ``None`` until a miss needs it: the key is the request's
+    ``prompt_key``, so finding a hit builds nothing.
     """
 
     surrogate: DiscriminativeSurrogate
-    parts: PromptParts
     result_key: tuple
     cached: object
+    parts: PromptParts | None = None
 
 
 class ServiceBase(abc.ABC):
@@ -188,6 +191,11 @@ class ServiceBase(abc.ABC):
 class PredictionService(ServiceBase):
     """Batched, cached serving front-end for surrogate predictions.
 
+    Admission keys each request on its ``prompt_key``: a result-cache
+    hit is answered there without building, tokenizing or
+    fingerprinting a prompt, and a miss builds its prompt once and
+    carries it to a batch worker.
+
     Parameters
     ----------
     surrogate:
@@ -273,8 +281,9 @@ class PredictionService(ServiceBase):
     def submit_async(self, request: Request, *, block: bool = False) -> Future:
         """Admit a request; the returned future resolves to a `Response`.
 
-        A result-cache hit comes back already resolved.  A miss is queued
-        for a batch, and raises :class:`ServiceOverloadedError` when the
+        A result-cache hit comes back already resolved, without a prompt
+        build.  A miss builds its prompt and is queued for a batch, and
+        raises :class:`ServiceOverloadedError` when the
         admission queue is full, unless ``block=True`` (then admission
         waits for space — the cooperative-backpressure mode bulk callers
         use).  A request whose prompt cannot be built resolves to that
@@ -293,8 +302,12 @@ class PredictionService(ServiceBase):
                 None if self._fault_due(request_id)
                 else self._lookup(request)
             )
-            if lookup is not None and lookup.cached is not MISS:
-                return self._serve_hit(request_id, request, lookup, admitted_at)
+            if lookup is not None:
+                if lookup.cached is not MISS:
+                    return self._serve_hit(
+                        request_id, request, lookup, admitted_at
+                    )
+                lookup = lookup._replace(parts=self._build(lookup, request))
             group_key = request.prompt_key if self.enable_prefix_cache else ""
         except Exception as exc:
             return self._fail_at_admission(request_id, request, admitted_at, exc)
@@ -338,26 +351,34 @@ class PredictionService(ServiceBase):
     ) -> Future:
         """Answer a result-cache hit on the submitting thread."""
         self._stats.record_submit()
+        looked_up_at = time.monotonic()
+        # Refreshes recency.  The peeked entry is the answer even if
+        # evicted since (the engine's determinism contract), so it
+        # counts as the hit it is served as.
+        self.result_cache.get(lookup.result_key)
+        self._stats.record_lookup("result", hit=True)
+        done_at = time.monotonic()
+        # Recorded after the fact as two buffered tuples: a hit costs a
+        # few tens of µs, and opening two spans would add a third.
         tracer = get_tracer()
-        with tracer.span(
+        root = tracer.record_span(
             "serve.request",
-            start_s=admitted_at,
+            admitted_at,
+            done_at,
             request_id=request_id,
             size=request.size,
             batch_size=1,
             result_cache_hit=True,
             group_width=1,
-        ):
-            with tracer.span("serve.cache_lookup", level="result"):
-                # Refreshes recency.  The peeked entry is the answer even
-                # if evicted since (the engine's determinism contract),
-                # so it counts as the hit it is served as.
-                self.result_cache.get(lookup.result_key)
-                self._stats.record_lookup("result", hit=True)
+        )
+        tracer.record_span(
+            "serve.cache_lookup", looked_up_at, done_at, parent=root,
+            level="result",
+        )
         response = Response(
             request_id=request_id,
             prediction=lookup.cached,
-            latency_s=time.monotonic() - admitted_at,
+            latency_s=done_at - admitted_at,
             result_cache_hit=True,
             batch_size=1,
         )
@@ -489,15 +510,17 @@ class PredictionService(ServiceBase):
         return plan
 
     def _lookup(self, request: Request) -> _Lookup:
-        """Build the prompt, fingerprint it, and peek the result cache.
+        """Key the request and peek the result cache; builds nothing.
 
         The result key is the engine's determinism contract: prompt,
-        seed, sampling parameters and token cap fix the generation.
+        seed, sampling parameters and token cap fix the generation.  The
+        prompt enters as ``request.prompt_key``: equal keys build the
+        same prompt for one surrogate, and the surrogate is fixed by the
+        key's size (or is the service's only one).
         """
         surrogate = self._surrogate_for(request.size)
-        parts = surrogate.build_parts(request.examples, request.query_config)
         result_key = (
-            token_fingerprint(parts.ids),
+            request.prompt_key,
             int(request.seed),
             surrogate.engine.sampling,
             surrogate.engine.max_new_tokens,
@@ -506,7 +529,16 @@ class PredictionService(ServiceBase):
             MISS if self.result_cache is None
             else self.result_cache.peek(result_key)
         )
-        return _Lookup(surrogate, parts, result_key, cached)
+        return _Lookup(surrogate, result_key, cached)
+
+    @staticmethod
+    def _build(lookup: _Lookup, request: Request) -> PromptParts:
+        """The request's prompt: the one admission built, else built now."""
+        if lookup.parts is not None:
+            return lookup.parts
+        return lookup.surrogate.build_parts(
+            request.examples, request.query_config
+        )
 
     def cached_response(self, request: Request) -> Response | None:
         """Serve purely from the result cache — no admission, no generation.
@@ -563,13 +595,14 @@ class PredictionService(ServiceBase):
                     ticket.request_id, caches=(self.result_cache,)
                 )
             lookup = ticket.lookup
-            if lookup is None:  # a fault was due: admission built nothing
+            if lookup is None:  # a fault was due: admission looked nothing up
                 lookup = self._lookup(request)
-            seed = int(request.seed)
 
             result_hit, group_width = False, 1
             if self.result_cache is None:
-                prediction, group_width = self._generate(lookup, seed, group)
+                prediction, group_width = self._generate(
+                    lookup, request, group
+                )
             else:
                 with self._claimed(lookup.result_key):
                     # Counted even though admission peeked a miss: a
@@ -580,7 +613,7 @@ class PredictionService(ServiceBase):
                     self._stats.record_lookup("result", result_hit)
                     if not result_hit:
                         prediction, group_width = self._generate(
-                            lookup, seed, group
+                            lookup, request, group
                         )
                         self.result_cache.put(lookup.result_key, prediction)
             root.set(result_cache_hit=result_hit, group_width=group_width)
@@ -620,9 +653,10 @@ class PredictionService(ServiceBase):
             claim.set()
 
     def _generate(
-        self, lookup: _Lookup, seed: int, group: "_PrefixGroup | None"
+        self, lookup: _Lookup, request: Request, group: "_PrefixGroup | None"
     ) -> tuple[object, int]:
         """Generate a result-cache miss: ``(prediction, group width)``."""
+        seed = int(request.seed)
         if group is not None and group.stash is not None:
             # Follower: the group's leader already decoded this seed in
             # its lockstep batch.
@@ -633,10 +667,9 @@ class PredictionService(ServiceBase):
         # every member seed in one lockstep batch and stashes the
         # predictions for its followers.
         seeds = [seed] if group is None else group.seeds
+        parts = self._build(lookup, request)
         with get_tracer().span("serve.generate") as gen:
-            predictions = lookup.surrogate.predict_parts_batch(
-                lookup.parts, seeds
-            )
+            predictions = lookup.surrogate.predict_parts_batch(parts, seeds)
             if group is None:
                 return predictions[0], 1
             group.stash = dict(zip(seeds, predictions))

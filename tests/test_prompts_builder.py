@@ -89,3 +89,52 @@ class TestCandidateSampling:
     def test_empty_examples_rejected(self, builder):
         with pytest.raises(PromptError):
             builder.candidate_sampling([], 0.002)
+
+
+class TestSharedBuilder:
+    def test_concurrent_builds_under_memo_turnover(
+        self, sm_task, tokenizer, sm_dataset, monkeypatch
+    ):
+        """A service builds prompts on several threads through one
+        builder.  With a memo limit small enough that the memo is
+        cleared while other threads read it, every prompt's ids still
+        equal the encoding of its text."""
+        import sys
+        import threading
+
+        from repro.prompts import builder as builder_module
+
+        monkeypatch.setattr(builder_module, "_MEMO_LIMIT", 5)
+        shared = PromptBuilder(sm_task, tokenizer)
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(12):
+                    rows = range(offset + k, offset + k + 6)
+                    examples = [
+                        (sm_dataset.config(i), float(sm_dataset.runtimes[i]))
+                        for i in rows
+                    ]
+                    parts = shared.discriminative(
+                        examples, sm_dataset.config(200 + k)
+                    )
+                    if parts.ids.tolist() != tokenizer.encode(parts.text):
+                        errors.append((offset, k))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(17 * t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

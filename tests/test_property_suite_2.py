@@ -220,6 +220,169 @@ class TestPromptKeyFingerprint:
         assert all(len(ks) == 1 for ks in keys.values())
 
 
+#: Text a caller might pass as a value: spaces, punctuation, newlines and
+#: marker fragments, so some clauses end where the splice rule cannot
+#: prove a piece boundary and their line falls back to a full encode.
+_odd_strings = st.text(
+    alphabet=st.sampled_from(list("aZ09 ,.:-_|<>\n\té")), max_size=6
+)
+
+
+@st.composite
+def _loose_configs(draw):
+    """A syr2k configuration whose values may be any text."""
+    config = draw(_configs())
+    for name in list(config):
+        if draw(st.integers(0, 4)) == 0:
+            config[name] = draw(_odd_strings)
+    return config
+
+
+#: Runtimes from sub-microsecond to long integer digit runs.
+_wide_runtimes = st.one_of(
+    _runtimes,
+    st.floats(min_value=1.0, max_value=1e15, allow_nan=False,
+              allow_infinity=False),
+)
+
+
+class TestCompiledPromptIds:
+    """The builder compiles a prompt's ids from its template pieces;
+    they must equal the tokenizer's encoding of the rendered text, with
+    the text and the shared-prefix split unchanged."""
+
+    _builders: dict = {}
+
+    def _builder(self, size, style):
+        from repro.dataset.syr2k import Syr2kTask
+        from repro.prompts.builder import PromptBuilder
+
+        key = (size, style)
+        if key not in self._builders:
+            self._builders[key] = PromptBuilder(
+                Syr2kTask(size), value_style=style
+            )
+        return self._builders[key]
+
+    @staticmethod
+    def _reference_text(builder, mode, examples, query, n_buckets):
+        """The prompt text as rendered from the serialize helpers."""
+        from repro.prompts import templates
+        from repro.prompts.serialize import (
+            example_block,
+            format_runtime,
+            query_block,
+            serialize_config,
+        )
+
+        size, style = builder.task.size, builder.value_style
+        description = templates.problem_description(builder.task)
+        if mode == "generative":
+            system = templates.SYSTEM_INSTRUCTIONS_GENERATIVE
+            blocks = [
+                f"Hyperparameter configuration: {serialize_config(cfg, size)}\n"
+                f"Performance bucket: {bucket}\n"
+                for cfg, bucket in examples
+            ]
+            head = (
+                f"{description}\n\nPerformance is discretized into "
+                f"{n_buckets} buckets numbered 0 (fastest) through "
+                f"{n_buckets - 1} (slowest).\n\nHere are the examples:\n"
+            )
+            close = "\nPlease complete the following:\n"
+            tail = (
+                f"Hyperparameter configuration: {serialize_config(query, size)}"
+                "\nPerformance bucket:"
+            )
+        else:
+            blocks = [example_block(cfg, size, rt, style) for cfg, rt in examples]
+            head = f"{description}\n\nHere are the examples:\n"
+            if mode == "discriminative":
+                system = templates.SYSTEM_INSTRUCTIONS
+                close = "\nPlease complete the following:\n"
+                tail = query_block(query, size)
+            else:
+                system = templates.SYSTEM_INSTRUCTIONS_CANDIDATE
+                close = (
+                    "\nPlease propose one hyperparameter configuration that "
+                    "achieves the following performance:\n"
+                )
+                tail = (
+                    f"Performance: {format_runtime(query, style)}\n"
+                    "Hyperparameter configuration:"
+                )
+        prefix = (
+            "<|begin_of_text|><|start_header_id|>system<|end_header_id|>\n\n"
+            f"{system}<|eot_id|><|start_header_id|>user<|end_header_id|>\n\n"
+            + head + "\n".join(blocks) + close
+        )
+        return prefix, prefix + tail + (
+            "<|eot_id|><|start_header_id|>assistant<|end_header_id|>\n\n"
+        )
+
+    @given(
+        data=st.data(),
+        size=st.sampled_from(["SM", "XL"]),
+        style=st.sampled_from(["decimal", "scientific"]),
+        mode=st.sampled_from(["discriminative", "generative", "candidate"]),
+        n_examples=st.one_of(
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=9, max_value=100),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ids_equal_encode_of_text(
+        self, data, size, style, mode, n_examples
+    ):
+        builder = self._builder(size, style)
+        configs = [data.draw(_loose_configs()) for _ in range(n_examples)]
+        n_buckets = 0
+        if mode == "generative":
+            n_buckets = data.draw(st.integers(min_value=2, max_value=1200))
+            examples = [
+                (cfg, data.draw(st.integers(0, n_buckets - 1)))
+                for cfg in configs
+            ]
+            query = data.draw(_loose_configs())
+            parts = builder.generative(examples, query, n_buckets)
+        else:
+            examples = [(cfg, data.draw(_wide_runtimes)) for cfg in configs]
+            if mode == "discriminative":
+                query = data.draw(_loose_configs())
+                parts = builder.discriminative(examples, query)
+            else:
+                query = data.draw(_wide_runtimes)
+                parts = builder.candidate_sampling(examples, query)
+        prefix, text = self._reference_text(
+            builder, mode, examples, query, n_buckets
+        )
+        assert parts.text == text
+        encode = builder.tokenizer.encode
+        assert parts.ids.dtype == np.int64
+        assert parts.ids.tolist() == encode(text)
+        assert parts.prefix_len == len(encode(prefix))
+        assert parts.n_examples == n_examples
+
+    def test_unprovable_joins_fall_back_exactly(self, sm_task):
+        """Values the splice rule cannot split from what follows (a
+        trailing space or newline, marker fragments, a non-numeric
+        runtime) encode their line whole, and still match."""
+        from repro.prompts.builder import PromptBuilder
+
+        builder = PromptBuilder(sm_task)
+        config = dict(_SPACE.from_index(7))
+        odd = [
+            ("packed ", 0.5), ("x\n", 2.0), ("<|eot", 1e300),
+            (" ", float("inf")), ("|>", 3.0),
+        ]
+        examples = [
+            ({**config, "first_array_packed": value}, rt) for value, rt in odd
+        ]
+        parts = builder.discriminative(examples, {**config, "inner_loop_tiling_factor": "4 "})
+        assert parts.ids.tolist() == builder.tokenizer.encode(parts.text)
+        assert builder._clauses[", first_array_packed is packed "] is None
+
+
 class TestHistogramMerge:
     """Merging per-part histograms gives the histogram of the union,
     which is what lets shards ship bucket counts instead of samples."""

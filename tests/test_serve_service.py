@@ -355,9 +355,12 @@ class TestAdmissionHits:
         assert stats.n_batches == batches
 
     @pytest.mark.parametrize("faults", [False, True])
-    def test_each_request_builds_its_prompt_once(
+    def test_each_miss_builds_its_prompt_once(
         self, sm_task, sm_dataset, examples, faults
     ):
+        """A hit is keyed on ``prompt_key``, so it builds nothing; a miss
+        builds at most once (a decode group's follower that admission
+        left to the worker reuses its leader's prompt)."""
         from repro.faults import FaultPlan
 
         spy = CountingSurrogate(sm_task)
@@ -379,10 +382,74 @@ class TestAdmissionHits:
             for req in requests[4:]:
                 svc.submit(req)
             stats = svc.stats()
-        assert len(spy.builds) == len(requests)
         assert stats.result_hits + stats.result_misses == len(requests)
+        assert 0 < len(spy.builds) <= stats.result_misses
         if not faults:
             assert stats.result_hits == len(requests) - 4
+            assert len(spy.builds) == stats.result_misses
+
+    def test_retyped_request_hits_at_admission(
+        self, sm_task, sm_dataset, examples
+    ):
+        """A fresh request whose values differ only in type (numpy or
+        ``str`` scalars render the same text) is the same prompt: it
+        hits at admission without building anything."""
+        import numpy as np
+
+        def retyped(cfg):
+            return {
+                name: np.int64(v) if isinstance(v, int) and not isinstance(v, bool)
+                else str(v)
+                for name, v in cfg.items()
+            }
+
+        spy = CountingSurrogate(sm_task)
+        req = make_request(sm_dataset, examples, seed=21)
+        fresh = Request(
+            examples=[(retyped(cfg), rt) for cfg, rt in examples],
+            query_config=retyped(req.query_config),
+            seed=21,
+            size="SM",
+        )
+        with PredictionService(spy) as svc:
+            first = svc.submit(req)
+            builds = len(spy.builds)
+            future = svc.submit_async(fresh)
+            assert future.done()
+            again = future.result()
+        assert builds == 1 and len(spy.builds) == builds
+        assert again.result_cache_hit
+        assert again.prediction is first.prediction
+
+    def test_reordered_config_misses(self, sm_task, sm_dataset, examples):
+        """The same items in another order render another prompt."""
+        spy = CountingSurrogate(sm_task)
+        req = make_request(sm_dataset, examples, seed=22)
+        reordered = Request(
+            examples=examples,
+            query_config=dict(reversed(list(req.query_config.items()))),
+            seed=22,
+            size="SM",
+        )
+        with PredictionService(spy) as svc:
+            svc.submit(req)
+            resp = svc.submit(reordered)
+        assert not resp.result_cache_hit
+        assert len(spy.builds) == 2
+        assert spy.decodes == [22, 22]
+
+    def test_cached_response_builds_nothing(
+        self, sm_task, sm_dataset, examples
+    ):
+        spy = CountingSurrogate(sm_task)
+        req = make_request(sm_dataset, examples, seed=23)
+        with PredictionService(spy) as svc:
+            assert svc.cached_response(req) is None
+            assert spy.builds == []
+            first = svc.submit(req)
+            cached = svc.cached_response(req)
+        assert cached.prediction is first.prediction
+        assert len(spy.builds) == 1
 
     def test_concurrent_duplicate_waits_for_the_first(
         self, sm_task, sm_dataset, examples

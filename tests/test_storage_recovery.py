@@ -255,3 +255,80 @@ class TestV1BackwardCompat:
             sort_keys=True, separators=(",", ":"),
         )
         assert frame["crc"] == zlib.crc32(payload.encode("utf-8"))
+
+
+class TestTailNextSeq:
+    """Appends read the next sequence number off the raw tail bytes,
+    checking each frame's CRC without parsing it; that must agree with
+    parsing and verifying every frame."""
+
+    @staticmethod
+    def _parsed_next_seq(blob: bytes) -> int:
+        from repro.core.storage import _verify_frame
+
+        for raw in reversed(blob.split(b"\n")[1:]):
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                continue
+            verified = _verify_frame(obj)
+            if verified is not None:
+                return verified[0] + 1
+        return 0
+
+    def test_agrees_with_parse_at_every_truncation(self, tmp_path):
+        from repro.core.storage import _tail_next_seq
+
+        path = tmp_path / "events.jsonl"
+        append_events_jsonl(EVENTS[:3], path, kind="recovery-test")
+        blob = path.read_bytes()
+        seen = set()
+        for cut in range(len(blob) + 1):
+            path.write_bytes(blob[:cut])
+            want = self._parsed_next_seq(blob[:cut])
+            assert _tail_next_seq(path) == want, f"cut={cut}"
+            seen.add(want)
+        assert seen == {0, 1, 2, 3}
+
+    def test_agrees_with_parse_for_every_bitflip_of_the_last_frame(
+        self, tmp_path
+    ):
+        from repro.core.storage import _tail_next_seq
+
+        path = tmp_path / "events.jsonl"
+        append_events_jsonl(EVENTS[:3], path, kind="recovery-test")
+        blob = path.read_bytes()
+        start = blob.rindex(b"\n", 0, len(blob) - 1) + 1
+        for pos in range(start, len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                want = self._parsed_next_seq(bytes(flipped))
+                assert _tail_next_seq(path) == want, f"pos={pos} bit={bit}"
+
+    def test_canonical_tail_is_not_parsed(self, tmp_path, monkeypatch):
+        from repro.core import storage
+
+        path = tmp_path / "events.jsonl"
+        append_events_jsonl(EVENTS[:3], path, kind="recovery-test")
+
+        def fail(obj):
+            raise AssertionError("canonical frame re-encoded")
+
+        monkeypatch.setattr(storage, "_verify_frame", fail)
+        assert storage._tail_next_seq(path) == 3
+
+    def test_respaced_frame_verifies_through_its_parsed_form(self, tmp_path):
+        from repro.core.storage import _tail_next_seq
+
+        path = tmp_path / "events.jsonl"
+        append_events_jsonl(EVENTS[:3], path, kind="recovery-test")
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-1] = (json.dumps(json.loads(lines[-1]), indent=None) + "\n").encode()
+        assert b'{"crc": ' in lines[-1]  # valid JSON, not byte-canonical
+        path.write_bytes(b"".join(lines))
+        assert _tail_next_seq(path) == self._parsed_next_seq(path.read_bytes()) == 3
+        append_events_jsonl(EVENTS[3:], path, kind="recovery-test")
+        loaded = load_events_jsonl(path, kind="recovery-test")
+        assert list(loaded) == EVENTS
