@@ -14,7 +14,6 @@ Run:  python examples/cross_kernel_transfer.py
 """
 
 from repro.dataset import (
-    GemmPerformanceModel,
     GemmTask,
     Syr2kPerformanceModel,
     Syr2kTask,
@@ -71,7 +70,7 @@ def main() -> None:
     run_transfer(
         "kernel transfer: syr2k SM -> gemm SM",
         source,
-        GemmPerformanceModel(GemmTask("SM")),
+        Syr2kPerformanceModel(GemmTask("SM")),
     )
     print(
         "The copula's head start comes from knowing which parameter\n"

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.analysis.decoding import DecodingAlternatives
 from repro.errors import AnalysisError
 

@@ -77,10 +77,6 @@ class PredictionMetrics:
     msre: float
     n: int
 
-    def as_row(self) -> tuple[float, float, float]:
-        """``(R^2, MARE, MSRE)`` in the paper's column order."""
-        return (self.r2, self.mare, self.msre)
-
     def __str__(self) -> str:
         return (
             f"R2={self.r2:.4f} MARE={self.mare:.4f} "

@@ -48,6 +48,7 @@ parse arguments, call the drill, and render its results.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -72,518 +73,96 @@ from repro.utils.tables import Table
 __all__ = ["build_parser", "main"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for arguments that must be >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _missing(path: str) -> bool:
+    """Report a missing input file in one line, as `repro fsck` does."""
+    if os.path.exists(path):
+        return False
+    print(f"{path}: unrecoverable: {path} does not exist", file=sys.stderr)
+    return True
+
+
+def _checked(value, ok: bool, rule: str):
+    """``value`` if ``ok``; otherwise an argparse usage error."""
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduction toolkit for 'Is In-Context Learning Feasible "
-            "for HPC Performance Autotuning?'"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _positive_int(text: str) -> int:
+    """argparse type for arguments that must be >= 1."""
+    value = int(text)
+    return _checked(value, value >= 1, ">= 1")
 
-    p = sub.add_parser("dataset", help="generate a syr2k dataset CSV")
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 means none (``--shards``)."""
+    value = int(text)
+    return _checked(value, value >= 0, ">= 0")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for rates and durations: finite and > 0."""
+    value = float(text)
+    return _checked(value, 0 < value < math.inf, "finite and > 0")
+
+
+#: Options that several subcommands take, each declared once.  A
+#: subcommand adds them with :func:`_shared`, giving only its default.
+_SHARED = {
+    "size": dict(choices=SIZE_NAMES, default="SM"),
+    "sizes": dict(nargs="+", choices=SIZE_NAMES, default=("SM", "XL")),
+    "seed": dict(type=int),
+    "n_icl": dict(type=_positive_int, help="ICL examples per prompt"),
+    "unique": dict(
+        type=_positive_int, help="distinct prompts in the workload"
+    ),
+    "tenants": dict(type=_positive_int, default=3, help="number of tenants"),
+    "batch_size": dict(type=_positive_int, default=8),
+    "workers": dict(type=_positive_int, default=None),
+    "shards": dict(
+        type=_non_negative_int, default=0, metavar="N",
+        help="serve through N worker-process replicas (0 = in-process; "
+        "results are bit-identical either way)",
+    ),
+    "prefix_cache": dict(
+        action=argparse.BooleanOptionalAction, default=True,
+        help="reuse prepared prompt-prefix snapshots across requests that "
+        "share them (bit-identical results; --no-prefix-cache runs the "
+        "cold path)",
+    ),
+    "metrics": dict(
+        action="store_true", help="also print the metrics-registry snapshot"
+    ),
+    "trace": dict(
+        default=None, metavar="PATH",
+        help="record spans and export them as JSONL to PATH (read back "
+        "with `repro trace summarize PATH`)",
+    ),
+    "telemetry": dict(
+        default=None, metavar="PATH",
+        help="export the telemetry timeline as a CRC-framed JSONL artifact "
+        "to PATH (render with `repro top PATH`, check with `repro fsck "
+        "PATH`)",
+    ),
+    "telemetry_interval": dict(
+        type=float, help="telemetry sampler cadence in seconds"
+    ),
+}
+
+
+def _shared(parser, *names: str, **defaults) -> None:
+    """Add the :data:`_SHARED` options ``names`` with the table's defaults,
+    and each option in ``defaults`` with the default given there."""
+    for name in (*names, *defaults):
+        spec = dict(_SHARED[name])
+        if name in defaults:
+            spec["default"] = defaults[name]
+        parser.add_argument("--" + name.replace("_", "-"), **spec)
+
+
+def _dataset_args(p) -> None:
+    _shared(p, "size", seed=20250705)
     p.add_argument("--output", required=True, help="CSV output path")
-    p.add_argument("--seed", type=int, default=20250705)
-
-    p = sub.add_parser("predict", help="one LLM surrogate prediction")
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
-    p.add_argument("--n-icl", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-
-    p = sub.add_parser("grid", help="run an experiment grid + report")
-    p.add_argument("--sizes", nargs="+", choices=SIZE_NAMES, default=["SM", "XL"])
-    p.add_argument(
-        "--icl", nargs="+", type=int, default=[1, 5, 20, 50],
-        help="ICL example counts",
-    )
-    p.add_argument("--sets", type=int, default=2)
-    p.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
-    p.add_argument("--queries", type=int, default=3)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--prefix-cache", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse prepared prompt-prefix snapshots across the probes "
-        "of each cell (bit-identical results; --no-prefix-cache runs "
-        "the cold path)",
-    )
-    p.add_argument(
-        "--serve", action="store_true",
-        help="execute through the repro.serve PredictionService "
-        "(microbatching + caches) instead of the process pool",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help="serve through N worker processes (implies --serve; "
-        "0 keeps the in-process backend — bit-identical results "
-        "either way)",
-    )
-    p.add_argument(
-        "--save", default=None, metavar="PATH",
-        help="also save the probes as JSONL for later `repro report`",
-    )
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="append completed cells to this JSONL file as the run "
-        "progresses, so a killed run can be resumed",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint: skip cells already complete "
-        "there and run only the rest",
-    )
-
-    p = sub.add_parser(
-        "report", help="full analysis report from saved probes"
-    )
-    p.add_argument("probes", help="JSONL file written by `repro grid --save`")
-
-    p = sub.add_parser("tune", help="compare autotuners")
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
-    p.add_argument("--budget", type=int, default=50)
-    p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
-
-    p = sub.add_parser(
-        "sessions", help="multi-tenant autotuning campaigns"
-    )
-    p.add_argument(
-        "action", choices=["run", "status", "resume"],
-        help="run fresh campaigns, inspect an event log, or resume one",
-    )
-    p.add_argument(
-        "--log", default=None, metavar="PATH",
-        help="session event-log JSONL (required for status/resume; "
-        "enables crash-resume for run)",
-    )
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
-    p.add_argument(
-        "--tenants", type=_positive_int, default=3,
-        help="number of tenants (one session each)",
-    )
-    p.add_argument(
-        "--budget", type=_positive_int, default=12,
-        help="evaluations per campaign",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--tuner", choices=["random", "hill-climb"], default="random"
-    )
-    p.add_argument(
-        "--priorities", nargs="+", type=_positive_int, default=None,
-        help="per-tenant fair-share weights (cycled over tenants)",
-    )
-    p.add_argument(
-        "--shared-trajectory", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="tenants share one tuner seed, so identical prompts ride "
-        "one lockstep prefix-group decode (--no-shared-trajectory "
-        "gives each tenant an independent search)",
-    )
-    p.add_argument(
-        "--max-inflight", type=_positive_int, default=8,
-        help="admission controller's load-shedding ceiling",
-    )
-    p.add_argument(
-        "--quota", type=_positive_int, default=None,
-        help="per-tenant lifetime evaluation quota",
-    )
-    p.add_argument(
-        "--rate", type=float, default=None,
-        help="per-tenant token-bucket rate (evaluations/s)",
-    )
-    p.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-campaign wall-clock deadline in seconds",
-    )
-    p.add_argument("--batch-size", type=_positive_int, default=8)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help="host campaigns on a sharded multi-process backend "
-        "(0 = in-process)",
-    )
-    p.add_argument(
-        "--max-evaluations", type=_positive_int, default=None,
-        help="stop after this many completed evaluations (campaigns "
-        "are PAUSED and can be resumed from --log)",
-    )
-    p.add_argument(
-        "--resilient", action="store_true",
-        help="drive through ResilientService (retry/breaker/fallback)",
-    )
-    p.add_argument(
-        "--min-fairness", type=float, default=None,
-        help="exit 1 if the per-tenant Jain's index ends below this",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="also print the sessions metrics-registry snapshot",
-    )
-
-    p = sub.add_parser(
-        "serve-bench", help="benchmark the surrogate serving layer"
-    )
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
-    p.add_argument("--n-icl", type=_positive_int, default=5)
-    p.add_argument(
-        "--unique", type=_positive_int, default=8,
-        help="distinct probes in the workload",
-    )
-    p.add_argument(
-        "--repeats", type=_positive_int, default=6,
-        help="times each distinct probe recurs",
-    )
-    p.add_argument("--batch-size", type=_positive_int, default=8)
-    p.add_argument(
-        "--max-wait", type=float, default=0.005,
-        help="upper bound in seconds on a partial batch's wait; it "
-        "binds only while every batch worker is busy or a burst is "
-        "still being admitted (an idle worker flushes at once)",
-    )
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help="benchmark the sharded multi-process backend with N "
-        "worker replicas (0 = in-process default)",
-    )
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--prefix-cache", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse prepared prompt-prefix snapshots and group "
-        "same-prompt requests into lockstep batch decodes "
-        "(--no-prefix-cache measures the cold per-request path)",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the caches-disabled comparison run",
-    )
-    p.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record spans for the caches-on run and export them as "
-        "JSONL to PATH (read back with `repro trace summarize PATH`)",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="also print the unified metrics-registry snapshot "
-        "(repro.obs) for the caches-on run",
-    )
-
-    p = sub.add_parser(
-        "loadtest",
-        help="deterministic load generation + SLO conformance check",
-    )
-    p.add_argument(
-        "--arrival", choices=list(ARRIVAL_KINDS), default="poisson",
-        help="arrival process shaping when requests are offered",
-    )
-    p.add_argument(
-        "--rps", type=float, default=50.0,
-        help="mean offered rate in requests/second",
-    )
-    p.add_argument(
-        "--duration", type=float, default=5.0,
-        help="schedule horizon in seconds",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--mode", choices=["open", "closed"], default="open",
-        help="open loop (arrival-clocked, coordinated-omission-free "
-        "latency) or closed loop (fixed virtual-client pool)",
-    )
-    p.add_argument(
-        "--concurrency", type=_positive_int, default=8,
-        help="closed-loop virtual clients (ignored open-loop)",
-    )
-    p.add_argument(
-        "--on-fraction", type=float, default=0.5,
-        help="onoff arrivals: fraction of each period that bursts",
-    )
-    p.add_argument(
-        "--period", type=float, default=2.0,
-        help="onoff arrivals: burst cycle length in seconds",
-    )
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
-    p.add_argument("--n-icl", type=_positive_int, default=4)
-    p.add_argument(
-        "--unique", type=_positive_int, default=8,
-        help="distinct prompts in the workload population",
-    )
-    p.add_argument(
-        "--skew", type=float, default=1.1,
-        help="Zipf exponent over prompt popularity (0 = uniform)",
-    )
-    p.add_argument(
-        "--tenants", type=_positive_int, default=3,
-        help="tenants arrivals are attributed to (per-tenant SLO slice)",
-    )
-    p.add_argument(
-        "--seed-lanes", type=_positive_int, default=4,
-        help="distinct sampling seeds each prompt is replayed under",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-request deadline in seconds (missed = SLO timeout)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help="target the sharded multi-process backend with N worker "
-        "replicas (0 = in-process service)",
-    )
-    p.add_argument("--batch-size", type=_positive_int, default=8)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--sessions", type=int, default=0, metavar="N",
-        help="also host N autotuning campaigns (one per tenant, "
-        "round-robin) on the same service while the load runs — the "
-        "report gains a sessions section with completions + fairness",
-    )
-    p.add_argument(
-        "--session-budget", type=_positive_int, default=8,
-        help="evaluations per ride-along campaign (with --sessions)",
-    )
-    p.add_argument(
-        "--slo", default="default", metavar="POLICY",
-        help="SLO policy: 'default' (committed gate), 'off' (report "
-        "only), or a JSON file of SLOPolicy fields; violations exit 1",
-    )
-    p.add_argument(
-        "--report-json", default=None, metavar="PATH",
-        help="write the full SLO report as canonical JSON to PATH "
-        "(the bench report-source consumed by repro.bench.regression)",
-    )
-    p.add_argument(
-        "--warmup", action=argparse.BooleanOptionalAction, default=True,
-        help="serve one unmeasured request per distinct prompt before "
-        "the clock starts, so shard spawn / model warm / prefix "
-        "preparation costs do not flood the measured window "
-        "(--no-warmup measures cold-start conformance instead)",
-    )
-    p.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the identical spec twice against fresh services and "
-        "exit 1 unless schedules, workloads and the reports' "
-        "deterministic payloads match byte-for-byte",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="also print the loadgen metrics-registry snapshot",
-    )
-    p.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record loadgen + serving spans and export JSONL to PATH",
-    )
-    p.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="run the continuous telemetry sampler during the load and "
-        "export the timeline as a CRC-framed JSONL artifact to PATH "
-        "(render with `repro top PATH`, check with `repro fsck PATH`)",
-    )
-    p.add_argument(
-        "--telemetry-interval", type=float, default=0.5,
-        help="telemetry sampler cadence in seconds",
-    )
-
-    p = sub.add_parser(
-        "chaos", help="fault-injection drill against the serving stack"
-    )
-    p.add_argument("--size", choices=SIZE_NAMES, default="SM")
-    p.add_argument("--n-icl", type=_positive_int, default=5)
-    p.add_argument(
-        "--requests", type=_positive_int, default=60,
-        help="logical requests to drive through the resilient service",
-    )
-    p.add_argument(
-        "--unique", type=_positive_int, default=12,
-        help="distinct probes the workload cycles through",
-    )
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--error-rate", type=float, default=0.08,
-        help="per-request transient worker-error probability",
-    )
-    p.add_argument(
-        "--latency-rate", type=float, default=0.05,
-        help="per-request latency-spike probability",
-    )
-    p.add_argument(
-        "--latency-s", type=float, default=0.01,
-        help="latency-spike duration in seconds",
-    )
-    p.add_argument(
-        "--evict-rate", type=float, default=0.02,
-        help="per-request cache-eviction-storm probability",
-    )
-    p.add_argument(
-        "--stall-rate", type=float, default=0.05,
-        help="per-flush queue-stall probability",
-    )
-    p.add_argument(
-        "--stall-s", type=float, default=0.005,
-        help="queue-stall duration in seconds",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0,
-        help="drill the sharded multi-process backend with N worker "
-        "replicas (0 = in-process)",
-    )
-    p.add_argument(
-        "--kill-rate", type=float, default=0.0,
-        help="per-dispatch probability of SIGKILLing the target shard "
-        "before enqueue (requires --shards > 0; killed tickets fail "
-        "with ShardCrashError and are retried on the respawned shard)",
-    )
-    p.add_argument(
-        "--max-attempts", type=_positive_int, default=4,
-        help="retry policy: total attempts per logical request",
-    )
-    p.add_argument(
-        "--no-fallback", action="store_true",
-        help="disable graceful degradation (final failures then raise)",
-    )
-    p.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="also export the drill's telemetry timeline to PATH (the "
-        "sampler always runs during the service drill: the report "
-        "includes its liveness check — no sample gap over twice the "
-        "cadence, even while shards are being killed)",
-    )
-    p.add_argument(
-        "--telemetry-interval", type=float, default=0.25,
-        help="drill telemetry sampler cadence in seconds",
-    )
-    p.add_argument(
-        "--telemetry-drop-rate", type=float, default=0.0,
-        help="per-sample probability the exporter drops the sample "
-        "(the timeline must account for every gap)",
-    )
-    p.add_argument(
-        "--telemetry-dup-rate", type=float, default=0.0,
-        help="per-sample probability the exporter writes the sample "
-        "twice (loaders must dedupe by payload seq)",
-    )
-    p.add_argument(
-        "--verify-determinism", action="store_true",
-        help="re-run the schedule (plain, then with degraded cache "
-        "serves interleaved) and compare counters, fault schedules, "
-        "response values and the telemetry timeline's deterministic "
-        "fields (exit 1 on any divergence)",
-    )
-    p.add_argument(
-        "--sessions", action="store_true",
-        help="drill the session manager instead of a raw workload: "
-        "3-tenant campaigns under DEFAULT_FAULT_PLAN, asserting >= 99%% "
-        "completion and an event log with no lost or duplicated "
-        "evaluations (with --verify-determinism: identical histories "
-        "across two runs)",
-    )
-    p.add_argument(
-        "--disk", action="store_true",
-        help="durability drill instead of a service workload: a "
-        "checkpointed grid repeatedly hard-killed by injected disk "
-        "faults (torn writes, bitflips-after-ack, ENOSPC, fsync "
-        "failures) under DISK_FAULT_PLAN, with `repro fsck --repair` "
-        "between crashes, plus the same discipline on an event "
-        "journal; exits non-zero unless the recovered histories are "
-        "bit-identical to an unfaulted run with all damage accounted "
-        "for",
-    )
-
-    p = sub.add_parser(
-        "fsck",
-        help="verify or repair artifact integrity (probe snapshots, "
-        "grid checkpoints, event journals)",
-    )
-    p.add_argument("paths", nargs="+", help="artifact JSONL files")
-    p.add_argument(
-        "--repair", action="store_true",
-        help="rewrite each artifact from its recoverable records "
-        "(damage is quarantined to <path>.quarantine; v1 files are "
-        "upgraded to the checksummed v2 framing)",
-    )
-    p.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when any damage was found, even if it "
-        "was repaired",
-    )
-    p.add_argument(
-        "--kind", choices=["auto", "probes", "events"], default="auto",
-        help="artifact type (default: detect from the header)",
-    )
-    p.add_argument(
-        "--event-kind", default=None, metavar="KIND",
-        help="assert the journal's event kind (required to salvage an "
-        "event journal whose header line was destroyed; the header "
-        "carries no CRC, but v2 record frames are self-verifying)",
-    )
-    p.add_argument(
-        "--quarantine", action="store_true",
-        help="copy damaged spans to the sidecar during a plain verify "
-        "(--repair always quarantines)",
-    )
-
-    p = sub.add_parser(
-        "trace", help="analyze a span trace (serve-bench --trace output)"
-    )
-    p.add_argument("action", choices=["summarize", "flame"])
-    p.add_argument("path", help="JSONL trace file")
-    p.add_argument(
-        "--tree", type=int, default=0, metavar="N",
-        help="also print the first N reconstructed span trees",
-    )
-    p.add_argument(
-        "--folded", default=None, metavar="PATH",
-        help="flame: folded-stacks output path "
-        "(default <trace>.folded; flamegraph.pl input format)",
-    )
-    p.add_argument(
-        "--speedscope", default=None, metavar="PATH",
-        help="flame: speedscope JSON output path "
-        "(default <trace>.speedscope.json; open at speedscope.app)",
-    )
-
-    p = sub.add_parser(
-        "top",
-        help="operator dashboard from a telemetry timeline "
-        "(loadtest --telemetry output)",
-    )
-    p.add_argument("path", help="telemetry timeline JSONL file")
-    p.add_argument(
-        "--once", action="store_true",
-        help="render the current state once and exit (CI mode)",
-    )
-    p.add_argument(
-        "--interval", type=float, default=1.0,
-        help="live-mode refresh cadence in seconds",
-    )
-    p.add_argument(
-        "--window", type=float, default=10.0,
-        help="trailing window for rate computations in seconds",
-    )
-    p.add_argument(
-        "--refresh-limit", type=int, default=0, metavar="N",
-        help="live mode: exit after N refreshes (0 = until Ctrl-C)",
-    )
-
-    p = sub.add_parser("table1", help="GBT baseline metrics (Table I)")
-    p.add_argument("--sizes", nargs="+", choices=SIZE_NAMES, default=["SM", "XL"])
-    p.add_argument(
-        "--train", nargs="+", type=int, default=[100, 500, 1000],
-        help="training-set sizes",
-    )
-    return parser
 
 
 def _cmd_dataset(args) -> int:
@@ -595,6 +174,10 @@ def _cmd_dataset(args) -> int:
         f"(runtimes {s['runtime_min']:.6f}..{s['runtime_max']:.6f} s)"
     )
     return 0
+
+
+def _predict_args(p) -> None:
+    _shared(p, "size", n_icl=10, seed=1)
 
 
 def _cmd_predict(args) -> int:
@@ -619,6 +202,37 @@ def _cmd_predict(args) -> int:
         print(f"rel error : {abs(pred.value - truth) / truth:.1%}")
     print(f"ICL copy  : {pred.exact_copy}")
     return 0
+
+
+def _grid_args(p) -> None:
+    _shared(p, "sizes", "workers", "prefix_cache", "shards")
+    p.add_argument(
+        "--icl", nargs="+", type=int, default=[1, 5, 20, 50],
+        help="ICL example counts",
+    )
+    p.add_argument("--sets", type=int, default=2)
+    p.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    p.add_argument("--queries", type=int, default=3)
+    p.add_argument(
+        "--serve", action="store_true",
+        help="execute through the repro.serve PredictionService "
+        "(microbatching + caches) instead of the process pool; "
+        "--shards N implies it",
+    )
+    p.add_argument(
+        "--save", default=None, metavar="PATH",
+        help="also save the probes as JSONL for later `repro report`",
+    )
+    p.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="append completed cells to this JSONL file as the run "
+        "progresses, so a killed run can be resumed",
+    )
+    p.add_argument(
+        "--resume", action="store_true",
+        help="resume from --checkpoint: skip cells already complete "
+        "there and run only the rest",
+    )
 
 
 def _cmd_grid(args) -> int:
@@ -677,14 +291,26 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _report_args(p) -> None:
+    p.add_argument("probes", help="JSONL file written by `repro grid --save`")
+
+
 def _cmd_report(args) -> int:
     from repro.analysis.report import analyze_grid
     from repro.core.storage import load_probes_jsonl
 
+    if _missing(args.probes):
+        return 2
     probes = load_probes_jsonl(args.probes)
     print(f"loaded {len(probes)} probes from {args.probes}", file=sys.stderr)
     print(analyze_grid(probes).render())
     return 0
+
+
+def _tune_args(p) -> None:
+    _shared(p, "size", seed=7)
+    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--repetitions", type=int, default=3)
 
 
 def _cmd_tune(args) -> int:
@@ -719,6 +345,67 @@ def _cmd_tune(args) -> int:
         t.add_row([name, best, comparison.mean_regret(name)])
     print(t.render())
     return 0
+
+
+def _sessions_args(p) -> None:
+    p.add_argument(
+        "action", choices=["run", "status", "resume"],
+        help="run fresh campaigns, inspect an event log, or resume one",
+    )
+    p.add_argument(
+        "--log", default=None, metavar="PATH",
+        help="session event-log JSONL (required for status/resume; "
+        "enables crash-resume for run)",
+    )
+    _shared(p, "size", "tenants", "batch_size", "workers", "shards",
+            "metrics", seed=7)
+    p.add_argument(
+        "--budget", type=_positive_int, default=12,
+        help="evaluations per campaign",
+    )
+    p.add_argument(
+        "--tuner", choices=["random", "hill-climb"], default="random"
+    )
+    p.add_argument(
+        "--priorities", nargs="+", type=_positive_int, default=None,
+        help="per-tenant fair-share weights (cycled over tenants)",
+    )
+    p.add_argument(
+        "--shared-trajectory", action=argparse.BooleanOptionalAction,
+        default=True,
+        help="tenants share one tuner seed, so identical prompts ride "
+        "one lockstep prefix-group decode (--no-shared-trajectory "
+        "gives each tenant an independent search)",
+    )
+    p.add_argument(
+        "--max-inflight", type=_positive_int, default=8,
+        help="admission controller's load-shedding ceiling",
+    )
+    p.add_argument(
+        "--quota", type=_positive_int, default=None,
+        help="per-tenant lifetime evaluation quota",
+    )
+    p.add_argument(
+        "--rate", type=float, default=None,
+        help="per-tenant token-bucket rate (evaluations/s)",
+    )
+    p.add_argument(
+        "--deadline", type=float, default=None,
+        help="per-campaign wall-clock deadline in seconds",
+    )
+    p.add_argument(
+        "--max-evaluations", type=_positive_int, default=None,
+        help="stop after this many completed evaluations (campaigns "
+        "are PAUSED and can be resumed from --log)",
+    )
+    p.add_argument(
+        "--resilient", action="store_true",
+        help="drive through ResilientService (retry/breaker/fallback)",
+    )
+    p.add_argument(
+        "--min-fairness", type=float, default=None,
+        help="exit 1 if the per-tenant Jain's index ends below this",
+    )
 
 
 def _sessions_from_log(path):
@@ -756,9 +443,12 @@ def _render_sessions_table(rows, title):
 def _cmd_sessions(args) -> int:
     from repro.sessions import replay_log
 
-    if args.action in ("status", "resume") and not args.log:
-        print(f"sessions {args.action} requires --log", file=sys.stderr)
-        return 2
+    if args.action in ("status", "resume"):
+        if not args.log:
+            print(f"sessions {args.action} requires --log", file=sys.stderr)
+            return 2
+        if _missing(args.log):
+            return 2
 
     if args.action == "status":
         rows = []
@@ -874,6 +564,25 @@ def _exported(n: int, what: str, path: str, follow_up: str) -> None:
           file=sys.stderr)
 
 
+def _serve_bench_args(p) -> None:
+    _shared(p, "size", "batch_size", "workers", "shards", "prefix_cache",
+            "trace", "metrics", n_icl=5, unique=8, seed=1)
+    p.add_argument(
+        "--repeats", type=_positive_int, default=6,
+        help="times each distinct probe recurs",
+    )
+    p.add_argument(
+        "--max-wait", type=float, default=0.005,
+        help="upper bound in seconds on a partial batch's wait; it "
+        "binds only while every batch worker is busy or a burst is "
+        "still being admitted (an idle worker flushes at once)",
+    )
+    p.add_argument(
+        "--no-baseline", action="store_true",
+        help="skip the caches-disabled comparison run",
+    )
+
+
 def _cmd_serve_bench(args) -> int:
     from contextlib import nullcontext
 
@@ -934,6 +643,86 @@ def _cmd_serve_bench(args) -> int:
     return 0
 
 
+def _loadtest_args(p) -> None:
+    _shared(p, "size", "tenants", "shards", "batch_size", "workers",
+            "metrics", "trace", "telemetry", seed=7, n_icl=4, unique=8,
+            telemetry_interval=0.5)
+    p.add_argument(
+        "--arrival", choices=list(ARRIVAL_KINDS), default="poisson",
+        help="arrival process shaping when requests are offered",
+    )
+    p.add_argument(
+        "--rps", type=_positive_float, default=50.0,
+        help="mean offered rate in requests/second",
+    )
+    p.add_argument(
+        "--duration", type=_positive_float, default=5.0,
+        help="schedule horizon in seconds",
+    )
+    p.add_argument(
+        "--mode", choices=["open", "closed"], default="open",
+        help="open loop (arrival-clocked, coordinated-omission-free "
+        "latency) or closed loop (fixed virtual-client pool)",
+    )
+    p.add_argument(
+        "--concurrency", type=_positive_int, default=8,
+        help="closed-loop virtual clients (ignored open-loop)",
+    )
+    p.add_argument(
+        "--on-fraction", type=float, default=0.5,
+        help="onoff arrivals: fraction of each period that bursts",
+    )
+    p.add_argument(
+        "--period", type=float, default=2.0,
+        help="onoff arrivals: burst cycle length in seconds",
+    )
+    p.add_argument(
+        "--skew", type=float, default=1.1,
+        help="Zipf exponent over prompt popularity (0 = uniform)",
+    )
+    p.add_argument(
+        "--seed-lanes", type=_positive_int, default=4,
+        help="distinct sampling seeds each prompt is replayed under",
+    )
+    p.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-request deadline in seconds (missed = SLO timeout)",
+    )
+    p.add_argument(
+        "--sessions", type=int, default=0, metavar="N",
+        help="also host N autotuning campaigns (one per tenant, "
+        "round-robin) on the same service while the load runs — the "
+        "report gains a sessions section with completions + fairness",
+    )
+    p.add_argument(
+        "--session-budget", type=_positive_int, default=8,
+        help="evaluations per ride-along campaign (with --sessions)",
+    )
+    p.add_argument(
+        "--slo", default="default", metavar="POLICY",
+        help="SLO policy: 'default' (committed gate), 'off' (report "
+        "only), or a JSON file of SLOPolicy fields; violations exit 1",
+    )
+    p.add_argument(
+        "--report-json", default=None, metavar="PATH",
+        help="write the full SLO report as canonical JSON to PATH "
+        "(the bench report-source consumed by repro.bench.regression)",
+    )
+    p.add_argument(
+        "--warmup", action=argparse.BooleanOptionalAction, default=True,
+        help="serve one unmeasured request per distinct prompt before "
+        "the clock starts, so shard spawn / model warm / prefix "
+        "preparation costs do not flood the measured window "
+        "(--no-warmup measures cold-start conformance instead)",
+    )
+    p.add_argument(
+        "--check-determinism", action="store_true",
+        help="run the identical spec twice against fresh services and "
+        "exit 1 unless schedules, workloads and the reports' "
+        "deterministic payloads match byte-for-byte",
+    )
+
+
 def _loadtest_spec(args):
     from repro.loadgen import LoadSpec, WorkloadMix
 
@@ -972,6 +761,8 @@ def _cmd_loadtest(args) -> int:
         policy = DEFAULT_SLO
     elif args.slo == "off":
         policy = None
+    elif _missing(args.slo):
+        return 2
     else:
         policy = SLOPolicy.from_file(args.slo)
 
@@ -1033,6 +824,89 @@ def _cmd_loadtest(args) -> int:
     return 0
 
 
+def _chaos_args(p) -> None:
+    _shared(p, "size", "shards", "telemetry", n_icl=5, unique=12, seed=1,
+            telemetry_interval=0.25)
+    p.add_argument(
+        "--requests", type=_positive_int, default=60,
+        help="logical requests to drive through the resilient service",
+    )
+    p.add_argument(
+        "--error-rate", type=float, default=0.08,
+        help="per-request transient worker-error probability",
+    )
+    p.add_argument(
+        "--latency-rate", type=float, default=0.05,
+        help="per-request latency-spike probability",
+    )
+    p.add_argument(
+        "--latency-s", type=float, default=0.01,
+        help="latency-spike duration in seconds",
+    )
+    p.add_argument(
+        "--evict-rate", type=float, default=0.02,
+        help="per-request cache-eviction-storm probability",
+    )
+    p.add_argument(
+        "--stall-rate", type=float, default=0.05,
+        help="per-flush queue-stall probability",
+    )
+    p.add_argument(
+        "--stall-s", type=float, default=0.005,
+        help="queue-stall duration in seconds",
+    )
+    p.add_argument(
+        "--kill-rate", type=float, default=0.0,
+        help="per-dispatch probability of SIGKILLing the target shard "
+        "before enqueue (requires --shards > 0; killed tickets fail "
+        "with ShardCrashError and are retried on the respawned shard)",
+    )
+    p.add_argument(
+        "--max-attempts", type=_positive_int, default=4,
+        help="retry policy: total attempts per logical request",
+    )
+    p.add_argument(
+        "--no-fallback", action="store_true",
+        help="disable graceful degradation (final failures then raise)",
+    )
+    p.add_argument(
+        "--telemetry-drop-rate", type=float, default=0.0,
+        help="per-sample probability the exporter drops the sample "
+        "(the timeline must account for every gap)",
+    )
+    p.add_argument(
+        "--telemetry-dup-rate", type=float, default=0.0,
+        help="per-sample probability the exporter writes the sample "
+        "twice (loaders must dedupe by payload seq)",
+    )
+    p.add_argument(
+        "--verify-determinism", action="store_true",
+        help="re-run the schedule (plain, then with degraded cache "
+        "serves interleaved) and compare counters, fault schedules, "
+        "response values and the telemetry timeline's deterministic "
+        "fields (exit 1 on any divergence)",
+    )
+    p.add_argument(
+        "--sessions", action="store_true",
+        help="drill the session manager instead of a raw workload: "
+        "3-tenant campaigns under DEFAULT_FAULT_PLAN, asserting >= 99%% "
+        "completion and an event log with no lost or duplicated "
+        "evaluations (with --verify-determinism: identical histories "
+        "across two runs)",
+    )
+    p.add_argument(
+        "--disk", action="store_true",
+        help="durability drill instead of a service workload: a "
+        "checkpointed grid repeatedly hard-killed by injected disk "
+        "faults (torn writes, bitflips-after-ack, ENOSPC, fsync "
+        "failures) under DISK_FAULT_PLAN, with `repro fsck --repair` "
+        "between crashes, plus the same discipline on an event "
+        "journal; exits non-zero unless the recovered histories are "
+        "bit-identical to an unfaulted run with all damage accounted "
+        "for",
+    )
+
+
 def _cmd_chaos_sessions(args) -> int:
     import tempfile
 
@@ -1067,6 +941,36 @@ def _cmd_chaos_sessions(args) -> int:
         print(drill.render("histories across two chaos runs"))
         ok &= drill.ok
     return 0 if ok else 1
+
+
+def _fsck_args(p) -> None:
+    p.add_argument("paths", nargs="+", help="artifact JSONL files")
+    p.add_argument(
+        "--repair", action="store_true",
+        help="rewrite each artifact from its recoverable records "
+        "(damage is quarantined to <path>.quarantine; v1 files are "
+        "upgraded to the checksummed v2 framing)",
+    )
+    p.add_argument(
+        "--strict", action="store_true",
+        help="exit non-zero when any damage was found, even if it "
+        "was repaired",
+    )
+    p.add_argument(
+        "--kind", choices=["auto", "probes", "events"], default="auto",
+        help="artifact type (default: detect from the header)",
+    )
+    p.add_argument(
+        "--event-kind", default=None, metavar="KIND",
+        help="assert the journal's event kind (required to salvage an "
+        "event journal whose header line was destroyed; the header "
+        "carries no CRC, but v2 record frames are self-verifying)",
+    )
+    p.add_argument(
+        "--quarantine", action="store_true",
+        help="copy damaged spans to the sidecar during a plain verify "
+        "(--repair always quarantines)",
+    )
 
 
 def _cmd_fsck(args) -> int:
@@ -1209,6 +1113,25 @@ def _cmd_chaos(args) -> int:
     return 0 if alive and drill.ok else 1
 
 
+def _trace_args(p) -> None:
+    p.add_argument("action", choices=["summarize", "flame"])
+    p.add_argument("path", help="JSONL trace file")
+    p.add_argument(
+        "--tree", type=int, default=0, metavar="N",
+        help="also print the first N reconstructed span trees",
+    )
+    p.add_argument(
+        "--folded", default=None, metavar="PATH",
+        help="flame: folded-stacks output path "
+        "(default <trace>.folded; flamegraph.pl input format)",
+    )
+    p.add_argument(
+        "--speedscope", default=None, metavar="PATH",
+        help="flame: speedscope JSON output path "
+        "(default <trace>.speedscope.json; open at speedscope.app)",
+    )
+
+
 def _cmd_trace(args) -> int:
     from repro.obs import (
         load_spans,
@@ -1218,6 +1141,8 @@ def _cmd_trace(args) -> int:
         write_speedscope,
     )
 
+    if _missing(args.path):
+        return 2
     spans = load_spans(args.path)
     if not spans:
         print(f"no spans in {args.path}", file=sys.stderr)
@@ -1240,6 +1165,26 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _top_args(p) -> None:
+    p.add_argument("path", help="telemetry timeline JSONL file")
+    p.add_argument(
+        "--once", action="store_true",
+        help="render the current state once and exit (CI mode)",
+    )
+    p.add_argument(
+        "--interval", type=float, default=1.0,
+        help="live-mode refresh cadence in seconds",
+    )
+    p.add_argument(
+        "--window", type=float, default=10.0,
+        help="trailing window for rate computations in seconds",
+    )
+    p.add_argument(
+        "--refresh-limit", type=int, default=0, metavar="N",
+        help="live mode: exit after N refreshes (0 = until Ctrl-C)",
+    )
+
+
 def _cmd_top(args) -> int:
     import time as _time
 
@@ -1259,6 +1204,8 @@ def _cmd_top(args) -> int:
         )
         return body + "\n" + footer
 
+    if _missing(args.path):
+        return 2
     try:
         if args.once:
             print(render())
@@ -1274,6 +1221,14 @@ def _cmd_top(args) -> int:
             _time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
+
+
+def _table1_args(p) -> None:
+    _shared(p, "sizes")
+    p.add_argument(
+        "--train", nargs="+", type=int, default=[100, 500, 1000],
+        help="training-set sizes",
+    )
 
 
 def _cmd_table1(args) -> int:
@@ -1303,28 +1258,52 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+#: Subcommand -> (help, argument declarations, body), in ``--help`` order.
 _COMMANDS = {
-    "dataset": _cmd_dataset,
-    "predict": _cmd_predict,
-    "grid": _cmd_grid,
-    "report": _cmd_report,
-    "tune": _cmd_tune,
-    "sessions": _cmd_sessions,
-    "table1": _cmd_table1,
-    "serve-bench": _cmd_serve_bench,
-    "loadtest": _cmd_loadtest,
-    "chaos": _cmd_chaos,
-    "fsck": _cmd_fsck,
-    "trace": _cmd_trace,
-    "top": _cmd_top,
+    "dataset": ("generate a syr2k dataset CSV", _dataset_args, _cmd_dataset),
+    "predict": ("one LLM surrogate prediction", _predict_args, _cmd_predict),
+    "grid": ("run an experiment grid + report", _grid_args, _cmd_grid),
+    "report": ("full analysis report from saved probes", _report_args,
+               _cmd_report),
+    "tune": ("compare autotuners", _tune_args, _cmd_tune),
+    "sessions": ("multi-tenant autotuning campaigns", _sessions_args,
+                 _cmd_sessions),
+    "serve-bench": ("benchmark the surrogate serving layer",
+                    _serve_bench_args, _cmd_serve_bench),
+    "loadtest": ("deterministic load generation + SLO conformance check",
+                 _loadtest_args, _cmd_loadtest),
+    "chaos": ("fault-injection drill against the serving stack",
+              _chaos_args, _cmd_chaos),
+    "fsck": ("verify or repair artifact integrity (probe snapshots, grid "
+             "checkpoints, event journals)", _fsck_args, _cmd_fsck),
+    "trace": ("analyze a span trace (serve-bench --trace output)",
+              _trace_args, _cmd_trace),
+    "top": ("operator dashboard from a telemetry timeline (loadtest "
+            "--telemetry output)", _top_args, _cmd_top),
+    "table1": ("GBT baseline metrics (Table I)", _table1_args, _cmd_table1),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the argument parser (exposed for testing)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduction toolkit for 'Is In-Context Learning Feasible "
+            "for HPC Performance Autotuning?'"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except BrokenPipeError:
         # `repro … | head` closing the pipe early is a normal exit, but
         # the interpreter would still flush stdout at shutdown — hand

@@ -24,12 +24,7 @@ from repro.dataset.syr2k import (
     syr2k_space,
 )
 from repro.dataset.perfmodel import PerfModelParams, Syr2kPerformanceModel
-from repro.dataset.gemm import (
-    GEMM_DIMENSIONS,
-    GemmPerformanceModel,
-    GemmTask,
-    gemm_space,
-)
+from repro.dataset.gemm import GEMM_DIMENSIONS, GemmTask, gemm_space
 from repro.dataset.generate import PerformanceDataset, generate_dataset
 from repro.dataset.splits import (
     curated_neighborhood,
@@ -54,7 +49,6 @@ __all__ = [
     "Syr2kPerformanceModel",
     "GEMM_DIMENSIONS",
     "GemmTask",
-    "GemmPerformanceModel",
     "gemm_space",
     "PerformanceDataset",
     "generate_dataset",

@@ -11,14 +11,10 @@ encoders and tuners all work unchanged, and cross-kernel transfer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.dataset.perfmodel import PerfModelParams, Syr2kPerformanceModel
 from repro.dataset.space import ConfigSpace
-from repro.dataset.syr2k import SIZE_NAMES, syr2k_space
-from repro.errors import DatasetError
+from repro.dataset.syr2k import KernelTask, syr2k_space
 
-__all__ = ["GEMM_DIMENSIONS", "GemmTask", "GemmPerformanceModel", "gemm_space"]
+__all__ = ["GEMM_DIMENSIONS", "GemmTask", "gemm_space"]
 
 #: ``(M, N, K)`` dimensions per size (N rows, M columns, K depth).
 GEMM_DIMENSIONS: dict[str, tuple[int, int, int]] = {
@@ -37,33 +33,14 @@ def gemm_space() -> ConfigSpace:
     return ConfigSpace(space.parameters, name="polybench-gemm")
 
 
-@dataclass(frozen=True)
-class GemmTask:
+class GemmTask(KernelTask):
     """A GEMM tuning task at one problem size."""
 
-    size: str
-
-    #: Kernel identifier used for prompt dispatch.
     kernel = "gemm"
-
-    def __post_init__(self):
-        if self.size not in GEMM_DIMENSIONS:
-            raise DatasetError(
-                f"unknown gemm size {self.size!r}; choose from {SIZE_NAMES}"
-            )
-
-    @property
-    def dimensions(self) -> tuple[int, int, int]:
-        """``(M, N, K)``."""
-        return GEMM_DIMENSIONS[self.size]
-
-    @property
-    def m(self) -> int:
-        return self.dimensions[0]
-
-    @property
-    def n(self) -> int:
-        return self.dimensions[1]
+    size_dimensions = GEMM_DIMENSIONS
+    # Distinct draws from syr2k's, so the two kernels are not spuriously
+    # correlated.
+    noise_namespace = ("gemm",)
 
     @property
     def k(self) -> int:
@@ -75,26 +52,10 @@ class GemmTask:
         m, n, k = self.dimensions
         return 2.0 * m * n * k
 
+    @property
+    def loop_extents(self) -> tuple[float, float, float]:
+        """(outer, middle, inner) trip extents: N, M and the ``k`` depth."""
+        return float(self.n), float(self.m), float(self.k)
+
     def space(self) -> ConfigSpace:
         return gemm_space()
-
-    def __str__(self) -> str:
-        return f"gemm[{self.size}] (M={self.m}, N={self.n}, K={self.k})"
-
-
-class GemmPerformanceModel(Syr2kPerformanceModel):
-    """Analytical GEMM runtime model (rectangular ``k`` extent)."""
-
-    def __init__(
-        self,
-        task: GemmTask,
-        params: PerfModelParams | None = None,
-        seed: int = 20250705,
-    ):
-        if not isinstance(task, GemmTask):
-            raise DatasetError("GemmPerformanceModel requires a GemmTask")
-        super().__init__(task, params=params, seed=seed)
-        self.space = gemm_space()
-
-    def _loop_extents(self) -> tuple[float, float, float]:
-        return float(self.task.n), float(self.task.m), float(self.task.k)

@@ -83,21 +83,6 @@ class PerformanceDataset:
             runtimes=self.runtimes[rows],
         )
 
-    def row_of_index(self, config_index: int) -> int:
-        """The table row holding configuration ``config_index``.
-
-        Raises
-        ------
-        DatasetError
-            If the configuration is not in the table.
-        """
-        rows = np.nonzero(self.indices == int(config_index))[0]
-        if rows.size == 0:
-            raise DatasetError(
-                f"configuration index {config_index} not present in dataset"
-            )
-        return int(rows[0])
-
     @property
     def best_row(self) -> int:
         """Row of the fastest configuration."""
@@ -148,12 +133,7 @@ def generate_dataset(
     """
     if isinstance(task, str):
         task = Syr2kTask(task)
-    if getattr(task, "kernel", "syr2k") == "gemm":
-        from repro.dataset.gemm import GemmPerformanceModel
-
-        model = GemmPerformanceModel(task, params=params, seed=seed)
-    else:
-        model = Syr2kPerformanceModel(task, params=params, seed=seed)
+    model = Syr2kPerformanceModel(task, params=params, seed=seed)
     if indices is None:
         idx = np.arange(model.space.size, dtype=np.int64)
     else:

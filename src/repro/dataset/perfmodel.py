@@ -34,13 +34,13 @@ Everything is vectorized over configuration indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.dataset.space import ConfigSpace
-from repro.dataset.syr2k import TILE_SIZES, Syr2kTask, syr2k_space
+from repro.dataset.syr2k import TILE_SIZES, KernelTask
 from repro.errors import DatasetError
 from repro.utils.rng import rng_from
 
@@ -130,18 +130,18 @@ class PerfModelParams:
         except KeyError:
             raise DatasetError(f"no model constants for size {size!r}") from None
 
-    def with_overrides(self, **kwargs) -> "PerfModelParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
 
 class Syr2kPerformanceModel:
-    """Deterministic runtime model for one :class:`Syr2kTask`.
+    """Deterministic runtime model for one kernel task.
+
+    The loop-nest model was built for syr2k; a task supplies its kernel's
+    facts (flops, loop extents, space and noise namespace), so the same
+    model also serves :class:`repro.dataset.gemm.GemmTask`.
 
     Parameters
     ----------
     task:
-        The syr2k size to model.
+        The kernel and size to model.
     params:
         Model constants; defaults reproduce the paper's regimes.
     seed:
@@ -151,26 +151,22 @@ class Syr2kPerformanceModel:
 
     def __init__(
         self,
-        task: Syr2kTask,
+        task: KernelTask,
         params: PerfModelParams | None = None,
         seed: int = 20250705,
     ):
         self.task = task
         self.params = params or PerfModelParams()
         self.seed = int(seed)
-        self.space: ConfigSpace = syr2k_space()
+        self.space: ConfigSpace = task.space()
         self._tiles = np.asarray(TILE_SIZES, dtype=float)
-        # Kernel-specific noise namespaces; the syr2k paths predate the
-        # kernel tag and are kept as-is so its calibrated tables are stable.
-        kernel = getattr(task, "kernel", "syr2k")
-        self._noise_ns: tuple = () if kernel == "syr2k" else (kernel,)
         # Pre-drawn deterministic tables over the full space.
         n = self.space.size
         self._rugged_z = rng_from(
-            self.seed, "rugged", *self._noise_ns, task.size
+            self.seed, "rugged", *task.noise_namespace, task.size
         ).standard_normal(n)
         self._noise_z = rng_from(
-            self.seed, "noise", *self._noise_ns, task.size, 0
+            self.seed, "noise", *task.noise_namespace, task.size, 0
         ).standard_normal(n)
 
     # ------------------------------------------------------------------ #
@@ -191,14 +187,6 @@ class Syr2kPerformanceModel:
         efficiency = n / (n + self.params.efficiency_halfsat)
         return self.task.flops / (self.params.peak_rate * efficiency)
 
-    def _loop_extents(self) -> tuple[float, float, float]:
-        """(outer, middle, inner) loop trip extents.
-
-        syr2k iterates ``i`` over N, ``j`` over M, and ``k`` up to ``i``
-        (bounded by N).  Kernel subclasses override this.
-        """
-        return float(self.task.n), float(self.task.m), float(self.task.n)
-
     def noiseless_runtimes(self, indices: Sequence[int] | None = None) -> np.ndarray:
         """Model runtimes *without* measurement noise (ruggedness included).
 
@@ -206,7 +194,7 @@ class Syr2kPerformanceModel:
         adds one fixed measurement-noise draw on top (see :meth:`runtimes`).
         """
         p = self.params
-        i_ext, j_ext, k_ext = self._loop_extents()
+        i_ext, j_ext, k_ext = self.task.loop_extents
         beta, pack_cost, sigma_rug, _ = p.for_size(self.task.size)
 
         if indices is None:
@@ -314,7 +302,8 @@ class Syr2kPerformanceModel:
             return self.runtimes(idx)
         sigma_noise = self.params.for_size(self.task.size)[3]
         z = rng_from(
-            self.seed, "noise", *self._noise_ns, self.task.size, int(rep)
+            self.seed, "noise", *self.task.noise_namespace, self.task.size,
+            int(rep)
         ).standard_normal(self.space.size)
         return self.noiseless_runtimes(idx) * np.exp(sigma_noise * z[idx])
 

@@ -18,6 +18,7 @@ the paper evaluates SM (``M=130, N=160``) and XL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.dataset.parameters import BooleanParameter, OrdinalParameter
 from repro.dataset.space import ConfigSpace
@@ -28,6 +29,7 @@ __all__ = [
     "SIZE_NAMES",
     "SIZE_DIMENSIONS",
     "syr2k_space",
+    "KernelTask",
     "Syr2kTask",
 ]
 
@@ -68,40 +70,59 @@ def syr2k_space() -> ConfigSpace:
 
 
 @dataclass(frozen=True)
-class Syr2kTask:
-    """A syr2k tuning task: the shared space plus an invariant size.
+class KernelTask:
+    """A tuning task: one kernel at one invariant problem size.
 
-    Attributes
-    ----------
-    size:
-        One of :data:`SIZE_NAMES`.
+    Subclasses name their ``kernel`` and carry the facts the performance
+    model needs: the size table, ``flops``, ``loop_extents``, ``space`` and
+    the ``noise_namespace`` their rugged/noise tables are drawn under.
     """
 
     size: str
 
-    #: Kernel identifier used for prompt dispatch and noise-table seeding.
-    kernel = "syr2k"
+    kernel: ClassVar[str]
+    #: Array dimensions per size, ``(M, N[, K])``.
+    size_dimensions: ClassVar[dict[str, tuple[int, ...]]]
+    #: Extra ``rng_from`` path components of the model's noise tables.
+    noise_namespace: ClassVar[tuple[str, ...]]
 
     def __post_init__(self):
-        if self.size not in SIZE_DIMENSIONS:
+        if self.size not in self.size_dimensions:
             raise DatasetError(
-                f"unknown syr2k size {self.size!r}; choose from {SIZE_NAMES}"
+                f"unknown {self.kernel} size {self.size!r}; "
+                f"choose from {SIZE_NAMES}"
             )
 
     @property
-    def dimensions(self) -> tuple[int, int]:
-        """The ``(M, N)`` array dimensions of this size."""
-        return SIZE_DIMENSIONS[self.size]
+    def dimensions(self) -> tuple[int, ...]:
+        """The array dimensions of this size, ``(M, N[, K])``."""
+        return self.size_dimensions[self.size]
 
     @property
     def m(self) -> int:
-        """Columns of the rectangular operands ``A`` and ``B``."""
         return self.dimensions[0]
 
     @property
     def n(self) -> int:
-        """Rows of the operands and the order of the symmetric output ``C``."""
         return self.dimensions[1]
+
+    def __str__(self) -> str:
+        dims = ", ".join(f"{k}={v}" for k, v in zip("MNK", self.dimensions))
+        return f"{self.kernel}[{self.size}] ({dims})"
+
+
+class Syr2kTask(KernelTask):
+    """The paper's task: syr2k at one of :data:`SIZE_NAMES`.
+
+    ``m`` is the column count of the rectangular operands ``A`` and ``B``;
+    ``n`` is their row count and the order of the symmetric output ``C``.
+    """
+
+    kernel = "syr2k"
+    size_dimensions = SIZE_DIMENSIONS
+    # The syr2k tables predate kernel namespaces: an empty one keeps its
+    # calibrated runtimes.
+    noise_namespace = ()
 
     @property
     def flops(self) -> float:
@@ -114,9 +135,12 @@ class Syr2kTask:
         n, m = self.n, self.m
         return 3.0 * m * n * (n + 1) / 2.0
 
+    @property
+    def loop_extents(self) -> tuple[float, float, float]:
+        """(outer, middle, inner) trip extents: ``i`` over N, ``j`` over M,
+        and ``k`` up to ``i`` (bounded by N)."""
+        return float(self.n), float(self.m), float(self.n)
+
     def space(self) -> ConfigSpace:
         """The tuning space (identical across sizes)."""
         return syr2k_space()
-
-    def __str__(self) -> str:
-        return f"syr2k[{self.size}] (M={self.m}, N={self.n})"

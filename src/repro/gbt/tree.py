@@ -239,18 +239,3 @@ class RegressionTree:
             active = self.feature[node] >= 0
         return self.leaf_value[node]
 
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaf nodes."""
-        self._check_fitted()
-        return int((self.feature < 0).sum())
-
-    def max_depth_reached(self) -> int:
-        """Actual depth of the fitted tree (root = depth 1)."""
-        self._check_fitted()
-        depth = np.ones(self.n_nodes, dtype=np.int32)
-        for node in range(self.n_nodes):
-            for child in (self.left[node], self.right[node]):
-                if child >= 0:
-                    depth[child] = depth[node] + 1
-        return int(depth.max())

@@ -15,7 +15,7 @@ produce identical token sets with slightly altered logit probabilities".
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class LMConfig:
             )
         if self.max_support < 1:
             raise ValueError(f"max_support must be >= 1, got {self.max_support}")
-
-    def ablate(self, **toggles: bool) -> "LMConfig":
-        """Return a config with components switched off/on."""
-        return replace(self, **toggles)
 
 
 class SurrogateLM:

@@ -195,20 +195,3 @@ class Tokenizer:
         flush()
         return "".join(out)
 
-    def token_strings(self, ids) -> list[str]:
-        """Per-token surface strings (byte tokens render as ``<0xNN>``)."""
-        return [self.vocab.string_of(int(i)) for i in ids]
-
-    def encode_value(self, value_text: str) -> list[int]:
-        """Encode a decimal value string, validating the paper's shape.
-
-        Raises
-        ------
-        TokenizationError
-            If ``value_text`` is not a plain non-negative decimal literal.
-        """
-        if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", value_text):
-            raise TokenizationError(
-                f"not a plain decimal literal: {value_text!r}"
-            )
-        return self.encode(value_text)

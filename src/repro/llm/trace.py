@@ -75,17 +75,6 @@ class GenerationTrace:
                 out.append(vocab.string_of(tid))
         return "".join(out)
 
-    def step_candidates(self, vocab: Vocabulary) -> list[StepCandidates]:
-        """All steps in analysis form (token strings + logits)."""
-        return [
-            StepCandidates(
-                tokens=TokenStrings(vocab, s.candidate_ids),
-                logits=s.logits,
-                chosen=s.chosen_position,
-            )
-            for s in self.steps
-        ]
-
     def value_region(self, vocab: Vocabulary) -> list[StepCandidates]:
         """Steps from the first sampled digit token onward.
 

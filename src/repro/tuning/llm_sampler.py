@@ -12,9 +12,6 @@ rate is tracked and reported by the ablation benchmark.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.dataset.generate import PerformanceDataset
 from repro.dataset.space import ConfigSpace
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import ParseError, TuningError

@@ -16,7 +16,6 @@ matter how many siblings were derived before it.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 

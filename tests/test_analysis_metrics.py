@@ -86,7 +86,6 @@ class TestScorePredictions:
         assert m.n == 3
         assert m.r2 <= 1.0
         assert m.mare > 0 and m.msre > 0
-        assert m.as_row() == (m.r2, m.mare, m.msre)
 
     def test_str(self):
         m = score_predictions([1.0, 2.0], [1.0, 2.0])

@@ -1,8 +1,50 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every subcommand's settable values, recorded from ``parser_surface``.
+_GOLDEN = Path(__file__).parent / "data" / "cli_parser.json"
+
+
+def _describe(action):
+    choices = action.choices
+    return {
+        "option_strings": list(action.option_strings),
+        "default": action.default,
+        "type": getattr(action.type, "__name__", action.type),
+        "choices": None if choices is None else list(choices),
+        "nargs": action.nargs,
+        "required": action.required,
+        "action": type(action).__name__,
+    }
+
+
+def _subparsers(parser):
+    """``(name, parser)`` for the top-level parser and each subcommand."""
+    (sub,) = (a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return [("", parser), *sub.choices.items()]
+
+
+def parser_surface(parser):
+    """What a command line can set, per subcommand: positionals in order,
+    optionals by ``dest``.  Help text is left out."""
+    surface = {}
+    for name, p in _subparsers(parser):
+        surface[name] = {
+            "positionals": [_describe(a) for a in p._actions
+                            if not a.option_strings],
+            "optionals": {a.dest: _describe(a) for a in p._actions
+                          if a.option_strings},
+        }
+    # A JSON round trip turns tuples into lists, as the golden file has them.
+    return json.loads(json.dumps(surface))
 
 
 class TestParser:
@@ -21,6 +63,70 @@ class TestParser:
             build_parser().parse_args(
                 ["dataset", "--size", "HUGE", "--output", "x.csv"]
             )
+
+
+class TestParserGolden:
+    def test_settable_values_match_golden(self):
+        def flat(surface):
+            return {
+                (name, kind, key): action
+                for name, groups in surface.items()
+                for kind, actions in groups.items()
+                for key, action in (
+                    enumerate(actions) if kind == "positionals"
+                    else actions.items()
+                )
+            }
+
+        golden = flat(json.loads(_GOLDEN.read_text()))
+        surface = flat(parser_surface(build_parser()))
+        assert sorted(surface) == sorted(golden)
+        changed = {k: (golden[k], v) for k, v in surface.items()
+                   if v != golden[k]}
+        assert changed == {}
+
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in _subparsers(build_parser())]
+    )
+    def test_help_renders(self, name):
+        parser = dict(_subparsers(build_parser()))[name]
+        assert parser.format_help().startswith("usage:")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["serve-bench", "--shards", "-1"],
+        ["sessions", "run", "--shards", "-2"],
+        ["grid", "--workers", "0"],
+        ["loadtest", "--workers", "-1"],
+        ["loadtest", "--rps", "-5"],
+        ["loadtest", "--rps", "nan"],
+        ["loadtest", "--duration", "0"],
+        ["loadtest", "--duration", "inf"],
+        ["predict", "--n-icl", "0"],
+    ], ids=" ".join)
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert f"argument {argv[-2]}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "{missing}"],
+        ["trace", "summarize", "{missing}"],
+        ["trace", "flame", "{missing}"],
+        ["top", "{missing}", "--once"],
+        ["sessions", "status", "--log", "{missing}"],
+        ["sessions", "resume", "--log", "{missing}"],
+        ["loadtest", "--slo", "{missing}"],
+    ], ids=" ".join)
+    def test_missing_file_is_one_line(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"{missing}: unrecoverable: {missing} does not exist\n"
 
 
 class TestCommands:

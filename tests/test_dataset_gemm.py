@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dataset import (
-    GemmPerformanceModel,
     GemmTask,
     Syr2kPerformanceModel,
     Syr2kTask,
@@ -39,10 +38,6 @@ class TestGemmTask:
 
 
 class TestGemmModel:
-    def test_requires_gemm_task(self):
-        with pytest.raises(DatasetError):
-            GemmPerformanceModel(Syr2kTask("SM"))
-
     def test_magnitude_bands(self):
         for size, lo, hi in (("SM", 0.0, 1.0), ("XL", 1.0, 10.0)):
             r = generate_dataset(GemmTask(size)).runtimes
@@ -56,7 +51,7 @@ class TestGemmModel:
     def test_noise_independent_from_syr2k(self):
         """GEMM's rugged/noise tables are distinct draws from syr2k's, so
         the two kernels are not spuriously correlated."""
-        gemm = GemmPerformanceModel(GemmTask("SM"))
+        gemm = Syr2kPerformanceModel(GemmTask("SM"))
         syr2k = Syr2kPerformanceModel(Syr2kTask("SM"))
         assert not np.array_equal(gemm._rugged_z[:100], syr2k._rugged_z[:100])
 
@@ -71,7 +66,7 @@ class TestGemmModel:
     def test_k_extent_matters(self):
         """The inner tile is bounded by K for gemm (K < M, N at SM), so
         tile-128 and tile-100 behave identically only when both exceed K."""
-        model = GemmPerformanceModel(GemmTask("SM"))
+        model = Syr2kPerformanceModel(GemmTask("SM"))
         space = model.space
         base = dict(
             first_array_packed=False,
@@ -112,7 +107,7 @@ class TestGemmEndToEnd:
         )
 
         source = generate_dataset("SM")  # syr2k SM
-        model = GemmPerformanceModel(GemmTask("SM"))
+        model = Syr2kPerformanceModel(GemmTask("SM"))
         space = gemm_space()
         cmp = compare_tuners(
             [

@@ -1,10 +1,32 @@
 """Tests for dataset generation and the PerformanceDataset container."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.dataset import GemmTask, Syr2kTask
 from repro.dataset.generate import PerformanceDataset, generate_dataset
 from repro.errors import DatasetError
+
+#: sha256 of each kernel's full runtime table.  One performance model
+#: serves both kernels; these pin that it reproduces each table exactly.
+_TABLE_SHA256 = [
+    (Syr2kTask, "SM",
+     "8a05b3ee9e744b3327d3789fb050ce27f92d2d9c81ea4b19ec89feae0aa44536"),
+    (Syr2kTask, "XL",
+     "9b88b9faaa513ea1db4e1d12100ba455fff6867d3112ea1db37948b082f55f68"),
+    (GemmTask, "SM",
+     "523647bb94c13a1dea811b52abbcfc9b68e4e80ee51c5f4cde885d3ada33b1c2"),
+    (GemmTask, "XL",
+     "79d8beadeb9a3408f36b767b0faa32d6fcc7300d98cc17fb13eb31bdf3f74ea9"),
+]
+
+
+@pytest.mark.parametrize("task_cls,size,digest", _TABLE_SHA256)
+def test_full_table_bytes_pinned(task_cls, size, digest):
+    runtimes = generate_dataset(task_cls(size)).runtimes
+    assert hashlib.sha256(runtimes.tobytes()).hexdigest() == digest
 
 
 class TestGenerate:
@@ -44,15 +66,6 @@ class TestContainer:
         sub = sm_dataset.subset([10, 20])
         assert len(sub) == 2
         assert sub.indices[0] == sm_dataset.indices[10]
-
-    def test_row_of_index(self, sm_dataset):
-        idx = int(sm_dataset.indices[42])
-        assert sm_dataset.row_of_index(idx) == 42
-
-    def test_row_of_missing_index(self):
-        ds = generate_dataset("SM", indices=[1, 2])
-        with pytest.raises(DatasetError):
-            ds.row_of_index(9999)
 
     def test_best_row(self, sm_dataset):
         best = sm_dataset.best_row

@@ -147,8 +147,3 @@ class TestParams:
     def test_unknown_size_constants(self):
         with pytest.raises(DatasetError):
             PerfModelParams().for_size("nope")
-
-    def test_with_overrides(self):
-        p = PerfModelParams().with_overrides(peak_rate=1.0)
-        assert p.peak_rate == 1.0
-        assert PerfModelParams().peak_rate != 1.0

@@ -32,10 +32,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             LMConfig(max_support=0)
 
-    def test_ablate(self):
-        cfg = LMConfig().ablate(use_induction=False)
-        assert not cfg.use_induction and cfg.use_format
-
 
 class TestDetectSize:
     def test_sm_detected(self, lm, sm_prompt_ids):

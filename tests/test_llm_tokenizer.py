@@ -9,6 +9,11 @@ from repro.errors import TokenizationError
 from repro.llm.tokenizer import _PIECE_RE, Tokenizer, chunk_digits
 
 
+def _pieces(tokenizer, text):
+    """The surface string of each token ``text`` encodes to."""
+    return list(tokenizer.vocab.strings_of(tokenizer.encode(text)))
+
+
 class TestChunkDigits:
     def test_left_to_right_groups_of_three(self):
         assert chunk_digits("1234567") == ["123", "456", "7"]
@@ -28,19 +33,12 @@ class TestValueTokenization:
     def test_paper_example_shape(self, tokenizer):
         """0.0022155 must tokenize as 0 | . | 002 | 215 | 5 (Section IV-B:
         every value string is at least three tokens with '.' second)."""
-        strs = tokenizer.token_strings(tokenizer.encode("0.0022155"))
+        strs = _pieces(tokenizer, "0.0022155")
         assert strs == ["0", ".", "002", "215", "5"]
 
     def test_xl_value_shape(self, tokenizer):
-        strs = tokenizer.token_strings(tokenizer.encode("2.2767"))
+        strs = _pieces(tokenizer, "2.2767")
         assert strs == ["2", ".", "276", "7"]
-
-    def test_encode_value_validates(self, tokenizer):
-        assert tokenizer.encode_value("1.5")
-        with pytest.raises(TokenizationError):
-            tokenizer.encode_value("1.5e-3")
-        with pytest.raises(TokenizationError):
-            tokenizer.encode_value("-1.5")
 
 
 class TestRoundTrip:
@@ -79,7 +77,7 @@ class TestRoundTrip:
 
 class TestSegmentation:
     def test_words_single_tokens(self, tokenizer):
-        strs = tokenizer.token_strings(tokenizer.encode("the configuration"))
+        strs = _pieces(tokenizer, "the configuration")
         assert strs == ["the", " configuration"]
 
     def test_special_tokens_atomic(self, tokenizer):
@@ -87,16 +85,16 @@ class TestSegmentation:
         assert ids == [tokenizer.vocab.specials.eot]
 
     def test_unknown_word_falls_back_to_chars(self, tokenizer):
-        strs = tokenizer.token_strings(tokenizer.encode("qzxv"))
+        strs = _pieces(tokenizer, "qzxv")
         assert "".join(strs) == "qzxv"
         assert all(len(s) == 1 for s in strs)
 
     def test_number_after_space(self, tokenizer):
-        strs = tokenizer.token_strings(tokenizer.encode("is 80"))
+        strs = _pieces(tokenizer, "is 80")
         assert strs == ["is", " ", "80"]
 
     def test_double_newline_single_token(self, tokenizer):
-        assert tokenizer.token_strings(tokenizer.encode("\n\n")) == ["\n\n"]
+        assert _pieces(tokenizer, "\n\n") == ["\n\n"]
 
     def test_unicode_via_bytes(self, tokenizer):
         ids = tokenizer.encode("é")

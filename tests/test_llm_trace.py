@@ -60,19 +60,6 @@ class TestGenerationTrace:
         trace = self._trace_for(tokenizer, ["The", " answer"])
         assert trace.value_region(tokenizer.vocab) == []
 
-    def test_step_candidates_preserve_logits(self, tokenizer):
-        vocab = tokenizer.vocab
-        trace = GenerationTrace(prompt_ids=np.array([1]))
-        step = GenerationStep(
-            np.array([vocab.id_of("0"), vocab.id_of("1")]),
-            np.array([2.0, 1.0]),
-            0,
-        )
-        trace.steps.append(step)
-        sc = trace.step_candidates(vocab)[0]
-        assert sc.tokens == ("0", "1")
-        np.testing.assert_array_equal(sc.logits, [2.0, 1.0])
-
     def test_len_and_generated_ids(self, tokenizer):
         trace = self._trace_for(tokenizer, ["0", "."])
         assert len(trace) == 2

@@ -58,7 +58,7 @@ class TestValueStringPipeline:
     def test_value_token_shape(self, value):
         """Every serialized runtime begins digit-chunk, then '.', and every
         later token is a digit chunk (Section IV-B's premise)."""
-        strs = _TOK.token_strings(_TOK.encode(format_runtime(value)))
+        strs = _TOK.vocab.strings_of(_TOK.encode(format_runtime(value)))
         assert strs[0].isdigit()
         assert strs[1] == "."
         assert all(s.isdigit() for s in strs[2:])
