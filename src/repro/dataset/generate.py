@@ -8,6 +8,7 @@ paper's experiments consume.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -94,6 +95,24 @@ class PerformanceDataset:
     def best_runtime(self) -> float:
         """The minimal runtime in the table."""
         return float(self.runtimes[self.best_row])
+
+    @functools.cached_property
+    def _digits(self) -> np.ndarray:
+        """Every row's ordinal digits, computed once, in the narrowest
+        unsigned dtype (``uint8`` for syr2k: 64 KB for the full table),
+        read-only."""
+        widest = max(p.cardinality for p in self.space.parameters)
+        digits = self.space.ordinal_matrix(self.indices).astype(
+            np.min_scalar_type(widest - 1)
+        )
+        digits.flags.writeable = False
+        return digits
+
+    def weighted_distances(self, row: int) -> np.ndarray:
+        """Weighted edit distance from row ``row``'s configuration to every
+        row's: :meth:`ConfigSpace.pairwise_weighted_distances` over
+        :attr:`indices`, from digits the table computes once."""
+        return self.space.digit_distances(self._digits[row], self._digits)
 
     def ordinal_features(self, rows: Sequence[int] | None = None) -> np.ndarray:
         """Per-parameter ordinal digits for the given rows (all when None)."""

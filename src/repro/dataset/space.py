@@ -208,11 +208,17 @@ class ConfigSpace:
         indices:
             Candidate indices (all configurations when ``None``).
         """
-        digits = self.ordinal_matrix(indices)
-        center = self.ordinal_matrix([center_index])[0]
+        return self.digit_distances(
+            self.ordinal_matrix([center_index])[0], self.ordinal_matrix(indices)
+        )
+
+    def digit_distances(self, center: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """:meth:`pairwise_weighted_distances` over ordinal digits already
+        computed: from the digit row ``center`` to each row of ``digits``
+        (rows of :meth:`ordinal_matrix`, in any integer dtype)."""
         dist = np.zeros(digits.shape[0], dtype=float)
         for j, p in enumerate(self.parameters):
-            dj = digits[:, j] - center[j]
+            dj = digits[:, j].astype(np.int64) - int(center[j])
             if p.is_numeric and p.cardinality > 1:
                 dist += np.abs(dj) / (p.cardinality - 1)
             else:

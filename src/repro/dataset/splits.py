@@ -115,10 +115,7 @@ def curated_neighborhood(
         )
     rng = rng_from(seed, "curated", set_size)
     query_row = int(rng.integers(n))
-    query_index = int(dataset.indices[query_row])
-    dist = dataset.space.pairwise_weighted_distances(
-        query_index, dataset.indices
-    )
+    dist = dataset.weighted_distances(query_row)
     dist[query_row] = np.inf  # the query must not be its own example
     # stable argsort => deterministic tie-breaking by row position
     order = np.argsort(dist, kind="stable")

@@ -42,7 +42,8 @@ def repeated_workload(
     *, size: str, n_icl: int, unique: int, n_requests: int, seed: int
 ) -> list[Request]:
     """``n_requests`` requests cycling in waves over ``unique`` probes
-    (``repro serve-bench`` replays the same workload)."""
+    (``repro serve-bench`` replays the same workload).  The drills read
+    only values and statuses, so the requests decline ``value_steps``."""
     dataset = generate_dataset(size)
     sets, queries = disjoint_example_sets(dataset, 1, n_icl, seed=seed,
                                           n_queries=unique)
@@ -56,7 +57,8 @@ def repeated_workload(
     return [
         Request(examples=examples,
                 query_config=dataset.config(int(queries[i % n])),
-                seed=seed + i % n + (1000 if (i // n) % 2 else 0), size=size)
+                seed=seed + i % n + (1000 if (i // n) % 2 else 0), size=size,
+                evidence=False)
         for i in range(n_requests)
     ]
 

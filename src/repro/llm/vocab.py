@@ -14,6 +14,7 @@ across runs and machines:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -224,8 +225,13 @@ class Vocabulary:
         return self.id_of("\n")
 
 
+@functools.cache
 def build_default_vocabulary() -> Vocabulary:
-    """Construct the library's canonical vocabulary (deterministic order)."""
+    """The library's canonical vocabulary (deterministic order).
+
+    Built once per process and shared: a vocabulary is immutable, and
+    :class:`TokenStrings` pickles against this instance.
+    """
     tokens: list[str] = list(_SPECIAL_STRINGS)
     # 1-, 2-, 3-digit strings, shortest first, numeric order.
     for width in (1, 2, 3):
@@ -255,6 +261,10 @@ def build_default_vocabulary() -> Vocabulary:
     return Vocabulary(tokens)
 
 
+#: Byte layout of pickled default-vocabulary ids (it has < 65,536 tokens).
+_WIRE_IDS = np.dtype("<u2")
+
+
 class TokenStrings(Sequence):
     """The token strings of an id array, looked up when read.
 
@@ -263,8 +273,10 @@ class TokenStrings(Sequence):
     in the narrowest unsigned dtype, 2 bytes each for the default
     vocabulary, instead of an 8-byte pointer per string.  A recorded
     candidate set runs to ~1,200 tokens, and those pointers were a third
-    of what a cached prediction held.  It pickles as the plain tuple, so
-    the shard wire format is unchanged.
+    of what a cached prediction held.  Over the default vocabulary it
+    pickles as its ids, which the receiver reads against its own copy of
+    that deterministic vocabulary (checking their range again); over
+    any other it pickles as the plain tuple.
     """
 
     __slots__ = ("_vocab", "_ids")
@@ -299,4 +311,12 @@ class TokenStrings(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
+        if self._vocab is build_default_vocabulary():
+            data = self._ids.astype(_WIRE_IDS, copy=False).tobytes()
+            return (_default_token_strings, (data,))
         return (tuple, (tuple(self),))
+
+
+def _default_token_strings(data: bytes) -> TokenStrings:
+    """Unpickle :class:`TokenStrings` over the default vocabulary."""
+    return TokenStrings(build_default_vocabulary(), np.frombuffer(data, _WIRE_IDS))

@@ -130,7 +130,9 @@ def build_workload(mix: WorkloadMix, n: int, seed: int) -> list[LoadItem]:
 
     Prompt choice is one vectorized Zipf-weighted draw; tenant and seed
     lane are per-arrival :func:`derive_seed` hashes — all pure functions
-    of ``seed``, independent of execution order or parallelism.
+    of ``seed``, independent of execution order or parallelism.  The
+    requests decline ``value_steps`` (``evidence=False``): a load run
+    reads only the value and status of each answer.
     """
     if n < 0:
         raise LoadgenError(f"n must be >= 0, got {n}")
@@ -161,6 +163,7 @@ def build_workload(mix: WorkloadMix, n: int, seed: int) -> list[LoadItem]:
                     seed=derive_seed(seed, "loadgen", "reqseed", p, lane),
                     size=mix.size,
                     timeout_s=mix.timeout_s,
+                    evidence=False,
                 ),
             )
         )

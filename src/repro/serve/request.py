@@ -3,7 +3,8 @@
 A :class:`Request` is one surrogate prediction to serve: the ICL examples,
 the query configuration, and the sampling seed — exactly the inputs of
 :meth:`repro.core.surrogate.DiscriminativeSurrogate.predict` — plus
-service-level knobs (task size routing, per-request timeout).  A
+service-level knobs (task size routing, per-request timeout, whether
+the answer carries its logit evidence).  A
 :class:`Response` wraps the resulting
 :class:`~repro.core.surrogate.SurrogatePrediction` with serving metadata:
 end-to-end latency, whether the result cache hit, and the batch the
@@ -33,9 +34,9 @@ class Request:
     query_config:
         The configuration whose runtime the surrogate must predict.
     seed:
-        Sampling seed.  Together with :attr:`prompt_key` and the engine's
-        sampling parameters it forms the full-result cache key, so
-        identical requests are served from cache.
+        Sampling seed.  Together with :attr:`prompt_key`, the engine's
+        sampling parameters and :attr:`evidence` it forms the full-result
+        cache key, so identical requests are served from cache.
     size:
         Task size used to route the request to a per-size surrogate
         (ignored when the service was constructed with an explicit
@@ -44,6 +45,18 @@ class Request:
         Per-request completion deadline for the blocking submit path;
         ``None`` falls back to the service default (which may also be
         ``None``: wait forever).
+    evidence:
+        Whether the prediction carries its ``value_steps``: the ~1,500
+        candidate tokens and logits per answer that the paper's
+        decoding-tree and Table II analyses read.  ``False`` returns and
+        caches it with ``value_steps=[]`` (the form a fallback answer
+        has) and every other field unchanged; callers that read only
+        ``.value`` pass it, so a shard reply and a result-cache entry
+        hold the value, not the logits.  The flag is part of the result
+        key, so a full request after a lean one for the same prompt and
+        seed decodes again.  It changes neither :attr:`prompt_key` nor
+        shard routing, and requests differing only in it still share a
+        lockstep decode.
     """
 
     examples: Sequence[tuple[Mapping[str, object], float]]
@@ -51,6 +64,7 @@ class Request:
     seed: int = 0
     size: str = "SM"
     timeout_s: float | None = None
+    evidence: bool = True
 
     def __post_init__(self):
         if not self.examples:

@@ -10,13 +10,14 @@ its prompt once and enters the bounded microbatching scheduler (so
 ``max_wait_s`` and the queue-wait statistics describe misses alone),
 carrying the built prompt; each batch executes against per-size
 :class:`~repro.core.surrogate.DiscriminativeSurrogate` stacks.  The
-**result cache** (``prompt_key``, seed, sampling params, token cap →
-``SurrogatePrediction``) skips generation entirely for identical
-requests, relying on the engine's determinism contract and on equal
-``prompt_key`` meaning an equal prompt.  A miss decodes
-through the surrogate, whose prefix cache already reduces the one-time
-prompt analysis to the query past the shared ICL prefix — so a recurring
-prompt under a new seed needs no cache of its own.
+**result cache** (``prompt_key``, seed, sampling params, token cap,
+evidence flag → ``SurrogatePrediction``) skips generation entirely for
+identical requests, relying on the engine's determinism contract and on
+equal ``prompt_key`` meaning an equal prompt.  A request with
+``evidence=False`` is answered, and cached, without ``value_steps``.  A
+miss decodes through the surrogate, whose prefix cache already reduces
+the one-time prompt analysis to the query past the shared ICL prefix —
+so a recurring prompt under a new seed needs no cache of its own.
 
 Robustness: bounded-queue backpressure (:class:`ServiceOverloadedError`),
 per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
@@ -32,6 +33,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from dataclasses import replace
 from typing import Iterable, NamedTuple
 
 from repro.core.surrogate import DiscriminativeSurrogate
@@ -516,7 +518,9 @@ class PredictionService(ServiceBase):
         seed, sampling parameters and token cap fix the generation.  The
         prompt enters as ``request.prompt_key``: equal keys build the
         same prompt for one surrogate, and the surrogate is fixed by the
-        key's size (or is the service's only one).
+        key's size (or is the service's only one).  The evidence flag
+        keys too, since a lean entry cannot answer a request for the
+        logits.
         """
         surrogate = self._surrogate_for(request.size)
         result_key = (
@@ -524,6 +528,7 @@ class PredictionService(ServiceBase):
             int(request.seed),
             surrogate.engine.sampling,
             surrogate.engine.max_new_tokens,
+            bool(request.evidence),
         )
         cached = (
             MISS if self.result_cache is None
@@ -655,24 +660,32 @@ class PredictionService(ServiceBase):
     def _generate(
         self, lookup: _Lookup, request: Request, group: "_PrefixGroup | None"
     ) -> tuple[object, int]:
-        """Generate a result-cache miss: ``(prediction, group width)``."""
+        """Generate a result-cache miss: ``(prediction, group width)``.
+
+        The decode always records evidence, so a group's stash serves
+        members of either flag; each member drops it here, by its own.
+        """
         seed = int(request.seed)
+        prediction = MISS
         if group is not None and group.stash is not None:
             # Follower: the group's leader already decoded this seed in
             # its lockstep batch.
             prediction = group.stash.get(seed, MISS)
-            if prediction is not MISS:
-                return prediction, group.width
-        # A solo miss decodes as a group of one; a group's leader decodes
-        # every member seed in one lockstep batch and stashes the
-        # predictions for its followers.
-        seeds = [seed] if group is None else group.seeds
-        parts = self._build(lookup, request)
-        with get_tracer().span("serve.generate") as gen:
-            predictions = lookup.surrogate.predict_parts_batch(parts, seeds)
-            if group is None:
-                return predictions[0], 1
-            group.stash = dict(zip(seeds, predictions))
-            gen.set(group_width=group.width)
-            self._stats.record_group(group.width)
-            return group.stash[seed], group.width
+        if prediction is MISS:
+            # A solo miss decodes as a group of one; a group's leader
+            # decodes every member seed in one lockstep batch and stashes
+            # the predictions for its followers.
+            seeds = [seed] if group is None else group.seeds
+            parts = self._build(lookup, request)
+            with get_tracer().span("serve.generate") as gen:
+                predictions = lookup.surrogate.predict_parts_batch(parts, seeds)
+                if group is None:
+                    prediction = predictions[0]
+                else:
+                    group.stash = dict(zip(seeds, predictions))
+                    gen.set(group_width=group.width)
+                    self._stats.record_group(group.width)
+                    prediction = group.stash[seed]
+        if not request.evidence:
+            prediction = replace(prediction, value_steps=[])
+        return prediction, 1 if group is None else group.width

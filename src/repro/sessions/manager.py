@@ -214,7 +214,9 @@ class SessionManager:
         the request is well-formed (a Request needs >= 1 example).  The
         seed derives from the *session* seed and step, so tenants sharing
         a tuner trajectory (identical prompt) still issue distinct-seed
-        requests that ride one lockstep prefix-group decode.
+        requests that ride one lockstep prefix-group decode.  A session
+        reads only the predicted value, so the request declines the
+        logit evidence (``evidence=False``).
         """
         space = session.model.space
         history = session.history
@@ -231,6 +233,7 @@ class SessionManager:
             query_config=space.from_index(index),
             seed=derive_seed(session.seed, "request", session.step),
             size=session.model.task.size,
+            evidence=False,
         )
 
     def _fail_session(self, session: TuningSession, reason: str) -> None:

@@ -9,6 +9,7 @@ from repro.dataset.splits import (
     train_test_split,
 )
 from repro.errors import DatasetError
+from repro.utils.rng import rng_from
 
 
 class TestTrainTestSplit:
@@ -116,3 +117,35 @@ class TestCuratedNeighborhood:
     def test_too_large_raises(self, sm_dataset):
         with pytest.raises(DatasetError):
             curated_neighborhood(sm_dataset, len(sm_dataset))
+
+    @staticmethod
+    def reference(dataset, set_size, seed):
+        """The selection with distances recomputed from the configuration
+        indices, not from the table's stored digits."""
+        query = int(rng_from(seed, "curated", set_size).integers(len(dataset)))
+        dist = dataset.space.pairwise_weighted_distances(
+            int(dataset.indices[query]), dataset.indices
+        )
+        dist[query] = np.inf
+        return np.argsort(dist, kind="stable")[:set_size], query
+
+    @pytest.mark.parametrize("which", ["sm_dataset", "xl_dataset"])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("set_size", [1, 5, 25])
+    def test_matches_reference_path(self, request, which, seed, set_size):
+        dataset = request.getfixturevalue(which)
+        rows, query = curated_neighborhood(dataset, set_size, seed=seed)
+        want_rows, want_query = self.reference(dataset, set_size, seed)
+        assert query == want_query
+        np.testing.assert_array_equal(rows, want_rows)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_stored_digit_distances_are_bit_identical(self, sm_dataset, stride):
+        dataset = sm_dataset.subset(np.arange(0, len(sm_dataset), stride))
+        for row in (0, len(dataset) // 2, len(dataset) - 1):
+            want = dataset.space.pairwise_weighted_distances(
+                int(dataset.indices[row]), dataset.indices
+            )
+            assert dataset.weighted_distances(row).tobytes() == want.tobytes()
+        digits = dataset._digits
+        assert digits.dtype == np.uint8 and not digits.flags.writeable

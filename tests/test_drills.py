@@ -112,6 +112,7 @@ class TestRepeatedWorkload:
         keys = [r.prompt_key for r in workload]
         assert keys[:3] == keys[3:6] and keys[6] == keys[0]
         assert [r.seed for r in workload] == [5, 6, 7, 1005, 1006, 1007, 5]
+        assert not any(r.evidence for r in workload)
 
 
 class TestServiceChaosDrill:

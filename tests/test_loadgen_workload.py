@@ -20,6 +20,11 @@ def test_bit_identical_across_builds():
     assert [i.request.seed for i in a] == [i.request.seed for i in b]
 
 
+def test_requests_decline_evidence():
+    """A load run reads only values and statuses."""
+    assert not any(i.request.evidence for i in build_workload(MIX, 50, seed=7))
+
+
 def test_seed_sensitivity():
     a = build_workload(MIX, 100, seed=7)
     b = build_workload(MIX, 100, seed=8)

@@ -6,11 +6,13 @@ between served predictions and direct surrogate calls, which is what lets
 the experiment runner route paper grids through the service.
 """
 
+import dataclasses
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import quick_grid, run_grid, run_spec
 from repro.core.surrogate import DiscriminativeSurrogate
@@ -668,7 +670,103 @@ class TestCachedResponseIds:
         assert mixed_outcomes == plain_outcomes
 
 
+def assert_lean_twin(lean, full):
+    """``lean`` is ``full`` without its evidence, field by field."""
+    for field in dataclasses.fields(full):
+        if field.name != "value_steps":
+            assert getattr(lean, field.name) == getattr(full, field.name), field.name
+    assert lean.value_steps == []
+
+
+class TestEvidence:
+    """``Request.evidence=False`` answers and caches the value without
+    ``value_steps``; the flag keys the result cache, nothing else."""
+
+    def test_lean_prediction_is_the_full_one_without_evidence(self, sm_dataset):
+        with PredictionService() as svc:
+
+            @settings(max_examples=15, deadline=None)
+            @given(
+                query=st.integers(0, len(sm_dataset) - 1),
+                seed=st.integers(0, 2**31 - 1),
+                n_icl=st.integers(1, 5),
+                lean_first=st.booleans(),
+            )
+            def check(query, seed, n_icl, lean_first):
+                examples = [
+                    (sm_dataset.config(i), float(sm_dataset.runtimes[i]))
+                    for i in range(100, 100 + n_icl)
+                ]
+                flags = (False, True) if lean_first else (True, False)
+                got = {
+                    flag: svc.submit(make_request(
+                        sm_dataset, examples, query=query, seed=seed,
+                        evidence=flag,
+                    )).prediction
+                    for flag in flags
+                }
+                assert_lean_twin(got[False], got[True])
+                assert got[True].value_steps
+
+            check()
+
+    def test_full_after_lean_decodes_with_evidence(
+        self, sm_task, sm_dataset, examples
+    ):
+        spy = CountingSurrogate(sm_task)
+        with PredictionService(spy) as svc:
+            lean = svc.submit(make_request(sm_dataset, examples, seed=4,
+                                           evidence=False))
+            again = svc.submit(make_request(sm_dataset, examples, seed=4,
+                                            evidence=False))
+            full = svc.submit(make_request(sm_dataset, examples, seed=4))
+            stats = svc.stats()
+        assert again.result_cache_hit and again.prediction is lean.prediction
+        assert not full.result_cache_hit
+        assert spy.decodes == [4, 4]
+        assert (stats.result_hits, stats.result_misses) == (1, 2)
+        assert full.prediction.value_steps
+        assert_lean_twin(lean.prediction, full.prediction)
+
+    def test_mixed_flag_group_decodes_once(self, sm_task, sm_dataset, examples):
+        """Flags do not split a lockstep group: its leader decodes each
+        seed once, and each member drops evidence by its own flag."""
+        spy = CountingSurrogate(sm_task)
+        requests = [
+            make_request(sm_dataset, examples, seed=seed, evidence=flag)
+            for seed, flag in ((1, False), (2, True), (1, True), (3, False))
+        ]
+        with PredictionService(spy, max_batch_size=4, max_wait_s=0.5) as svc:
+            responses = svc.submit_many(requests)
+            stats = svc.stats()
+        assert spy.decodes == [1, 2, 3]
+        assert stats.n_groups == 1
+        assert [r.group_width for r in responses] == [4, 4, 4, 4]
+        assert [bool(r.prediction.value_steps) for r in responses] == [
+            False, True, True, False
+        ]
+        assert_lean_twin(responses[0].prediction, responses[2].prediction)
+
+
 class TestRunnerIntegration:
+    def test_run_spec_requests_evidence(self, sm_dataset):
+        """The grid reads the logits, so its requests keep the default."""
+
+        class Recording(PredictionService):
+            def submit_many(self, requests):
+                self.requests = list(requests)
+                return super().submit_many(self.requests)
+
+        spec = quick_grid(
+            sizes=("SM",), icl_counts=(2,), n_sets=1, seeds=(1,),
+            selections=("random",), n_queries=2,
+        )[0]
+        with Recording() as svc:
+            served = run_spec(spec, service=svc)
+        assert len(svc.requests) == 2
+        assert all(r.evidence for r in svc.requests)
+        assert all(p.value_steps for p in served)
+
     def test_run_spec_parity(self, sm_dataset):
         spec = quick_grid(
             sizes=("SM",), icl_counts=(2,), n_sets=1, seeds=(1,),

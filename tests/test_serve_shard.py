@@ -12,10 +12,12 @@ the live-service tests share one module-scoped 2-shard service; tests
 that destroy shard state build their own.
 """
 
+import dataclasses
 import pickle
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import load_probes_jsonl, quick_grid, run_grid
 from repro.errors import (
@@ -295,6 +297,40 @@ def test_repeat_is_served_bit_identically(shards, sm_task, sm_dataset, examples)
     assert not first.result_cache_hit and again.result_cache_hit
     assert canonical([first]) == canonical([again]) == [repr(direct)]
     assert (stats.result_hits, stats.result_misses) == (1, 1)
+
+
+@pytest.mark.chaos
+def test_lean_reply_is_the_full_one_without_evidence(sm_dataset):
+    """Across the pipe too, ``evidence=False`` changes only
+    ``value_steps``, which comes back empty."""
+    with make_service(shards=2) as service:
+
+        @settings(max_examples=10, deadline=None)
+        @given(
+            query=st.integers(0, len(sm_dataset) - 1),
+            seed=st.integers(0, 2**31 - 1),
+            n_icl=st.integers(1, 5),
+        )
+        def check(query, seed, n_icl):
+            examples = [
+                (sm_dataset.config(i), float(sm_dataset.runtimes[i]))
+                for i in range(100, 100 + n_icl)
+            ]
+            lean, full = service.submit_many(
+                make_request(sm_dataset, examples, query=query, seed=seed,
+                             evidence=flag)
+                for flag in (False, True)
+            )
+            for field in dataclasses.fields(full.prediction):
+                if field.name != "value_steps":
+                    assert getattr(lean.prediction, field.name) == getattr(
+                        full.prediction, field.name
+                    ), field.name
+            assert lean.prediction.value_steps == []
+            assert full.prediction.value_steps
+            assert len(pickle.dumps(lean)) < len(pickle.dumps(full)) / 4
+
+        check()
 
 
 @pytest.mark.chaos

@@ -121,11 +121,15 @@ class TestBasicRun:
             make_session(model, f"t{i}/s0", f"t{i}", budget=6)
             for i in range(3)
         ]
-        manager = SessionManager(StubService(), sessions=sessions)
+        service = StubService()
+        manager = SessionManager(service, sessions=sessions)
         snapshot = manager.run()
         assert all(s.state == DONE for s in manager.registry)
         assert snapshot["completed"] == 18
         assert manager.admission.total_inflight == 0
+        # A session reads only the value: its requests decline evidence.
+        assert len(service.requests) == 18
+        assert not any(r.evidence for r in service.requests)
 
     def test_histories_equal_run_tuner(self, model):
         """The determinism contract: concurrent service-driven campaigns
