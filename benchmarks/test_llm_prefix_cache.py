@@ -20,6 +20,7 @@ import pytest
 from repro.core.surrogate import DiscriminativeSurrogate
 from repro.dataset import Syr2kTask, generate_dataset
 from repro.dataset.splits import disjoint_example_sets
+from repro.llm.prefix_cache import DECODE_STATES
 from repro.utils.tables import Table
 from repro.utils.timing import Timer
 
@@ -77,6 +78,10 @@ def test_prefix_reuse_doubles_sweep_throughput(emit):
     # ~0.3 s warm sweep is short enough for host noise to rank it, and
     # interleaving exposes both configurations to the same load.
     for _ in range(5):
+        # Each timed warm sweep starts from an empty decode-state cache:
+        # otherwise it would replay the previous identical sweep's decode
+        # states and time the replay, not the sweep.
+        DECODE_STATES.clear()
         preds, secs = _sweep(warm, examples, query_configs, batched=True)
         if secs < warm_secs:
             warm_preds, warm_secs = preds, secs

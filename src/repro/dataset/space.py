@@ -167,19 +167,6 @@ class ConfigSpace:
     # ------------------------------------------------------------------ #
     # Sampling and distances
     # ------------------------------------------------------------------ #
-    def sample_indices(
-        self, rng: np.random.Generator, n: int, *, replace: bool = False
-    ) -> np.ndarray:
-        """Draw ``n`` configuration indices uniformly at random."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if not replace and n > self.size:
-            raise ValueError(
-                f"cannot draw {n} distinct configurations from a space of "
-                f"size {self.size}"
-            )
-        return rng.choice(self.size, size=n, replace=replace)
-
     def hamming_distance(
         self, a: Mapping[str, object], b: Mapping[str, object]
     ) -> int:

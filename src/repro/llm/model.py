@@ -193,26 +193,29 @@ class SurrogateLM:
                 ids, prefix=prefix.format_index if reused else None
             )
 
-    def next_token_logits_batch(
+    @property
+    def identity(self) -> tuple:
+        """Everything besides its inputs that the content pass reads.
+
+        Two models with equal identities score every context alike, so
+        :class:`~repro.llm.prefix_cache.DecodeStateCache` keys on it.
+        """
+        return (type(self), self.vocab, self.config, self.model_seed)
+
+    def finalize_batch(
         self,
-        context: np.ndarray,
-        generated_strings: list[str],
+        ids: np.ndarray,
+        probs: np.ndarray | None,
         sample_seeds: list[int],
         step: int,
-        analysis: FormatAnalysis | None = None,
-        prefix: PreparedPrefix | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Sparse logits for one context under many sampling seeds.
+        """Sparse logits under each of ``sample_seeds`` from one
+        :meth:`content_pass` result.
 
-        The seed-independent content pass (scorer mixture, prior bias,
-        noise mix) runs once; each seed then gets its own jitter,
-        re-softmax and support selection (:meth:`_finalize_logits`), so a
-        row depends on its own seed alone, whichever seeds share the call.
+        Each seed gets its own jitter, re-softmax and support selection,
+        so a row depends on its own seed alone, whichever seeds share
+        the call.
         """
-        ctx = np.asarray(context, dtype=np.int64)
-        if ctx.size == 0:
-            raise GenerationError("cannot score an empty context")
-        ids, probs = self._content_probs(ctx, generated_strings, analysis, prefix)
         if probs is None:
             # Degenerate context: fall back to ending the turn.
             return [(ids, np.zeros(1)) for _ in sample_seeds]
@@ -221,20 +224,25 @@ class SurrogateLM:
             for s in sample_seeds
         ]
 
-    # ------------------------------------------------------------------ #
-    def _content_probs(
+    def content_pass(
         self,
-        ctx: np.ndarray,
+        context: np.ndarray,
         generated_strings: list[str],
-        analysis: FormatAnalysis | None,
-        prefix: PreparedPrefix | None,
+        analysis: FormatAnalysis | None = None,
+        prefix: PreparedPrefix | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Seed-independent content distribution over the sparse support.
+        """The seed-independent half of one decode step; each seed then
+        reads the result through :meth:`finalize_batch`.
 
-        Returns ``(ids, probs)`` after the noise mix; ``probs`` is None
-        for the degenerate fall-back-to-eot case (``ids`` then holds the
-        eot token alone).
+        Returns ``(ids, probs)``: the content distribution over the
+        sparse support after the noise mix, a function of the context
+        (prompt plus generated tokens) and :attr:`identity` alone.
+        ``probs`` is None for the degenerate fall-back-to-eot case
+        (``ids`` then holds the eot token alone).
         """
+        ctx = np.asarray(context, dtype=np.int64)
+        if ctx.size == 0:
+            raise GenerationError("cannot score an empty context")
         cfg = self.config
         if analysis is None and cfg.use_format:
             n_gen = len(generated_strings)
@@ -299,6 +307,7 @@ class SurrogateLM:
                 ids, probs = both.ids, both.scores
         return ids, probs
 
+    # ------------------------------------------------------------------ #
     def _finalize_logits(
         self, ids: np.ndarray, probs: np.ndarray, sample_seed: int, step: int
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,15 @@ suffix delta:
   snapshot, owned by each :class:`~repro.core.surrogate
   .DiscriminativeSurrogate` (and shareable across surrogates that wrap
   the same model).
+* :class:`DecodeStateCache` — reuse past the prompt: the model's
+  seed-independent content pass at one decode state (prompt plus the
+  tokens generated so far), shared by every request and seed that
+  reaches that state.  There is one per process
+  (:data:`DECODE_STATES`) under one byte budget
+  (:data:`DECODE_STATE_BUDGET_BYTES`), because a grid holds one model
+  per problem size; :class:`~repro.llm.engine.GenerationEngine` reads it
+  only when it decodes through a prefix snapshot, so the cold path
+  (prefix reuse off) never touches it.
 
 The induction index (:class:`~repro.llm.scorers.InductionIndex`) packs
 each prefix n-gram into one int64 key and keeps, per n-gram length, two
@@ -31,7 +40,9 @@ every sampling seed.  The indexed induction path visits the cold scan's
 matches in the cold scan's order — index-listed prefix matches, then a
 scan of the tail past the prefix — and adds the votes through the cold
 path's own dict loop; nothing downstream of the scorers can tell the two
-paths apart.
+paths apart.  A decode-state hit returns the very arrays the content
+pass computed (ids narrowed losslessly, probabilities as float64), so
+it is bit-identical too.
 """
 
 from __future__ import annotations
@@ -49,7 +60,21 @@ from repro.llm.scorers import FormatPrefixIndex, InductionIndex
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (model -> cache)
     from repro.llm.model import SurrogateLM
 
-__all__ = ["PreparedPrefix", "PrefixCache", "token_fingerprint"]
+__all__ = [
+    "DECODE_STATES",
+    "DECODE_STATE_BUDGET_BYTES",
+    "DecodeStateCache",
+    "PreparedPrefix",
+    "PrefixCache",
+    "token_fingerprint",
+]
+
+#: Bytes of content-pass arrays :data:`DECODE_STATES` may hold.  A served
+#: entry is ~15 KB (~1,500 candidates: 2-byte ids, 8-byte probabilities),
+#: so this keeps ~200 decode states, a process's hottest ones.  At 4 MiB
+#: the serial grid's peak RSS rose 6.3% (it keeps ~800 smaller entries,
+#: and the heap grows by more than the bytes held).
+DECODE_STATE_BUDGET_BYTES = 3 * 1024 * 1024
 
 
 def token_fingerprint(token_ids: np.ndarray) -> str:
@@ -185,3 +210,77 @@ class PrefixCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
         return entry
+
+
+class DecodeStateCache:
+    """Thread-safe LRU of content passes, bounded in bytes.
+
+    Maps a decode-state key — the model's
+    :attr:`~repro.llm.model.SurrogateLM.identity`, the prefix
+    fingerprint, the suffix ids (as bytes in the vocabulary's narrowest
+    unsigned dtype) and the generated ids — to the content pass's
+    ``(ids, probs)`` there.  Stored arrays are read-only copies: ids in
+    the narrowest unsigned dtype (as
+    :class:`~repro.llm.vocab.TokenStrings` keeps them), probs as
+    float64.  The bytes held — these arrays; the keys, which share one
+    suffix per decode call, are not counted — never exceed
+    :data:`DECODE_STATE_BUDGET_BYTES`, read on every store; an entry
+    larger than the whole budget is not kept.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._nbytes = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays held."""
+        with self._lock:
+            return self._nbytes
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._nbytes = 0
+
+    def get(self, key: tuple) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """The stored ``(ids, probs)`` for ``key`` (ids widened back to
+        int64), or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+        ids, probs, _ = entry
+        return ids.astype(np.int64), probs
+
+    def put(self, key: tuple, ids: np.ndarray, probs: np.ndarray | None) -> None:
+        """Store read-only copies of one content pass, evicting the least
+        recently used entries down to the budget."""
+        ids = ids.astype(np.min_scalar_type(int(ids.max())))
+        ids.setflags(write=False)
+        if probs is not None:
+            probs = np.array(probs, dtype=np.float64)
+            probs.setflags(write=False)
+        size = ids.nbytes + (0 if probs is None else probs.nbytes)
+        budget = DECODE_STATE_BUDGET_BYTES
+        if size > budget:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._nbytes -= old[2]
+            self._entries[key] = (ids, probs, size)
+            self._nbytes += size
+            while self._nbytes > budget:
+                _, (_, _, evicted) = self._entries.popitem(last=False)
+                self._nbytes -= evicted
+
+
+#: The process's decode-state cache (see :class:`DecodeStateCache`).
+DECODE_STATES = DecodeStateCache()

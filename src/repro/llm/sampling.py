@@ -65,5 +65,9 @@ def sample_token(
     kept = order[:cutoff]
     p = probs[kept]
     p = p / p.sum()
-    choice = rng.choice(kept.size, p=p)
-    return int(kept[choice])
+    # Inverse-CDF draw: the steps of ``rng.choice(kept.size, p=p)``
+    # without its argument checks, so the index and the generator's
+    # next draw match it exactly (tests pin the equivalence).
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(kept[cdf.searchsorted(rng.random(), side="right")])

@@ -40,6 +40,7 @@ from repro.core.surrogate import DiscriminativeSurrogate
 from repro.dataset.syr2k import Syr2kTask
 from repro.errors import RequestTimeoutError, ServiceClosedError
 from repro.faults import FaultInjector, FaultPlan
+from repro.llm.prefix_cache import DECODE_STATES
 from repro.obs import MetricsRegistry, get_tracer
 from repro.prompts.builder import PromptParts
 from repro.serve.cache import MISS, LRUCache
@@ -420,7 +421,8 @@ class PredictionService(ServiceBase):
 
     def metrics(self) -> MetricsRegistry:
         """A frozen snapshot of this service's registry, with the prefix
-        lookups and the cache fill gauges (see :mod:`repro.serve.stats`)."""
+        and decode-state lookups and the cache fill gauges (see
+        :mod:`repro.serve.stats`)."""
         snap = self._stats.snapshot()
         cache = self.result_cache
         if cache is not None:
@@ -431,15 +433,22 @@ class PredictionService(ServiceBase):
         else:
             with self._surrogate_lock:
                 surrogates = list(self._surrogates.values())
-        hits = misses = 0
+        lookups = {"prefix": [0, 0], "decode": [0, 0]}
         for surrogate in surrogates:
             if surrogate.prefix_cache is not None:
-                cache_hits, cache_misses = surrogate.prefix_cache.snapshot()
-                hits += cache_hits
-                misses += cache_misses
-        if hits or misses:
-            for outcome, n in (("hit", hits), ("miss", misses)):
-                snap.counter("cache.lookups", level="prefix", outcome=outcome).inc(n)
+                for level, counts in (
+                    ("prefix", surrogate.prefix_cache.snapshot()),
+                    ("decode", surrogate.engine.state_lookups()),
+                ):
+                    lookups[level][0] += counts[0]
+                    lookups[level][1] += counts[1]
+        for level, (hits, misses) in lookups.items():
+            if hits or misses:
+                for outcome, n in (("hit", hits), ("miss", misses)):
+                    snap.counter("cache.lookups", level=level, outcome=outcome).inc(n)
+        if any(lookups["decode"]):
+            # Process-wide: every model in this process shares the budget.
+            snap.gauge("cache.bytes", level="decode").set(DECODE_STATES.nbytes)
         return read_outs(snap, self._stats.max_batch_size)
 
     # ------------------------------------------------------------------ #

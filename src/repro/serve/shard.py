@@ -853,19 +853,28 @@ class ShardedPredictionService(ServiceBase):
         add, histograms merge bucket by bucket, so the cross-shard
         queue-wait percentiles are percentiles of the union).
 
+        The ``cache.bytes{level=decode}`` gauge is the sum over live
+        workers: each process holds its own decode-state cache.
+
         Live shards are polled first.
         """
         self._refresh_shard_stats()
         workers = MetricsRegistry()
+        decode_bytes = None
         with self._lock:
             workers.merge(self._retired)
             for slot in self._shards:
                 if slot.metrics is not None:
                     workers.merge(slot.metrics, WORKER_METRICS)
+                    held = slot.metrics.get("cache.bytes", level="decode")
+                    if held is not None:
+                        decode_bytes = (decode_bytes or 0) + held.value
         # The parent's submit count is read after the workers' lookups
         # it bounds (see StatsRecorder.snapshot).
         snap = self._stats.snapshot()
         snap.merge(workers)
+        if decode_bytes is not None:
+            snap.gauge("cache.bytes", level="decode").set(decode_bytes)
         return read_outs(snap, self._stats.max_batch_size)
 
     # ------------------------------------------------------------------ #

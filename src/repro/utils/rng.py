@@ -97,20 +97,3 @@ class SeedSequenceTree:
 
     def __repr__(self) -> str:
         return f"SeedSequenceTree(seed={self.seed})"
-
-
-def permutation_without_replacement(
-    rng: np.random.Generator, n: int, k: int
-) -> np.ndarray:
-    """Sample ``k`` distinct indices from ``range(n)`` (order random).
-
-    Raises
-    ------
-    ValueError
-        If ``k > n`` or either argument is negative.
-    """
-    if k < 0 or n < 0:
-        raise ValueError("n and k must be non-negative")
-    if k > n:
-        raise ValueError(f"cannot draw {k} distinct items from {n}")
-    return rng.permutation(n)[:k]

@@ -12,6 +12,16 @@ import pytest
 
 from repro.dataset import Syr2kTask, generate_dataset, syr2k_space
 from repro.llm import GenerationEngine, SurrogateLM, Tokenizer
+from repro.llm.prefix_cache import DECODE_STATES
+
+
+@pytest.fixture(autouse=True)
+def _cold_decode_states():
+    """Start every test with an empty process-wide decode-state cache, so
+    no test's hits or misses depend on which tests ran before it."""
+    DECODE_STATES.clear()
+    yield
+    DECODE_STATES.clear()
 
 
 @pytest.fixture(scope="session")

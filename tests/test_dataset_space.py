@@ -110,20 +110,6 @@ class TestBijection:
         assert space.to_index(space.from_index(i)) == i
 
 
-class TestSampling:
-    def test_without_replacement_distinct(self, small_space, rng):
-        idx = small_space.sample_indices(rng, small_space.size)
-        assert len(set(idx.tolist())) == small_space.size
-
-    def test_too_many_raises(self, small_space, rng):
-        with pytest.raises(ValueError):
-            small_space.sample_indices(rng, small_space.size + 1)
-
-    def test_with_replacement_allows_more(self, small_space, rng):
-        idx = small_space.sample_indices(rng, 100, replace=True)
-        assert idx.shape == (100,)
-
-
 class TestDistances:
     def test_hamming_zero_to_self(self, small_space):
         cfg = small_space.from_index(5)

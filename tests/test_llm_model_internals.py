@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.llm.model import LMConfig, SurrogateLM
 from repro.llm.scorers import FormatAnalysis
 
+from tests.test_llm_model import next_token_logits
+
 
 @pytest.fixture(scope="module")
 def model(tokenizer):
@@ -56,10 +58,10 @@ class TestPrepare:
         text = "Performance: 0.0022155\nPerformance:"
         ids = np.asarray(tokenizer.encode(text))
         pre = model.prepare(ids)
-        ids_a, logits_a = model.next_token_logits_batch(
-            ids, [], [1], 0, analysis=pre
+        ids_a, logits_a = next_token_logits(
+            model, ids, [], [1], 0, analysis=pre
         )[0]
-        ids_b, logits_b = model.next_token_logits_batch(ids, [], [1], 0)[0]
+        ids_b, logits_b = next_token_logits(model, ids, [], [1], 0)[0]
         np.testing.assert_array_equal(ids_a, ids_b)
         np.testing.assert_allclose(logits_a, logits_b)
 
@@ -70,8 +72,8 @@ class TestPrepare:
         ids = np.asarray(tokenizer.encode(text))
         analysis = model.prepare(ids)
         assert analysis.integer_valued
-        cand, logits = model.next_token_logits_batch(
-            ids, ["2"], [1], 1, analysis=analysis
+        cand, logits = next_token_logits(
+            model, ids, ["2"], [1], 1, analysis=analysis
         )[0]
         top = int(cand[np.argmax(logits)])
         top_str = tokenizer.vocab.string_of(top)
@@ -82,14 +84,14 @@ class TestSupportShape:
     def test_support_never_empty(self, model, tokenizer):
         ids = np.asarray(tokenizer.encode("Performance: 1.5\nPerformance:"))
         for step, gen in enumerate(([], ["1"], ["1", "."])):
-            cand, logits = model.next_token_logits_batch(
-                ids, list(gen), [1], step
+            cand, logits = next_token_logits(
+                model, ids, list(gen), [1], step
             )[0]
             assert cand.size >= 1
 
     def test_all_logits_finite(self, model, tokenizer):
         ids = np.asarray(tokenizer.encode("Performance: 1.5\nPerformance:"))
-        _, logits = model.next_token_logits_batch(ids, ["1", "."], [1], 2)[0]
+        _, logits = next_token_logits(model, ids, ["1", "."], [1], 2)[0]
         assert np.isfinite(logits).all()
 
     @settings(max_examples=200, deadline=None)

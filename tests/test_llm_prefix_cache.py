@@ -24,6 +24,8 @@ from repro.llm.prefix_cache import PrefixCache, token_fingerprint
 from repro.prompts.builder import PromptBuilder
 from repro.serve import PredictionService, Request
 
+from tests.test_llm_model import next_token_logits
+
 SEEDS = (0, 1, 7, 123)
 
 
@@ -365,11 +367,11 @@ class TestPrefixEqualityProperty:
         cold_analysis = lm.prepare(ids)
         warm_analysis = lm.prepare(ids, prefix=snap)
         for seed in (0, 1, 2):
-            cold_ids, cold_logits = lm.next_token_logits_batch(
-                ids, [], [seed], step=0, analysis=cold_analysis
+            cold_ids, cold_logits = next_token_logits(
+                lm, ids, [], [seed], step=0, analysis=cold_analysis
             )[0]
-            warm_ids, warm_logits = lm.next_token_logits_batch(
-                ids, [], [seed], step=0,
+            warm_ids, warm_logits = next_token_logits(
+                lm, ids, [], [seed], step=0,
                 analysis=warm_analysis, prefix=snap,
             )[0]
             assert np.array_equal(cold_ids, warm_ids)

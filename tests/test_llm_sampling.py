@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GenerationError
 from repro.llm.sampling import SamplingParams, sample_token
@@ -78,3 +79,43 @@ class TestSampleToken:
     def test_mismatched_raises(self, rng):
         with pytest.raises(GenerationError):
             sample_token(np.array([1]), np.array([1.0, 2.0]), SamplingParams(), rng)
+
+
+def _choice_reference(ids, logits, params, rng):
+    """``sample_token`` as it drew before: ``Generator.choice`` over the
+    kept nucleus."""
+    z = np.asarray(logits, dtype=float) / params.temperature
+    probs = np.exp(z - z.max())
+    probs /= probs.sum()
+    order = np.argsort(probs)[::-1]
+    if params.top_k > 0:
+        order = order[: params.top_k]
+    cum = np.cumsum(probs[order])
+    kept = order[: int(np.searchsorted(cum, params.top_p, side="left")) + 1]
+    p = probs[kept]
+    return int(kept[rng.choice(kept.size, p=p / p.sum())])
+
+
+class TestInverseCdfDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 1300),
+           logit_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.1, 20.0),
+           temperature=st.floats(0.05, 2.0),
+           top_p=st.floats(0.01, 1.0),
+           top_k=st.integers(0, 50))
+    def test_matches_generator_choice(
+        self, n, logit_seed, seed, scale, temperature, top_p, top_k
+    ):
+        """Same position and same generator state afterwards as
+        ``Generator.choice``: a numpy whose ``choice`` draws differently
+        fails here, not in a digest."""
+        logits = scale * np.random.default_rng(logit_seed).standard_normal(n)
+        ids = np.arange(n) + 7
+        params = SamplingParams(temperature=temperature, top_p=top_p,
+                                top_k=top_k)
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_token(ids, logits, params, mine) == \
+            _choice_reference(ids, logits, params, ref)
+        assert mine.random() == ref.random()

@@ -271,6 +271,21 @@ class TestShardedServing:
             make_request(sm_dataset, examples)
         ) is None
 
+    def test_decode_state_bytes_sum_over_workers(
+        self, sharded, sm_dataset, examples
+    ):
+        """Each worker process holds its own decode-state cache, so the
+        parent reports the sum of the workers' byte gauges."""
+        sharded.submit_many(self.workload(sm_dataset, examples))
+        snap = sharded.metrics().snapshot()
+        held = [
+            slot.metrics.get("cache.bytes", level="decode")
+            for slot in sharded._shards
+        ]
+        total = sum(gauge.value for gauge in held if gauge is not None)
+        assert snap["cache.bytes{level=decode}"] == total > 0
+        assert snap["cache.lookups{level=decode,outcome=miss}"] > 0
+
     def test_shard_info(self, sharded):
         """Shard topology and health are registry instruments."""
         metrics = sharded.metrics()

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.utils.rng import (
     SeedSequenceTree,
     derive_seed,
-    permutation_without_replacement,
     rng_from,
 )
 
@@ -86,21 +85,3 @@ class TestSeedSequenceTree:
 
     def test_repr(self):
         assert "SeedSequenceTree" in repr(SeedSequenceTree(3))
-
-
-class TestPermutationWithoutReplacement:
-    def test_distinct(self, rng):
-        idx = permutation_without_replacement(rng, 100, 30)
-        assert len(set(idx.tolist())) == 30
-
-    def test_k_equals_n(self, rng):
-        idx = permutation_without_replacement(rng, 5, 5)
-        assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
-
-    def test_too_many_raises(self, rng):
-        with pytest.raises(ValueError):
-            permutation_without_replacement(rng, 3, 4)
-
-    def test_negative_raises(self, rng):
-        with pytest.raises(ValueError):
-            permutation_without_replacement(rng, -1, 0)
