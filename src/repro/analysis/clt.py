@@ -16,9 +16,10 @@ import numpy as np
 
 from repro.utils.validation import check_1d
 
-# scipy.stats is imported where it is used: it costs ~45 MB of RSS and
-# ~1 s at import, which every process importing ``repro`` (a shard
-# worker serving predictions, say) would otherwise pay for nothing.
+# scipy.stats is imported where it is used: on top of ``import repro``
+# it costs ~65 MB of RSS and ~1 s, which every process importing
+# ``repro`` (a shard worker serving predictions, say) would otherwise pay
+# for nothing.
 
 __all__ = ["CLTAggregate", "aggregate_metric"]
 

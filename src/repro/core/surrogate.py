@@ -153,12 +153,15 @@ class DiscriminativeSurrogate:
         parts: PromptParts,
         seeds: Sequence[int],
         analysis=None,
+        evidence: bool = True,
     ) -> list[SurrogatePrediction]:
         """One prediction per seed for a single built prompt.
 
         Decodes all seeds through the engine's lockstep loop (sharing the
         seed-independent content pass per step); each prediction depends
-        on its own seed alone.
+        on its own seed alone.  ``evidence=False`` leaves ``value_steps``
+        empty instead of assembling the value region's candidates: a
+        caller that reads only the value skips that work.
         """
         traces = self.engine.generate_batch(
             parts.ids,
@@ -167,12 +170,16 @@ class DiscriminativeSurrogate:
             prefix=self.prepared_prefix(parts),
         )
         return [
-            self._prediction_from_trace(parts, trace, seed)
+            self._prediction_from_trace(parts, trace, seed, evidence)
             for trace, seed in zip(traces, seeds)
         ]
 
     def _prediction_from_trace(
-        self, parts: PromptParts, trace: GenerationTrace, seed: int
+        self,
+        parts: PromptParts,
+        trace: GenerationTrace,
+        seed: int,
+        evidence: bool,
     ) -> SurrogatePrediction:
         text = trace.generated_text(self.tokenizer.vocab)
         try:
@@ -184,7 +191,9 @@ class DiscriminativeSurrogate:
             value_text=value_text,
             generated_text=text,
             icl_value_strings=list(parts.icl_value_strings),
-            value_steps=trace.value_region(self.tokenizer.vocab),
+            value_steps=(
+                trace.value_region(self.tokenizer.vocab) if evidence else []
+            ),
             n_prompt_tokens=int(parts.ids.size),
             seed=int(seed),
         )

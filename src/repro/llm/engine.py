@@ -104,8 +104,10 @@ class GenerationEngine:
         decode state some earlier call already scored (another request,
         or another seed of this prompt) is read from
         :data:`~repro.llm.prefix_cache.DECODE_STATES` instead of scored
-        again.  Each seed stops at the first end-of-turn token, at a
-        non-numeric token after the value has begun, or at
+        again; without an ``analysis``, :meth:`SurrogateLM.prepare` runs
+        at the first step that misses, so a decode whose every step hits
+        analyses nothing.  Each seed stops at the first end-of-turn
+        token, at a non-numeric token after the value has begun, or at
         ``max_new_tokens``.  Each returned trace depends on its own seed
         alone, whichever seeds share the decode and whichever requests
         decoded this prompt before (see :meth:`generate`).
@@ -141,8 +143,6 @@ class GenerationEngine:
         ) as span:
             model = self.model
             vocab = model.vocab
-            if analysis is None:
-                analysis = model.prepare(prompt, prefix=prefix)
             states = [_DecodeState(seed, prompt) for seed in seeds]
             n_kernel_calls = n_state_hits = 0
             for step in range(self.max_new_tokens):
@@ -158,6 +158,10 @@ class GenerationEngine:
                     key = (root, generated)
                     content = None if root is None else DECODE_STATES.get(key)
                     if content is None:
+                        # The prompt analysis is read only by a content
+                        # pass: a decode whose every step hits skips it.
+                        if analysis is None:
+                            analysis = model.prepare(prompt, prefix=prefix)
                         content = model.content_pass(
                             lead.context(),
                             lead.generated_strings,

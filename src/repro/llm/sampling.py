@@ -50,6 +50,11 @@ def sample_token(
         raise GenerationError("ids and logits must be equal-length non-empty")
     if params.greedy or params.temperature == 0.0:
         return int(np.argmax(logits))
+    if ids.size == 1:
+        # What the inverse-CDF draw below returns for one candidate, with
+        # the same one-draw advance of the generator.
+        rng.random()
+        return 0
 
     z = logits / params.temperature
     z = z - z.max()

@@ -49,6 +49,7 @@ from repro.serve.scheduler import MicroBatcher, Ticket
 from repro.serve.stats import (
     ServiceStats,
     StatsRecorder,
+    peak_rss_bytes,
     read_outs,
     service_stats,
 )
@@ -64,14 +65,17 @@ class _PrefixGroup:
 
     ``seeds`` are the distinct member seeds (admission order); ``stash``
     holds seed -> prediction once the leader has decoded; ``width`` is
-    the member-ticket count reported on responses and spans.
+    the member-ticket count reported on responses and spans;
+    ``evidence`` is whether any member asked for evidence, so the
+    leader's decode records it whenever one will read it.
     """
 
-    __slots__ = ("seeds", "stash", "width")
+    __slots__ = ("seeds", "stash", "width", "evidence")
 
-    def __init__(self, seeds: list[int], width: int):
+    def __init__(self, seeds: list[int], width: int, evidence: bool):
         self.seeds = seeds
         self.width = width
+        self.evidence = evidence
         self.stash: dict[int, object] | None = None
 
 
@@ -421,9 +425,10 @@ class PredictionService(ServiceBase):
 
     def metrics(self) -> MetricsRegistry:
         """A frozen snapshot of this service's registry, with the prefix
-        and decode-state lookups and the cache fill gauges (see
-        :mod:`repro.serve.stats`)."""
+        and decode-state lookups, the cache fill gauges and the process's
+        ``process.peak_rss_bytes`` (see :mod:`repro.serve.stats`)."""
         snap = self._stats.snapshot()
+        snap.gauge("process.peak_rss_bytes").set(peak_rss_bytes())
         cache = self.result_cache
         if cache is not None:
             snap.gauge("cache.entries", level="result").set(len(cache))
@@ -515,6 +520,7 @@ class PredictionService(ServiceBase):
                     dict.fromkeys(int(t.request.seed) for t in members)
                 ),
                 width=len(members),
+                evidence=any(t.request.evidence for t in members),
             )
             for ticket in members:
                 plan[ticket.request_id] = group
@@ -671,8 +677,9 @@ class PredictionService(ServiceBase):
     ) -> tuple[object, int]:
         """Generate a result-cache miss: ``(prediction, group width)``.
 
-        The decode always records evidence, so a group's stash serves
-        members of either flag; each member drops it here, by its own.
+        A solo miss decodes with evidence only if it asked for it; a
+        group decodes with it if any member asked, so its stash serves
+        members of either flag, and a lean member drops it here.
         """
         seed = int(request.seed)
         prediction = MISS
@@ -684,10 +691,15 @@ class PredictionService(ServiceBase):
             # A solo miss decodes as a group of one; a group's leader
             # decodes every member seed in one lockstep batch and stashes
             # the predictions for its followers.
-            seeds = [seed] if group is None else group.seeds
+            seeds, evidence = (
+                ([seed], request.evidence) if group is None
+                else (group.seeds, group.evidence)
+            )
             parts = self._build(lookup, request)
             with get_tracer().span("serve.generate") as gen:
-                predictions = lookup.surrogate.predict_parts_batch(parts, seeds)
+                predictions = lookup.surrogate.predict_parts_batch(
+                    parts, seeds, evidence=evidence
+                )
                 if group is None:
                     prediction = predictions[0]
                 else:
@@ -695,6 +707,6 @@ class PredictionService(ServiceBase):
                     gen.set(group_width=group.width)
                     self._stats.record_group(group.width)
                     prediction = group.stash[seed]
-        if not request.evidence:
+        if not request.evidence and prediction.value_steps:
             prediction = replace(prediction, value_steps=[])
         return prediction, 1 if group is None else group.width

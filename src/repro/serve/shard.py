@@ -81,7 +81,12 @@ from repro.obs import MetricsRegistry, Tracer, get_tracer, set_tracer
 from repro.obs.tracer import worker_id_start
 from repro.serve.request import Request, Response
 from repro.serve.service import PredictionService, ServiceBase
-from repro.serve.stats import WORKER_METRICS, StatsRecorder, read_outs
+from repro.serve.stats import (
+    WORKER_METRICS,
+    StatsRecorder,
+    peak_rss_bytes,
+    read_outs,
+)
 from repro.utils.parallel import mp_context
 from repro.utils.rng import derive_seed
 
@@ -855,12 +860,15 @@ class ShardedPredictionService(ServiceBase):
 
         The ``cache.bytes{level=decode}`` gauge is the sum over live
         workers: each process holds its own decode-state cache.
+        ``process.peak_rss_bytes`` is the parent's peak RSS plus every
+        live worker's.
 
         Live shards are polled first.
         """
         self._refresh_shard_stats()
         workers = MetricsRegistry()
         decode_bytes = None
+        rss_bytes = peak_rss_bytes()
         with self._lock:
             workers.merge(self._retired)
             for slot in self._shards:
@@ -869,12 +877,16 @@ class ShardedPredictionService(ServiceBase):
                     held = slot.metrics.get("cache.bytes", level="decode")
                     if held is not None:
                         decode_bytes = (decode_bytes or 0) + held.value
+                    rss = slot.metrics.get("process.peak_rss_bytes")
+                    if rss is not None:
+                        rss_bytes += rss.value
         # The parent's submit count is read after the workers' lookups
         # it bounds (see StatsRecorder.snapshot).
         snap = self._stats.snapshot()
         snap.merge(workers)
         if decode_bytes is not None:
             snap.gauge("cache.bytes", level="decode").set(decode_bytes)
+        snap.gauge("process.peak_rss_bytes").set(rss_bytes)
         return read_outs(snap, self._stats.max_batch_size)
 
     # ------------------------------------------------------------------ #

@@ -19,6 +19,8 @@ bucket resolution (within a factor of 10^(1/16) ≈ 1.155).
 from __future__ import annotations
 
 import functools
+import resource
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -31,6 +33,7 @@ __all__ = [
     "WORKER_METRICS",
     "ServiceStats",
     "StatsRecorder",
+    "peak_rss_bytes",
     "read_outs",
     "service_stats",
 ]
@@ -315,6 +318,13 @@ class StatsRecorder:
             window = max(last - first, 1e-9)
         snap.gauge("serve.throughput_rps").set(done / window if window else 0.0)
         return snap
+
+
+def peak_rss_bytes() -> int:
+    """This process's peak resident set size in bytes (``ru_maxrss`` is
+    in bytes on macOS and in KiB elsewhere)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(peak if sys.platform == "darwin" else peak * 1024)
 
 
 def _count(registry: MetricsRegistry, name: str, **labels) -> int:

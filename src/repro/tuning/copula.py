@@ -21,7 +21,6 @@ near the target optimum without any target evaluations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from repro.dataset.generate import PerformanceDataset
 from repro.dataset.space import ConfigSpace
@@ -29,7 +28,8 @@ from repro.errors import TuningError
 from repro.tuning.base import Tuner, TuningHistory
 from repro.utils.rng import rng_from
 
-# scipy.stats is imported where it is used (see repro.analysis.clt).
+# scipy.stats and scipy.linalg are imported where they are used (see
+# repro.analysis.clt).
 
 __all__ = ["GaussianCopula", "CopulaTransferTuner"]
 
@@ -106,6 +106,8 @@ class GaussianCopula:
         # Symmetrize + jitter before Cholesky.
         cond_cov = (cond_cov + cond_cov.T) / 2.0
         cond_cov[np.diag_indices_from(cond_cov)] += 1e-8
+        from scipy import linalg
+
         self._cond_chol = linalg.cholesky(cond_cov, lower=True)
 
     @property

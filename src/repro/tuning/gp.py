@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from repro.errors import ModelNotFittedError, TuningError
+
+# scipy.linalg is imported where it is used (see repro.analysis.clt).
 
 __all__ = ["GPParams", "GaussianProcess"]
 
@@ -78,6 +79,8 @@ class GaussianProcess:
         z = (y - self._y_mean) / self._y_std
         k = self._kernel(x, x)
         k[np.diag_indices_from(k)] += self.params.noise_variance + 1e-10
+        from scipy import linalg
+
         self._chol = linalg.cholesky(k, lower=True)
         self._alpha = linalg.cho_solve((self._chol, True), z)
         self._x = x
@@ -94,6 +97,8 @@ class GaussianProcess:
         mean = k_star @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
+        from scipy import linalg
+
         v = linalg.solve_triangular(self._chol, k_star.T, lower=True)
         var = self.params.signal_variance - np.sum(v * v, axis=0)
         var = np.maximum(var, 1e-12)

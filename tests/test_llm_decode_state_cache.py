@@ -90,6 +90,19 @@ class TestBitIdentity:
         for trace, seed in zip(warm, (0, 1, 2)):
             _assert_traces_identical(engine.generate(ids, seed=seed), trace)
 
+    def test_all_hit_decode_skips_prompt_analysis(self, engine, prompts):
+        """A decode whose every step hits runs no prompt analysis (no
+        ``llm.prepare`` span) and still equals the cold decode."""
+        ids, prefix = prompts[2]
+        engine.generate_batch(ids, [5], prefix=prefix)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            (warm,) = engine.generate_batch(ids, [5], prefix=prefix)
+        (span,) = _generate_spans(tracer)
+        assert span.attributes["n_kernel_calls"] == 0
+        assert not [s for s in tracer.spans() if s.name == "llm.prepare"]
+        _assert_traces_identical(engine.generate(ids, seed=5), warm)
+
     def test_cold_path_never_touches_the_cache(self, engine, prompts):
         ids, _ = prompts[1]
         tracer = Tracer()

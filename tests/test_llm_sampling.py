@@ -98,7 +98,9 @@ def _choice_reference(ids, logits, params, rng):
 
 class TestInverseCdfDraw:
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 1300),
+    # One candidate (a support floor can leave just one) takes its own
+    # shortcut, so it is drawn as often as any wider support.
+    @given(n=st.one_of(st.just(1), st.integers(2, 1300)),
            logit_seed=st.integers(0, 2**32 - 1),
            seed=st.integers(0, 2**32 - 1),
            scale=st.floats(0.1, 20.0),

@@ -34,9 +34,9 @@ class SlowSurrogate(DiscriminativeSurrogate):
 
     delay_s = 0.05
 
-    def predict_parts_batch(self, parts, seeds, analysis=None):
+    def predict_parts_batch(self, parts, seeds, **kwargs):
         time.sleep(self.delay_s)
-        return super().predict_parts_batch(parts, seeds, analysis=analysis)
+        return super().predict_parts_batch(parts, seeds, **kwargs)
 
 
 def make_request(sm_dataset, examples, query=42, seed=0, **kw):

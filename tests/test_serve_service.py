@@ -23,6 +23,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.faults import fault_counts
+from repro.llm.trace import GenerationTrace
 from repro.obs import Tracer, use_tracer
 from repro.serve import PredictionService, Request, make_service
 
@@ -45,9 +46,9 @@ class SlowSurrogate(DiscriminativeSurrogate):
 
     delay_s = 0.05
 
-    def predict_parts_batch(self, parts, seeds, analysis=None):
+    def predict_parts_batch(self, parts, seeds, **kwargs):
         time.sleep(self.delay_s)
-        return super().predict_parts_batch(parts, seeds, analysis=analysis)
+        return super().predict_parts_batch(parts, seeds, **kwargs)
 
 
 def make_request(sm_dataset, examples, query=42, seed=0, **kw):
@@ -105,8 +106,9 @@ class TestServing:
         assert stats.n_submitted == stats.n_completed == 2
 
     def test_new_seed_reuses_prefix(self, sm_dataset, sm_task, examples):
-        """Same prompt, new seed: the result cache misses, the prompt
-        analysis runs past the warm prefix snapshot, and the prediction
+        """Same prompt, new seed: the result cache misses, any prompt
+        analysis runs past the warm prefix snapshot (a decode whose every
+        step hits the decode-state cache runs none), and the prediction
         equals a surrogate's without prefix reuse."""
         tracer = Tracer()
         with PredictionService() as svc:
@@ -116,8 +118,9 @@ class TestServing:
             stats = svc.stats()
         assert not resp.result_cache_hit
         assert (stats.prefix_hits, stats.prefix_misses) == (1, 1)
-        (prepare,) = [s for s in tracer.spans() if s.name == "llm.prepare"]
-        assert prepare.attributes["prefix_reused"] is True
+        for span in tracer.spans():
+            if span.name == "llm.prepare":
+                assert span.attributes["prefix_reused"] is True
         cold = DiscriminativeSurrogate(sm_task, prefix_cache=False)
         want = cold.predict(examples, sm_dataset.config(42), seed=2)
         got = resp.prediction
@@ -332,9 +335,9 @@ class CountingSurrogate(SlowSurrogate):
         self.builds.append(1)
         return super().build_parts(examples, query_config)
 
-    def predict_parts_batch(self, parts, seeds, analysis=None):
+    def predict_parts_batch(self, parts, seeds, **kwargs):
         self.decodes.extend(seeds)
-        return super().predict_parts_batch(parts, seeds, analysis=analysis)
+        return super().predict_parts_batch(parts, seeds, **kwargs)
 
 
 class TestAdmissionHits:
@@ -709,6 +712,24 @@ class TestEvidence:
                 assert got[True].value_steps
 
             check()
+
+    def test_lean_solo_miss_assembles_no_evidence(
+        self, sm_dataset, examples, monkeypatch
+    ):
+        """A lean miss never reads its trace's value region."""
+        reads = []
+        value_region = GenerationTrace.value_region
+
+        def counting(trace, vocab):
+            reads.append(1)
+            return value_region(trace, vocab)
+
+        monkeypatch.setattr(GenerationTrace, "value_region", counting)
+        with PredictionService() as svc:
+            lean = svc.submit(make_request(sm_dataset, examples, seed=4,
+                                           evidence=False))
+        assert reads == []
+        assert lean.prediction.value_steps == [] and lean.prediction.parsed
 
     def test_full_after_lean_decodes_with_evidence(
         self, sm_task, sm_dataset, examples

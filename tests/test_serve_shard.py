@@ -40,7 +40,7 @@ from repro.serve import (
     make_service,
     route_shard,
 )
-from repro.serve.stats import WORKER_METRICS, service_stats
+from repro.serve.stats import WORKER_METRICS, peak_rss_bytes, service_stats
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +285,23 @@ class TestShardedServing:
         total = sum(gauge.value for gauge in held if gauge is not None)
         assert snap["cache.bytes{level=decode}"] == total > 0
         assert snap["cache.lookups{level=decode,outcome=miss}"] > 0
+
+    def test_peak_rss_sums_parent_and_workers(
+        self, sharded, sm_dataset, examples
+    ):
+        """Each process has its own peak RSS: the parent reports its own
+        plus every live worker's."""
+        sharded.submit_many(self.workload(sm_dataset, examples))
+        before = peak_rss_bytes()
+        snap = sharded.metrics().snapshot()
+        after = peak_rss_bytes()
+        workers = [
+            slot.metrics.get("process.peak_rss_bytes").value
+            for slot in sharded._shards
+        ]
+        assert len(workers) == 2 and min(workers) > 0
+        total = snap["process.peak_rss_bytes"]
+        assert before + sum(workers) <= total <= after + sum(workers)
 
     def test_shard_info(self, sharded):
         """Shard topology and health are registry instruments."""

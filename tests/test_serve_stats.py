@@ -5,7 +5,13 @@ import functools
 import pytest
 
 from repro.obs import Histogram
-from repro.serve.stats import ServiceStats, StatsRecorder, service_stats
+from repro.serve import PredictionService
+from repro.serve.stats import (
+    ServiceStats,
+    StatsRecorder,
+    peak_rss_bytes,
+    service_stats,
+)
 
 
 def view(recorder: StatsRecorder) -> ServiceStats:
@@ -232,3 +238,13 @@ class TestStatsRecorder:
         assert s.n_late_discards == 1
         assert s.availability == pytest.approx(0.8)
         assert s.degraded_rate == pytest.approx(0.2)
+
+
+def test_peak_rss_gauge_reads_this_process_in_bytes():
+    """``process.peak_rss_bytes`` is this process's peak RSS, in bytes
+    (a process holding numpy is well past 10 MiB; one in KiB is not)."""
+    with PredictionService() as svc:
+        before = peak_rss_bytes()
+        gauge = svc.metrics().get("process.peak_rss_bytes")
+        after = peak_rss_bytes()
+    assert 10 * 2**20 < before <= gauge.value <= after < 2**40
